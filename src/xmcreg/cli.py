@@ -7,13 +7,10 @@ Exit codes: 0 success, 1 usage error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 from pathlib import Path
 
-from . import data_io, evaluation, mining, trainer, verify
-from .encoder import encode_matrix
+from . import data_io, evaluation, experiments, trainer, verify
 
 
 class UsageError(Exception):
@@ -23,12 +20,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{message}\n{self.format_usage()}")
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 def _build_parser() -> _Parser:
@@ -68,29 +59,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_spec_file(path: str) -> data_io.SyntheticSpec:
-    import dataclasses
-
-    fields = {f.name: f for f in dataclasses.fields(data_io.SyntheticSpec)}
-    overrides = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise data_io.ParseError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (p.strip() for p in line.split("=", 1))
-            if key not in fields:
-                raise data_io.ParseError(f"{path}:{lineno}: unknown key {key!r}")
-            ftype = fields[key].type
-            overrides[key] = float(value) if ftype == "float" else int(value)
-    return data_io.SyntheticSpec(**overrides)
-
-
 def _cmd_generate(args) -> int:
     if args.spec:
-        spec = _parse_spec_file(args.spec)
+        spec, _ = data_io.load_key_values(args.spec, data_io.SyntheticSpec)
     else:
         if args.num_labels is None or args.num_queries is None:
             raise UsageError("generate-data needs --spec or both --num-labels and --num-queries")
@@ -121,37 +92,14 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _predictions(ckpt: trainer.Checkpoint, dataset: mining.Dataset) -> list[evaluation.ScoredPrediction]:
-    model = trainer.model_from_tensors(ckpt.tensors)
-    q_embs = encode_matrix(model.enc, [q.text for q in dataset.queries])
-    l_embs = encode_matrix(model.enc, [l.text for l in dataset.labels])
-    return evaluation.retrieve_top1(
-        q_embs,
-        l_embs,
-        [q.id for q in dataset.queries],
-        [l.id for l in dataset.labels],
-        [q.positives for q in dataset.queries],
-    )
-
-
 def _cmd_eval(args) -> int:
     ckpt = trainer.Checkpoint.load(args.checkpoint)
-    dataset = data_io.load_dataset(args.data)
-    preds = _predictions(ckpt, dataset)
+    preds = experiments.predict(ckpt, data_io.load_dataset(args.data))
+    calibration = None
     if args.calibration_split:
-        calib = _predictions(ckpt, data_io.load_dataset(args.calibration_split))
-        _, tau = evaluation.coverage_at_target(calib, args.target_precision)
-        c_at_1 = sum(p.score >= tau for p in preds) / len(preds) if tau is not None else 0.0
-        report = evaluation.EvalReport(
-            p_at_1=evaluation.precision_at_1(preds),
-            c_at_1=c_at_1,
-            threshold=tau,
-            target_precision=args.target_precision,
-            histogram=evaluation.score_histogram(preds, bins=args.bins),
-        )
-    else:
-        report = evaluation.evaluate(preds, args.target_precision, bins=args.bins)
-    _atomic_write_text(Path(args.report), json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n")
+        calibration = experiments.predict(ckpt, data_io.load_dataset(args.calibration_split))
+    report = evaluation.evaluate(preds, args.target_precision, bins=args.bins, calibration=calibration)
+    evaluation.write_report(args.report, report)
     if args.scores:
         evaluation.write_scores(args.scores, preds)
     print(f"P@1 {report.p_at_1:.4f}  C@1 {report.c_at_1:.4f}  threshold {report.threshold}")
@@ -171,13 +119,7 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_histogram(args) -> int:
     preds = evaluation.read_scores(args.scores)
     hist = evaluation.score_histogram(preds, bins=args.bins)
-    payload = {
-        "edges": hist.edges,
-        "correct_counts": hist.correct_counts,
-        "incorrect_counts": hist.incorrect_counts,
-        "overlap": hist.overlap,
-    }
-    _atomic_write_text(Path(args.out), json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    evaluation.write_report(args.out, hist)
     print(f"overlap coefficient {hist.overlap:.4f}")
     return 0
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -232,17 +233,28 @@ def load_dataset(data_dir: str | Path) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# run config files: `key = value` lines, '#' comments
+# config files: `key = value` lines, '#' comments
 
 _PATH_KEYS = ("data", "out")
 
 
-def load_run_config(path: str | Path) -> tuple[TrainConfig, dict[str, str]]:
-    """Parse a run config into a TrainConfig plus optional path entries.
+def _parse_value(kind: type, value: str):
+    if kind is bool:
+        if value.lower() not in ("true", "false"):
+            raise ValueError(f"bad bool {value!r}")
+        return value.lower() == "true"
+    return kind(value)
 
-    Unknown keys are rejected.
+
+def load_key_values(path: str | Path, cls: type, path_keys: tuple[str, ...] = ()) -> tuple:
+    """Parse a config file into an instance of the dataclass ``cls``, plus
+    the raw values of ``path_keys``.
+
+    Values are converted by each field's type. Unknown keys and
+    unconvertible values are rejected with ``path:line``.
     """
-    fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
+    kinds = typing.get_type_hints(cls)
+    names = {f.name for f in dataclasses.fields(cls)}
     overrides: dict = {}
     paths: dict[str, str] = {}
     with open(path, encoding="utf-8") as f:
@@ -253,23 +265,18 @@ def load_run_config(path: str | Path) -> tuple[TrainConfig, dict[str, str]]:
             if "=" not in line:
                 raise ParseError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key in _PATH_KEYS:
+            if key in path_keys:
                 paths[key] = value
                 continue
-            if key not in fields:
+            if key not in names:
                 raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
-            ftype = fields[key].type
             try:
-                if ftype == "bool":
-                    if value.lower() not in ("true", "false"):
-                        raise ValueError(f"bad bool {value!r}")
-                    overrides[key] = value.lower() == "true"
-                elif ftype == "int":
-                    overrides[key] = int(value)
-                elif ftype == "float":
-                    overrides[key] = float(value)
-                else:
-                    overrides[key] = value
+                overrides[key] = _parse_value(kinds[key], value)
             except ValueError as e:
                 raise ParseError(f"{path}:{lineno}: {e}") from e
-    return TrainConfig(**overrides), paths
+    return cls(**overrides), paths
+
+
+def load_run_config(path: str | Path) -> tuple[TrainConfig, dict[str, str]]:
+    """A run config: TrainConfig fields plus optional ``data`` and ``out`` paths."""
+    return load_key_values(path, TrainConfig, _PATH_KEYS)

@@ -235,15 +235,6 @@ def detach(tape, a) -> Tensor:
 # reductions
 
 
-def sum_all(tape, a) -> Tensor:
-    da = _val(a)
-
-    def backward(g):
-        _accum(a, np.full_like(da, float(g)))
-
-    return _make(tape, da.sum(), backward)
-
-
 def mean_all(tape, a) -> Tensor:
     da = _val(a)
     n = da.size
@@ -294,16 +285,6 @@ def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
     e = np.exp(x[~pos])
     out[~pos] = e / (1.0 + e)
     return out
-
-
-def sigmoid(tape, a) -> Tensor:
-    da = np.atleast_1d(_val(a)) * 1.0
-    s = _sigmoid_stable(da).reshape(_val(a).shape)
-
-    def backward(g):
-        _accum(a, g * s * (1.0 - s))
-
-    return _make(tape, s, backward)
 
 
 def gelu(tape, a) -> Tensor:

@@ -4,9 +4,13 @@ score-histogram reporting."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import os
+from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
+
+from .mining import score_chunks
 
 
 class EmptyLabelSpace(ValueError):
@@ -32,6 +36,9 @@ class Histogram:
     incorrect_counts: list[int]
     overlap: float
 
+    def as_dict(self) -> dict:
+        return asdict(self)
+
 
 @dataclass
 class EvalReport:
@@ -42,18 +49,8 @@ class EvalReport:
     histogram: Histogram
 
     def as_dict(self) -> dict:
-        return {
-            "p_at_1": self.p_at_1,
-            "c_at_1": self.c_at_1,
-            "threshold": self.threshold,
-            "target_precision": self.target_precision,
-            "histogram": {
-                "edges": self.histogram.edges,
-                "correct_counts": self.histogram.correct_counts,
-                "incorrect_counts": self.histogram.incorrect_counts,
-                "overlap": self.histogram.overlap,
-            },
-        }
+        """The report's fields, the histogram as ``Histogram.as_dict``."""
+        return asdict(self)
 
 
 def retrieve_top1(
@@ -66,22 +63,12 @@ def retrieve_top1(
     """Exact brute-force argmax over all labels; ties go to the lower label id."""
     if label_embeddings.shape[0] == 0:
         raise EmptyLabelSpace("no labels to retrieve from")
-    ids = np.asarray(label_ids)
-    id_order = np.argsort(ids, kind="stable")
-    sims = query_embeddings @ label_embeddings.T
     preds = []
-    for qi, qid in enumerate(query_ids):
-        row = sims[qi][id_order]
-        j = int(np.argmax(row))  # first max wins; rows are in ascending-id order
-        lid = int(ids[id_order][j])
-        preds.append(
-            ScoredPrediction(
-                query_id=qid,
-                top1_label_id=lid,
-                score=float(row[j]),
-                correct=lid in positives[qi],
-            )
-        )
+    for rows, ids, scores in score_chunks(query_embeddings, label_embeddings, label_ids):
+        best = scores.argmax(axis=1)  # first max wins; columns are in ascending-id order
+        top = scores[np.arange(len(best)), best]
+        for qid, lid, score, pos in zip(query_ids[rows], ids[best].tolist(), top.tolist(), positives[rows]):
+            preds.append(ScoredPrediction(query_id=qid, top1_label_id=lid, score=score, correct=lid in pos))
     return preds
 
 
@@ -153,11 +140,19 @@ def score_histogram(preds: list[ScoredPrediction], bins: int = 50) -> Histogram:
     )
 
 
-def evaluate(preds: list[ScoredPrediction], target_precision: float, bins: int = 50) -> EvalReport:
-    c_at_1, tau = coverage_at_target(preds, target_precision)
+def evaluate(
+    preds: list[ScoredPrediction],
+    target_precision: float,
+    bins: int = 50,
+    calibration: list[ScoredPrediction] | None = None,
+) -> EvalReport:
+    """Metrics of ``preds``. The C@1 threshold is the one that meets the
+    target on ``calibration`` when given, else on ``preds`` themselves."""
+    p_at_1 = precision_at_1(preds)
+    _, tau = coverage_at_target(preds if calibration is None else calibration, target_precision)
     return EvalReport(
-        p_at_1=precision_at_1(preds),
-        c_at_1=c_at_1,
+        p_at_1=p_at_1,
+        c_at_1=sum(p.score >= tau for p in preds) / len(preds) if tau is not None else 0.0,
         threshold=tau,
         target_precision=target_precision,
         histogram=score_histogram(preds, bins=bins),
@@ -197,7 +192,9 @@ def read_scores(path) -> list[ScoredPrediction]:
     return preds
 
 
-def write_report(path, report: EvalReport) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(report.as_dict(), f, sort_keys=True, indent=2)
-        f.write("\n")
+def write_report(path, report: EvalReport | Histogram) -> None:
+    """Atomic write of a report as sorted, indented JSON."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    os.replace(tmp, path)

@@ -31,22 +31,22 @@ class ComparisonResult:
         return float(np.mean([getattr(r, field) for r in runs]))
 
 
-def evaluate_checkpoint(ckpt: trainer.Checkpoint, dataset: mining.Dataset, target_precision: float) -> RunResult:
+def predict(ckpt: trainer.Checkpoint, dataset: mining.Dataset) -> list[evaluation.ScoredPrediction]:
+    """Top-1 prediction of the checkpoint's model for every query of the dataset."""
     model = trainer.model_from_tensors(ckpt.tensors)
     q_embs = encode_matrix(model.enc, [q.text for q in dataset.queries])
     l_embs = encode_matrix(model.enc, [l.text for l in dataset.labels])
-    preds = evaluation.retrieve_top1(
+    return evaluation.retrieve_top1(
         q_embs, l_embs,
         [q.id for q in dataset.queries],
         [l.id for l in dataset.labels],
         [q.positives for q in dataset.queries],
     )
-    c_at_1, _ = evaluation.coverage_at_target(preds, target_precision)
-    return RunResult(
-        p_at_1=evaluation.precision_at_1(preds),
-        c_at_1=c_at_1,
-        overlap=evaluation.score_histogram(preds).overlap,
-    )
+
+
+def evaluate_checkpoint(ckpt: trainer.Checkpoint, dataset: mining.Dataset, target_precision: float) -> RunResult:
+    report = evaluation.evaluate(predict(ckpt, dataset), target_precision)
+    return RunResult(p_at_1=report.p_at_1, c_at_1=report.c_at_1, overlap=report.histogram.overlap)
 
 
 def directional_comparison(

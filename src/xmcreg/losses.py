@@ -8,7 +8,7 @@ the convention together with p -> 1-p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -41,17 +41,9 @@ class LossBreakdown:
     xe_ql: float
     xe_qb: float
     total: float
-    beta1: float
-    beta2: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "base": self.base,
-            "tcm": self.tcm,
-            "xe_ql": self.xe_ql,
-            "xe_qb": self.xe_qb,
-            "total": self.total,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -278,7 +270,5 @@ def total_loss(
         xe_ql=xe_ql_val,
         xe_qb=xe_qb_val,
         total=float(total.data),
-        beta1=cfg.beta1,
-        beta2=cfg.beta2,
     )
     return total, breakdown, shrunk

@@ -12,7 +12,8 @@ All tie-breaking is by ascending label id for reproducibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +21,15 @@ from .encoder import TextRecord
 
 POSITIVE_TARGET = 0.0
 NEGATIVE_TARGET = 1.0
+
+# upper bound on the scores one block of score_chunks holds (8 MB of
+# float64), so neither retrieval nor pool mining builds the whole
+# query x label matrix
+SCORE_CHUNK_ELEMENTS = 2**20
+# Blocks start at multiples of this many rows. OpenBLAS tiles the rows of
+# a product (by 12 on Haswell), and a block that starts inside a tile
+# rounds some scores differently in the last bit from the whole product.
+SCORE_BLOCK_ROWS = 96
 
 
 class TooFewQueries(ValueError):
@@ -121,6 +131,33 @@ def in_batch_negatives(batch: Batch, dataset: Dataset) -> dict[int, list[int]]:
     return out
 
 
+def score_chunks(query_embeddings: np.ndarray, label_embeddings: np.ndarray, label_ids: list[int]):
+    """Scores of every query against every label, a block of query rows at
+    a time, with the label columns in ascending-id order.
+
+    Yields ``(rows, ids, scores)``: a slice of query rows, the label ids
+    in column order, and the block's scores. Blocks start at multiples of
+    SCORE_BLOCK_ROWS rows and hold about SCORE_CHUNK_ELEMENTS scores; a
+    tail of under half a block joins the block before it. No block is
+    then a one-row product, which BLAS computes another way, unless the
+    input has one row. With single-threaded OpenBLAS the scores equal the
+    same entries of the whole product bit for bit.
+    """
+    ids = np.asarray(label_ids)
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    n = query_embeddings.shape[0]
+    step = max(1, SCORE_CHUNK_ELEMENTS // (SCORE_BLOCK_ROWS * max(1, len(ids)))) * SCORE_BLOCK_ROWS
+    starts = list(range(0, n, step))
+    if len(starts) > 1 and n - starts[-1] < step // 2:
+        starts.pop()
+    for start, stop in zip(starts, starts[1:] + [n]):
+        # id order is applied after the product, whose rounding can depend
+        # on the order of the columns too
+        yield slice(start, stop), sorted_ids, np.take(
+            query_embeddings[start:stop] @ label_embeddings.T, order, axis=1)
+
+
 def ance_pool(
     query_embeddings: np.ndarray,
     label_embeddings: np.ndarray,
@@ -131,21 +168,31 @@ def ance_pool(
     """Per-query pools of the pool_size hardest non-positive labels.
 
     Exact brute-force search over all labels; ordered by similarity
-    descending, ties by ascending label id.
+    descending, ties by ascending label id. Positive ids that are not
+    among ``label_ids`` are ignored.
     """
     if pool_size < 1:
         raise ValueError("pool_size must be >= 1")
-    ids = np.asarray(label_ids)
-    sims = query_embeddings @ label_embeddings.T
-    pools = []
-    for qi, pos in enumerate(positives_per_query):
-        row = sims[qi].copy()
-        for j, lid in enumerate(ids):
-            if int(lid) in pos:
-                row[j] = -np.inf
-        order = np.lexsort((ids, -row))
-        picked = [int(ids[j]) for j in order if np.isfinite(row[j])][:pool_size]
-        pools.append(picked)
+    pools: list[list[int]] = []
+    for rows, ids, scores in score_chunks(query_embeddings, label_embeddings, label_ids):
+        positives = positives_per_query[rows]
+        pos_rows = np.repeat(np.arange(len(positives)), [len(p) for p in positives])
+        pos_ids = np.fromiter(itertools.chain.from_iterable(positives), dtype=ids.dtype, count=len(pos_rows))
+        # is_pos[r, u]: query r has positive uniq[u]; a repeated label id
+        # masks every column that carries it
+        uniq, uniq_of_col = np.unique(ids, return_inverse=True)
+        u = np.searchsorted(uniq, pos_ids)
+        known = u < len(uniq)
+        known[known] = uniq[u[known]] == pos_ids[known]
+        is_pos = np.zeros((len(positives), len(uniq)), dtype=bool)
+        is_pos[pos_rows[known], u[known]] = True
+        scores[is_pos[:, uniq_of_col]] = -np.inf
+        # a stable ascending sort of the negated scores keeps ties in
+        # ascending-id column order; masked positives sort last
+        np.negative(scores, out=scores)
+        order = np.argsort(scores, axis=1, kind="stable")[:, :pool_size]
+        finite = np.isfinite(np.take_along_axis(scores, order, axis=1))
+        pools.extend(ids[o[f]].tolist() for o, f in zip(order, finite))
     return pools
 
 

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
-from dataclasses import dataclass, field, asdict
+import typing
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -74,23 +76,27 @@ class ModelParams:
     block: BlockContextParams
 
     def named_tensors(self) -> dict[str, dm.Tensor]:
-        out = {
-            "encoder/bucket_table": self.enc.bucket_table,
-            "encoder/projection": self.enc.projection,
+        """Every parameter under its checkpoint name, in checkpoint order."""
+        return {
+            f"{prefix}/{name}": getattr(getattr(self, attr), name)
+            for attr, prefix, _, names in _LAYOUT
+            for name in names
         }
-        for prefix, head in (("head_ql", self.head_ql), ("head_qb", self.head_qb)):
-            out[f"{prefix}/w1"] = head.w1
-            out[f"{prefix}/b1"] = head.b1
-            out[f"{prefix}/ln_gain"] = head.ln_gain
-            out[f"{prefix}/ln_bias"] = head.ln_bias
-            out[f"{prefix}/w2"] = head.w2
-            out[f"{prefix}/b2"] = head.b2
-        b = self.block
-        for name in ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo",
-                     "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias",
-                     "ff_w1", "ff_b1", "ff_w2", "ff_b2"):
-            out[f"block/{name}"] = getattr(b, name)
-        return out
+
+
+def _layout() -> list[tuple[str, str, type, list[str]]]:
+    """(attribute, checkpoint prefix, class, tensor field names) of each
+    ModelParams part. Names follow field order, which fixes the order of
+    tensors in a checkpoint."""
+    layout = []
+    for attr, cls in typing.get_type_hints(ModelParams).items():
+        kinds = typing.get_type_hints(cls)
+        names = [f.name for f in fields(cls) if kinds[f.name] is dm.Tensor]
+        layout.append((attr, "encoder" if attr == "enc" else attr, cls, names))
+    return layout
+
+
+_LAYOUT = _layout()
 
 
 def init_model(rng: np.random.Generator, config: TrainConfig) -> ModelParams:
@@ -103,22 +109,12 @@ def init_model(rng: np.random.Generator, config: TrainConfig) -> ModelParams:
 
 
 def model_from_tensors(tensors: dict[str, np.ndarray], dropout: float = 0.1) -> ModelParams:
-    t = {k: dm.Tensor(v) for k, v in tensors.items() if not k.startswith(("opt/", "meta/"))}
-    enc = EncoderParams(bucket_table=t["encoder/bucket_table"], projection=t["encoder/projection"])
-
-    def head(prefix):
-        return MlpHead(
-            w1=t[f"{prefix}/w1"], b1=t[f"{prefix}/b1"],
-            ln_gain=t[f"{prefix}/ln_gain"], ln_bias=t[f"{prefix}/ln_bias"],
-            w2=t[f"{prefix}/w2"], b2=t[f"{prefix}/b2"],
-            dropout_rate=dropout,
-        )
-
-    block = BlockContextParams(**{name: t[f"block/{name}"] for name in (
-        "wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo",
-        "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias",
-        "ff_w1", "ff_b1", "ff_w2", "ff_b2")})
-    return ModelParams(enc=enc, head_ql=head("head_ql"), head_qb=head("head_qb"), block=block)
+    model = ModelParams(**{
+        attr: cls(**{name: dm.Tensor(tensors[f"{prefix}/{name}"]) for name in names})
+        for attr, prefix, cls, names in _LAYOUT
+    })
+    model.head_ql.dropout_rate = model.head_qb.dropout_rate = dropout
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -191,26 +187,36 @@ def write_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def read_tensors(path: str | Path) -> dict[str, np.ndarray]:
+    """Read a container written by write_tensors. A truncated file, trailing
+    bytes, a duplicate name, or a rank or size that runs past the end of
+    the file is rejected with its byte offset."""
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic {raw[:4]!r}")
+    view = memoryview(raw)
     off = 4
-    (count,) = struct.unpack_from("<I", raw, off)
-    off += 4
+
+    def take(size: int, what: str) -> memoryview:
+        nonlocal off
+        if off + size > len(raw):
+            raise ValueError(f"{path}: {what} at byte {off} runs past the end of the file ({len(raw)} bytes)")
+        off += size
+        return view[off - size : off]
+
+    (count,) = struct.unpack("<I", take(4, "tensor count"))
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        name = raw[off : off + nlen].decode("utf-8")
-        off += nlen
-        (rank,) = struct.unpack_from("<B", raw, off)
-        off += 1
-        dims = struct.unpack_from(f"<{rank}I", raw, off) if rank else ()
-        off += 4 * rank
-        n = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(dims)
-        off += 8 * n
-        tensors[name] = np.array(arr)
+        name_off = off
+        (nlen,) = struct.unpack("<H", take(2, "name length"))
+        name = str(take(nlen, "name"), "utf-8")
+        if name in tensors:
+            raise ValueError(f"{path}: duplicate tensor name {name!r} at byte {name_off}")
+        (rank,) = struct.unpack("<B", take(1, "rank"))
+        dims = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of {name!r}"))
+        data = take(8 * math.prod(dims), f"data of {name!r}")
+        tensors[name] = np.frombuffer(data, dtype="<f8").reshape(dims).copy()
+    if off != len(raw):
+        raise ValueError(f"{path}: {len(raw) - off} trailing bytes at byte {off}")
     return tensors
 
 

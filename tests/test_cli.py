@@ -48,6 +48,13 @@ class TestGenerate:
         spec.write_text("num_labels = 20\nnum_train_queries = 10\nnum_test_queries = 4\nfamilies = 4\n")
         assert run(["generate-data", "--out", str(tmp_path / "d"), "--spec", str(spec)]) == 0
 
+    def test_spec_file_error_has_location(self, tmp_path, capsys):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("num_labels = 20\nseed = 1.5\n")
+        assert run(["generate-data", "--out", str(tmp_path / "d"), "--spec", str(spec)]) == 2
+        assert "spec.cfg:2: " in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_missing_size_flags_is_usage_error(self, tmp_path):
         assert run(["generate-data", "--out", str(tmp_path / "d")]) == 1
         assert not (tmp_path / "d").exists()

@@ -1,9 +1,12 @@
 """Synthetic data generation, dataset files, and run-config parsing."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from xmcreg.data_io import (
     InvalidSpec,
@@ -14,8 +17,10 @@ from xmcreg.data_io import (
     corrupt_text,
     generate,
     load_dataset,
+    load_key_values,
     load_run_config,
 )
+from xmcreg.trainer import TrainConfig
 
 from conftest import tiny_spec
 
@@ -209,3 +214,51 @@ class TestRunConfig:
         cfg.write_text("epochs\n")
         with pytest.raises(ParseError):
             load_run_config(cfg)
+
+
+def _field_values(cls):
+    """Strategy for a dict of values for every field of cls, drawn by type."""
+    by_type = {
+        int: st.integers(2, 5000),
+        float: st.floats(0.001, 0.99),
+        bool: st.booleans(),
+        str: st.sampled_from(["cluster", "ance"]),
+    }
+    kinds = {f.name: type(getattr(cls(), f.name)) for f in dataclasses.fields(cls)}
+    return st.fixed_dictionaries({name: by_type[kind] for name, kind in kinds.items()})
+
+
+def _format(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+class TestKeyValueParser:
+    @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_written_values_round_trip(self, tmp_path, data):
+        cls = data.draw(st.sampled_from([SyntheticSpec, TrainConfig]))
+        values = data.draw(_field_values(cls))
+        try:
+            expected = cls(**values)
+        except ValueError:
+            assume(False)
+        path = tmp_path / "fields.cfg"
+        path.write_text("".join(f"{k} = {_format(v)}\n" for k, v in values.items()))
+        parsed, _ = load_key_values(path, cls)
+        assert dataclasses.asdict(parsed) == dataclasses.asdict(expected)
+
+    @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.sampled_from([(SyntheticSpec, "seed"), (TrainConfig, "epochs")]),
+        st.integers(0, 6),
+        st.sampled_from(["seed_and_epochs", "{key} = 1.5", "{key} = ", "nonsense = 1", "true = false"]),
+    )
+    def test_malformed_line_reported_at_its_line(self, tmp_path, target, before, bad):
+        cls, key = target
+        lines = [f"{key} = 3"] * before + [bad.format(key=key)] + [f"{key} = 4"]
+        path = tmp_path / "fields.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"fields.cfg:{before + 1}: "):
+            load_key_values(path, cls)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xmcreg import mining
 from xmcreg.evaluation import (
     EmptyLabelSpace,
     EmptyPredictions,
@@ -32,6 +33,20 @@ def _preds(scores, correct):
 def _unit_rows(arr):
     arr = np.asarray(arr, dtype=float)
     return arr / np.linalg.norm(arr, axis=1, keepdims=True)
+
+
+def _double_loop_oracle(sims, label_ids, positives):
+    """(label id, score, correct) of each query's top label, by scanning the
+    score matrix one entry at a time; ties go to the lower label id."""
+    out = []
+    for qi, row in enumerate(sims):
+        best_lid, best_score = None, -np.inf
+        for j, lid in enumerate(label_ids):
+            s = float(row[j])
+            if s > best_score or (s == best_score and lid < best_lid):
+                best_lid, best_score = lid, s
+        out.append((best_lid, best_score, best_lid in positives[qi]))
+    return out
 
 
 class TestRetrieveTop1:
@@ -60,18 +75,35 @@ class TestRetrieveTop1:
         rng = np.random.default_rng(0)
         q = _unit_rows(rng.normal(size=(100, 8)))
         l = _unit_rows(rng.normal(size=(50, 8)))
-        label_ids = list(rng.permutation(50))
+        label_ids = [int(x) for x in rng.permutation(50)]
         positives = [frozenset({int(rng.integers(50))}) for _ in range(100)]
-        preds = retrieve_top1(q, l, list(range(100)), [int(x) for x in label_ids], positives)
-        for qi, p in enumerate(preds):
-            best_lid, best_score = None, -np.inf
-            for j, lid in enumerate(label_ids):
-                s = float(q[qi] @ l[j])
-                if s > best_score or (s == best_score and lid < best_lid):
-                    best_lid, best_score = int(lid), s
-            assert p.top1_label_id == best_lid
-            np.testing.assert_allclose(p.score, best_score)
-            assert p.correct == (best_lid in positives[qi])
+        preds = retrieve_top1(q, l, list(range(100)), label_ids, positives)
+        pair_dots = [[float(qv @ lv) for lv in l] for qv in q]
+        for p, (lid, score, correct) in zip(preds, _double_loop_oracle(pair_dots, label_ids, positives)):
+            assert p.top1_label_id == lid
+            np.testing.assert_allclose(p.score, score)
+            assert p.correct == correct
+
+    @pytest.mark.parametrize("block_rows, budget", [(3, 1), (4, 1), (4, 80), (96, 2**20)])
+    def test_chunks_match_double_loop_oracle(self, monkeypatch, block_rows, budget):
+        # 9 queries over 10 labels: three 3-row blocks; a 4-row block and a
+        # 5-row block that took the one-row tail; an 8-row block that took
+        # the tail; the defaults, one block
+        monkeypatch.setattr(mining, "SCORE_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(mining, "SCORE_CHUNK_ELEMENTS", budget)
+        rng = np.random.default_rng(3)
+        q = _unit_rows(rng.normal(size=(9, 4)))
+        l = _unit_rows(rng.normal(size=(10, 4)))
+        l[[2, 5, 8]] = l[7]  # tied scores, resolved by label id
+        q[4] = l[7]
+        label_ids = [int(x) for x in rng.permutation(np.arange(100, 110))]
+        positives = [frozenset({label_ids[i], 999}) for i in range(9)]  # 999 is not a label
+        blocks = [rows for rows, _, _ in mining.score_chunks(q, l, label_ids)]
+        assert all(rows.start % block_rows == 0 and rows.stop - rows.start >= 2 for rows in blocks)
+        assert blocks[-1].stop == 9
+        preds = retrieve_top1(q, l, list(range(9)), label_ids, positives)
+        oracle = _double_loop_oracle(q @ l.T, label_ids, positives)
+        assert [(p.top1_label_id, p.score, p.correct) for p in preds] == oracle
 
     def test_empty_label_space(self):
         with pytest.raises(EmptyLabelSpace):
@@ -234,3 +266,20 @@ class TestFiles:
         assert set(obj) == {"p_at_1", "c_at_1", "threshold", "target_precision", "histogram"}
         assert set(obj["histogram"]) == {"edges", "correct_counts", "incorrect_counts", "overlap"}
         assert obj["p_at_1"] == 0.5
+
+    def test_histogram_json(self, tmp_path):
+        hist = score_histogram(_preds([0.9, 0.4], [True, False]), bins=2)
+        path = tmp_path / "hist.json"
+        write_report(path, hist)
+        assert json.loads(path.read_text()) == hist.as_dict()
+        assert not (tmp_path / "hist.json.tmp").exists()
+
+
+def test_calibration_split_picks_the_threshold():
+    preds = _preds([0.9, 0.6, 0.4], [True, False, True])
+    calibration = _preds([0.8, 0.5], [True, False])
+    report = evaluate(preds, 1.0, calibration=calibration)
+    assert report.threshold == 0.8
+    assert report.c_at_1 == 1 / 3
+    assert report.p_at_1 == 2 / 3
+    assert evaluate(preds, 1.0).threshold == 0.9

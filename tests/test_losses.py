@@ -208,9 +208,9 @@ class TestBceSuite:
         z = dm.Tensor(rng.normal(size=6))
         y = rng.integers(0, 2, size=6).astype(float)
         tape = dm.GradTape()
-        out = dm.sum_all(tape, dm.bce_with_logits(tape, z, y))
+        out = dm.mean_all(tape, dm.bce_with_logits(tape, z, y))
         tape.backward(out)
-        expected = 1.0 / (1.0 + np.exp(-z.data)) - y
+        expected = (1.0 / (1.0 + np.exp(-z.data)) - y) / 6
         np.testing.assert_allclose(z.grad, expected, atol=1e-12)
 
 

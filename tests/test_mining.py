@@ -27,6 +27,16 @@ def _unit_rows(arr):
     return arr / np.linalg.norm(arr, axis=1, keepdims=True)
 
 
+def _exhaustive_sort_oracle(sims, ids, positives, pool_size):
+    return [
+        sorted(
+            (lid for lid in ids if lid not in positives[qi]),
+            key=lambda lid: (-sims[qi][ids.index(lid)], lid),
+        )[:pool_size]
+        for qi in range(len(positives))
+    ]
+
+
 class TestClusterBatches:
     def test_identical_embeddings_counting(self):
         embs = np.tile([1.0, 0.0], (4, 1))
@@ -120,13 +130,25 @@ class TestAncePool:
         ids = list(range(100, 110))
         positives = [frozenset({100}), frozenset(), frozenset({103, 104}), frozenset({109})]
         pools = ance_pool(q, labels, ids, positives, pool_size=5)
-        sims = q @ labels.T
-        for qi in range(4):
-            oracle = sorted(
-                (lid for lid in ids if lid not in positives[qi]),
-                key=lambda lid: (-sims[qi][ids.index(lid)], lid),
-            )[:5]
-            assert pools[qi] == oracle
+        assert pools == _exhaustive_sort_oracle(q @ labels.T, ids, positives, 5)
+
+    @pytest.mark.parametrize("block_rows, budget", [(3, 1), (4, 1), (4, 80), (96, 2**20)])
+    def test_chunks_match_exhaustive_sort(self, monkeypatch, block_rows, budget):
+        # 9 queries over 10 labels: three 3-row blocks; a 4-row block and a
+        # 5-row block that took the one-row tail; an 8-row block that took
+        # the tail; the defaults, one block
+        monkeypatch.setattr(mining, "SCORE_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(mining, "SCORE_CHUNK_ELEMENTS", budget)
+        rng = np.random.default_rng(4)
+        q = _unit_rows(rng.normal(size=(9, 3)))
+        labels = _unit_rows(rng.normal(size=(10, 3)))
+        labels[[1, 4, 6]] = labels[0]  # tied scores, resolved by label id
+        ids = [int(x) for x in rng.permutation(np.arange(200, 210))]
+        positives = [frozenset({ids[i], 999}) for i in range(8)]  # 999 is not a label
+        positives.append(frozenset(ids[:8]))  # two non-positives for a pool of 4
+        pools = ance_pool(q, labels, ids, positives, pool_size=4)
+        assert pools == _exhaustive_sort_oracle(q @ labels.T, ids, positives, 4)
+        assert len(pools[8]) == 2
 
     def test_invalid_pool_size(self):
         with pytest.raises(ValueError):

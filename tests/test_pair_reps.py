@@ -123,7 +123,7 @@ class TestContextualize:
         def fn(tape):
             lam = contextualize(tape, block, g_in)
             delta = build_delta(tape, g_in, lam)
-            return dm.sum_all(tape, dm.mul(tape, delta, probe))
+            return dm.mean_all(tape, dm.mul(tape, delta, probe))
 
         params = {"g": g_in, "wq": block.wq, "wv": block.wv, "ff_w1": block.ff_w1,
                   "ln1_gain": block.ln1_gain, "ff_b2": block.ff_b2}

@@ -115,6 +115,43 @@ class TestCheckpointFormat:
         with pytest.raises(ValueError):
             read_tensors(path)
 
+    def _container(self, tmp_path) -> bytes:
+        # magic (4) + count (4) + name length (2) + "a" (1) + rank (1)
+        # + dims (8) + data (48): the data starts at byte 20, the file ends at 68
+        path = tmp_path / "ok.bin"
+        write_tensors(path, {"a": np.arange(6.0).reshape(2, 3)})
+        return path.read_bytes()
+
+    def _read(self, tmp_path, raw: bytes):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(raw)
+        return read_tensors(path)
+
+    def test_truncated_file_rejected_with_offset(self, tmp_path):
+        raw = self._container(tmp_path)
+        with pytest.raises(ValueError, match="data of 'a' at byte 20 runs past the end"):
+            self._read(tmp_path, raw[:-8])
+
+    def test_trailing_bytes_rejected_with_offset(self, tmp_path):
+        raw = self._container(tmp_path)
+        with pytest.raises(ValueError, match="3 trailing bytes at byte 68"):
+            self._read(tmp_path, raw + b"\x00" * 3)
+
+    def test_duplicate_name_rejected_with_offset(self, tmp_path):
+        raw = self._container(tmp_path)
+        entry = raw[8:]
+        with pytest.raises(ValueError, match="duplicate tensor name 'a' at byte 68"):
+            self._read(tmp_path, raw[:4] + (2).to_bytes(4, "little") + entry + entry)
+
+    def test_rank_or_size_past_end_rejected_with_offset(self, tmp_path):
+        raw = self._container(tmp_path)
+        huge_rank = raw[:11] + bytes([255]) + raw[12:]
+        with pytest.raises(ValueError, match="shape of 'a' at byte 12 runs past the end"):
+            self._read(tmp_path, huge_rank)
+        huge_dim = raw[:12] + (2**31).to_bytes(4, "little") + raw[16:]
+        with pytest.raises(ValueError, match="data of 'a' at byte 20 runs past the end"):
+            self._read(tmp_path, huge_dim)
+
     def test_checkpoint_with_config_and_epoch(self, tmp_path):
         ckpt = Checkpoint(tensors={"w": np.ones((2, 2))}, config={"epochs": 3}, epoch=3)
         path = tmp_path / "c.bin"
