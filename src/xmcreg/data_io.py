@@ -251,7 +251,8 @@ def load_key_values(path: str | Path, cls: type, path_keys: tuple[str, ...] = ()
     the raw values of ``path_keys``.
 
     Values are converted by each field's type. Unknown keys and
-    unconvertible values are rejected with ``path:line``.
+    unconvertible values are rejected with ``path:line``, values that
+    fail the dataclass's own checks with ``path``.
     """
     kinds = typing.get_type_hints(cls)
     names = {f.name for f in dataclasses.fields(cls)}
@@ -274,7 +275,10 @@ def load_key_values(path: str | Path, cls: type, path_keys: tuple[str, ...] = ()
                 overrides[key] = _parse_value(kinds[key], value)
             except ValueError as e:
                 raise ParseError(f"{path}:{lineno}: {e}") from e
-    return cls(**overrides), paths
+    try:
+        return cls(**overrides), paths
+    except ValueError as e:
+        raise ParseError(f"{path}: {e}") from e
 
 
 def load_run_config(path: str | Path) -> tuple[TrainConfig, dict[str, str]]:

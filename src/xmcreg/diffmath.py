@@ -219,9 +219,19 @@ def gather_rows(tape, a, idx) -> Tensor:
     out = da[idx]
 
     def backward(g):
-        buf = np.zeros_like(da)
-        np.add.at(buf, idx, g)
-        _accum(a, buf)
+        if not isinstance(a, Tensor):
+            return
+        if a.grad is None:
+            a.grad = np.zeros_like(da)
+        # Only the gathered rows change. + 0.0 maps -0.0 to +0.0 as adding
+        # g into a zero buffer did, so with unique idx this equals adding
+        # a dense scatter of g bit for bit, except that a -0.0 already in
+        # a row not gathered is left as it is
+        g = g + 0.0
+        if len(set(idx.tolist())) == idx.size:
+            a.grad[idx] += g
+        else:
+            np.add.at(a.grad, idx, g)
 
     return _make(tape, out, backward)
 

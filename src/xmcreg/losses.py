@@ -14,7 +14,7 @@ import numpy as np
 
 from . import diffmath as dm
 from . import mining, pair_reps
-from .encoder import EncoderParams, encode
+from .encoder import EncoderParams, embed, featurize
 from .mining import Batch, Blocking, Dataset, validate_blocking
 
 
@@ -195,27 +195,32 @@ def total_loss(
     the number of shrunk blockings. With beta1 = beta2 = 0 and the
     regularizer disabled, the total is bit-identical to the base loss.
     """
-    q_emb: dict[int, dm.Tensor] = {}
-    l_emb: dict[int, dm.Tensor] = {}
-    for qid in batch.query_ids:
-        q_emb[qid] = encode(enc, dataset.query_by_id[qid].text, tape)
-    needed = set(batch.pos_label_ids.values())
-    for pool in batch.neg_pools.values():
-        needed.update(pool)
-    for lid in sorted(needed):
-        l_emb[lid] = encode(enc, dataset.label_by_id[lid].text, tape)
-
-    sims: dict[int, dict[int, float]] = {}
-    s_pos: dict[int, dm.Tensor] = {}
-    s_negs: dict[int, dict[int, dm.Tensor]] = {}
-    for qid in batch.query_ids:
-        s_pos[qid] = dot = dm.dot(tape, q_emb[qid], l_emb[batch.pos_label_ids[qid]])
-        s_negs[qid] = {lid: dm.dot(tape, q_emb[qid], l_emb[lid]) for lid in batch.neg_pools[qid]}
-        sims[qid] = {lid: float(t.data) for lid, t in s_negs[qid].items()}
-
     base_negs = batch.base_neg_ids if batch.base_neg_ids is not None else {
         qid: list(batch.neg_pools[qid]) for qid in batch.query_ids
     }
+    # TCM and the blockings read every pool negative; the triplet term
+    # reads only the base negatives
+    whole_pool = cfg.tcm is not None or cfg.beta1 != 0.0 or cfg.beta2 != 0.0
+    negs = {
+        qid: [lid for lid in batch.neg_pools[qid] if whole_pool or lid in base_negs[qid]]
+        for qid in batch.query_ids
+    }
+    needed = set(batch.pos_label_ids.values())
+    for pool in negs.values():
+        needed.update(pool)
+    label_ids = sorted(needed)
+    texts = [dataset.query_by_id[qid].text for qid in batch.query_ids]
+    texts += [dataset.label_by_id[lid].text for lid in label_ids]
+    features = iter(featurize(texts, enc.num_buckets))
+    q_emb = {qid: embed(enc, next(features), tape) for qid in batch.query_ids}
+    l_emb = {lid: embed(enc, next(features), tape) for lid in label_ids}
+
+    s_pos: dict[int, dm.Tensor] = {}
+    s_negs: dict[int, dict[int, dm.Tensor]] = {}
+    for qid in batch.query_ids:
+        s_pos[qid] = dm.dot(tape, q_emb[qid], l_emb[batch.pos_label_ids[qid]])
+        s_negs[qid] = {lid: dm.dot(tape, q_emb[qid], l_emb[lid]) for lid in negs[qid]}
+
     triplet_terms = [
         triplet_base_loss(tape, s_pos[qid], [s_negs[qid][lid] for lid in base_negs[qid]], cfg.triplet_margin)
         for qid in batch.query_ids
@@ -237,6 +242,7 @@ def total_loss(
     shrunk = 0
     if cfg.beta1 != 0.0 or cfg.beta2 != 0.0:
         negatives = {qid: list(batch.neg_pools[qid]) for qid in batch.query_ids}
+        sims = {qid: {lid: float(t.data) for lid, t in s_negs[qid].items()} for qid in batch.query_ids}
         blockings, shrunk = mining.build_blockings(batch, negatives, sims, cfg.k)
         for b in blockings:
             validate_blocking(b)

@@ -187,13 +187,31 @@ def ance_pool(
         is_pos = np.zeros((len(positives), len(uniq)), dtype=bool)
         is_pos[pos_rows[known], u[known]] = True
         scores[is_pos[:, uniq_of_col]] = -np.inf
-        # a stable ascending sort of the negated scores keeps ties in
-        # ascending-id column order; masked positives sort last
+        # ascending negated scores, ties in ascending-id column order, as a
+        # stable sort would give; masked positives sort last
         np.negative(scores, out=scores)
-        order = np.argsort(scores, axis=1, kind="stable")[:, :pool_size]
-        finite = np.isfinite(np.take_along_axis(scores, order, axis=1))
-        pools.extend(ids[o[f]].tolist() for o, f in zip(order, finite))
+        pools.extend(_smallest_per_row(scores, ids, pool_size))
     return pools
+
+
+def _smallest_per_row(scores: np.ndarray, ids: np.ndarray, k: int) -> list[list[int]]:
+    """Ids of each row's k smallest finite scores, ordered by (score,
+    column): the first k of a stable argsort, without sorting whole rows."""
+    n, width = scores.shape
+    k = min(k, width)
+    if k == 0:
+        return [[] for _ in range(n)]
+    kth = np.partition(scores, k - 1, axis=1)[:, k - 1 : k]
+    # every score at or below a row's k-th smallest, ties at the k-th included
+    rows, cols = np.nonzero(scores <= kth)
+    vals = scores[rows, cols]
+    order = np.lexsort((cols, vals, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+    keep = (rank < k) & np.isfinite(vals)
+    bounds = np.searchsorted(rows[keep], np.arange(n + 1))
+    chosen = ids[cols[keep]].tolist()
+    return [chosen[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def build_blockings(

@@ -155,11 +155,23 @@ def update_step(params: dict[str, dm.Tensor], state: AdamState, lr: float,
             state.touched.add(name)
         if g.shape != p.data.shape:
             raise ShapeMismatch(f"{name}: grad {g.shape} vs param {p.data.shape}")
-        state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
-        m_hat = state.m[name] / (1 - b1**t)
-        v_hat = state.v[name] / (1 - b2**t)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        # the moments are updated in place, in the operation order of
+        # m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g
+        m, v = state.m[name], state.v[name]
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        sq = (1 - b2) * g
+        sq *= g
+        v += sq
+        update = m / (1 - b1**t)
+        update *= lr
+        denom = v / (1 - b2**t)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        update /= denom
+        # a new array: p.data may be a checkpoint's array, which is not ours to change
+        p.data = p.data - update
 
 
 # ---------------------------------------------------------------------------

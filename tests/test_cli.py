@@ -55,6 +55,14 @@ class TestGenerate:
         assert "spec.cfg:2: " in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    def test_spec_check_error_names_file(self, tmp_path, capsys):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("num_labels = 10\nfamilies = 20\n")
+        assert run(["generate-data", "--out", str(tmp_path / "d"), "--spec", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert f"{spec}: " in err and "families" in err
+        assert not (tmp_path / "d").exists()
+
     def test_missing_size_flags_is_usage_error(self, tmp_path):
         assert run(["generate-data", "--out", str(tmp_path / "d")]) == 1
         assert not (tmp_path / "d").exists()
@@ -72,6 +80,14 @@ class TestTrain:
         cfg = tmp_path / "c.cfg"
         cfg.write_text(TINY_TRAIN_CFG)
         assert run(["train", "--config", str(cfg), "--data", str(tmp_path / "nope"), "--out", str(tmp_path)]) == 2
+
+    def test_config_check_error_names_file(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(TINY_TRAIN_CFG.replace("epochs = 2", "epochs = 0"))
+        out = tmp_path / "out"
+        assert run(["train", "--config", str(cfg), "--data", str(dataset_dir / "train"), "--out", str(out)]) == 2
+        assert f"{cfg}: invalid training configuration" in capsys.readouterr().err
+        assert not (out / "checkpoint.bin").exists()
 
 
 class TestEval:

@@ -190,3 +190,64 @@ def test_finite_outputs_on_finite_inputs():
         dm.bce_with_logits(None, x, np.ones((6, 8))),
     ):
         assert np.all(np.isfinite(out.data))
+
+
+class TestGatherRowsBackward:
+    """The backward adds into the gathered rows only. For unique indices
+    that is bit-identical to accumulating a dense zero buffer that the
+    gradient rows were scattered into."""
+
+    @staticmethod
+    def _dense_reference(grad, shape, idx, g):
+        buf = np.zeros(shape)
+        np.add.at(buf, idx, g)
+        return buf if grad is None else grad + buf
+
+    @staticmethod
+    def _backward(grad, idx, g):
+        a = dm.Tensor(np.random.default_rng(0).normal(size=(6, 3)))
+        a.grad = None if grad is None else grad.copy()
+        out = dm.gather_rows(dm.GradTape(), a, idx)
+        out._backward(g)
+        return a.grad
+
+    def test_unique_indices_fresh_grad(self):
+        idx = np.array([4, 0, 2])
+        g = np.random.default_rng(1).normal(size=(3, 3))
+        got = self._backward(None, idx, g)
+        assert got.tobytes() == self._dense_reference(None, (6, 3), idx, g).tobytes()
+
+    def test_existing_grad(self):
+        rng = np.random.default_rng(2)
+        grad = rng.normal(size=(6, 3))
+        grad[1] = 0.0
+        idx = np.array([1, 5, 3, 0])
+        g = rng.normal(size=(4, 3))
+        got = self._backward(grad, idx, g)
+        assert got.tobytes() == self._dense_reference(grad, (6, 3), idx, g).tobytes()
+
+    def test_signed_zero_gradients(self):
+        g = np.array([[-0.0, 0.0, -0.0], [0.0, -0.0, 1.5]])
+        idx = np.array([3, 1])
+        for grad in (None, np.zeros((6, 3)), np.full((6, 3), 0.25)):
+            got = self._backward(grad, idx, g)
+            want = self._dense_reference(grad, (6, 3), idx, g)
+            assert got.tobytes() == want.tobytes()
+        assert not np.signbit(self._backward(None, idx, g)).any()
+        # a permutation touches every row, so even an existing -0.0 comes
+        # out as the dense sum's +0.0
+        perm = np.array([3, 1, 0, 5, 2, 4])
+        g = np.where(np.arange(18).reshape(6, 3) % 2 == 0, -0.0, 0.0)
+        grad = np.full((6, 3), -0.0)
+        got = self._backward(grad, perm, g)
+        assert got.tobytes() == self._dense_reference(grad, (6, 3), perm, g).tobytes()
+
+    def test_repeated_indices_accumulate(self):
+        idx = np.array([2, 2, 0, 2])
+        g = np.arange(12.0).reshape(4, 3)
+        got = self._backward(np.ones((6, 3)), idx, g)
+        np.testing.assert_array_equal(got, self._dense_reference(np.ones((6, 3)), (6, 3), idx, g))
+
+    def test_constant_operand_gets_no_gradient(self):
+        out = dm.gather_rows(dm.GradTape(), np.ones((4, 2)), np.array([1, 3]))
+        out._backward(np.ones((2, 2)))  # nothing to accumulate into

@@ -282,3 +282,39 @@ class TestTotalLoss:
             None, dataset, batch, model.enc, model.head_ql, model.head_qb, model.block, cfg
         )
         assert shrunk == len(batch.query_ids)
+
+    def test_base_only_objective_reads_only_base_negatives(self):
+        # the pool sampler's base objective: a wide pool, a few base
+        # negatives, no TCM and no aux heads
+        dataset, batch, model, _ = self._setup()
+        rng = np.random.default_rng(3)
+        label_ids = [l.id for l in dataset.labels]
+        pools, base = {}, {}
+        for qid in batch.query_ids:
+            own = dataset.query_by_id[qid].positives
+            pool = [lid for lid in rng.permutation(label_ids).tolist() if lid not in own][:10]
+            pools[qid] = tuple(pool)
+            base[qid] = [pool[i] for i in rng.choice(len(pool), size=2, replace=False)]
+        trimmed = {qid: tuple(lid for lid in pools[qid] if lid in base[qid]) for qid in batch.query_ids}
+        cfg = LossConfig(beta1=0.0, beta2=0.0, tcm=None)
+        params = model.named_tensors()
+
+        def run(neg_pools):
+            b = mining.Batch(query_ids=batch.query_ids, pos_label_ids=batch.pos_label_ids,
+                             neg_pools=neg_pools, base_neg_ids=base)
+            for p in params.values():
+                p.grad = None
+            tape = dm.GradTape()
+            total, breakdown, _ = total_loss(
+                tape, dataset, b, model.enc, model.head_ql, model.head_qb, model.block, cfg
+            )
+            tape.backward(total)
+            grads = {name: None if p.grad is None else p.grad.tobytes() for name, p in params.items()}
+            return total.data.tobytes(), breakdown, grads, len(tape._nodes)
+
+        full, short = run(pools), run(trimmed)
+        assert full[0] == short[0] and full[1] == short[1]
+        assert full[2] == short[2]
+        assert full[2]["encoder/bucket_table"] is not None
+        # labels outside the base negatives are neither embedded nor scored
+        assert full[3] == short[3]

@@ -150,6 +150,21 @@ class TestAncePool:
         assert pools == _exhaustive_sort_oracle(q @ labels.T, ids, positives, 4)
         assert len(pools[8]) == 2
 
+    @pytest.mark.parametrize("seed, pool_size", [(0, 1), (1, 4), (2, 7), (3, 40)])
+    def test_many_ties_at_kth_score_match_exhaustive_sort(self, seed, pool_size):
+        # 30 labels share 3 embeddings, so most pools cut through a run of
+        # tied scores that the ascending label id must break
+        rng = np.random.default_rng(seed)
+        q = _unit_rows(rng.normal(size=(7, 3)))
+        labels = _unit_rows(rng.normal(size=(3, 3)))[rng.integers(3, size=30)]
+        ids = [int(x) for x in rng.permutation(np.arange(500, 530))]
+        positives = [frozenset(rng.choice(ids, size=int(rng.integers(0, 6)), replace=False).tolist())
+                     for _ in range(6)]
+        positives.append(frozenset(ids))  # every label positive: an empty pool
+        pools = ance_pool(q, labels, ids, positives, pool_size=pool_size)
+        assert pools == _exhaustive_sort_oracle(q @ labels.T, ids, positives, pool_size)
+        assert pools[-1] == []
+
     def test_invalid_pool_size(self):
         with pytest.raises(ValueError):
             ance_pool(np.ones((1, 2)), np.ones((1, 2)), [0], [frozenset()], pool_size=0)

@@ -85,6 +85,54 @@ class TestAdam:
         # direction opposes the gradient
         assert np.all(np.sign(prev - p.data) == np.sign(g))
 
+    def test_matches_reference_formula_bitwise(self):
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
+        rng = np.random.default_rng(0)
+        params = {name: dm.Tensor(rng.normal(size=shape)) for name, shape in
+                  (("a", (3, 4)), ("b", (5,)), ("never", (2, 2)))}
+        state = init_adam(params)
+        ref = {name: [p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)] for name, p in params.items()}
+        signed_zeros = rng.normal(size=(3, 4))
+        signed_zeros[0] = -0.0
+        signed_zeros[1] = 0.0
+        grads = [
+            {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=5)},
+            {"a": rng.normal(size=(3, 4)), "b": None},  # touched earlier: a zero gradient
+            {"a": signed_zeros, "b": rng.normal(size=5)},
+        ]
+        for t, step_grads in enumerate(grads, start=1):
+            for name, p in params.items():
+                p.grad = step_grads.get(name)
+            update_step(params, state, lr=lr, b1=b1, b2=b2, eps=eps)
+            for name, g in step_grads.items():
+                g = np.zeros_like(params[name].data) if g is None else g
+                p_ref, m, v = ref[name]
+                m = b1 * m + (1 - b1) * g
+                v = b2 * v + (1 - b2) * g * g
+                m_hat = m / (1 - b1**t)
+                v_hat = v / (1 - b2**t)
+                ref[name] = [p_ref - lr * m_hat / (np.sqrt(v_hat) + eps), m, v]
+            for name, p in params.items():
+                for got, want in zip((p.data, state.m[name], state.v[name]), ref[name]):
+                    assert got.tobytes() == want.tobytes(), (name, t)
+        assert "never" not in state.touched
+
+    def test_loaded_checkpoint_arrays_not_mutated(self):
+        model = init_model(np.random.default_rng(0), tiny_config())
+        loaded = {name: p.data.copy() for name, p in model.named_tensors().items()}
+        before = {name: arr.copy() for name, arr in loaded.items()}
+        params = model_from_tensors(loaded).named_tensors()
+        assert all(np.shares_memory(params[name].data, loaded[name]) for name in loaded)
+        state = init_adam(params)
+        rng = np.random.default_rng(1)
+        for _ in range(2):
+            for p in params.values():
+                p.grad = rng.normal(size=p.data.shape)
+            update_step(params, state, lr=0.1)
+        for name, arr in loaded.items():
+            assert arr.tobytes() == before[name].tobytes(), name
+            assert not np.array_equal(params[name].data, arr)
+
     def test_shape_mismatch(self):
         p = dm.Tensor(np.zeros(4))
         params = {"p": p}
