@@ -356,9 +356,19 @@ def l2_normalize(tape, a) -> Tensor:
     if da.ndim != 1:
         raise DimensionMismatch("l2_normalize expects rank-1")
     n = float(np.linalg.norm(da))
-    if n == 0.0:
-        return _make(tape, np.zeros_like(da), lambda g: None)
-    y = da / n
+    if not 1e-150 < n < 1e150:
+        # the squares under- or overflow (or all are zero): norm the vector
+        # scaled by its largest entry, so tiny and huge vectors still come
+        # out unit-norm
+        scale = float(np.max(np.abs(da)))
+        if scale == 0.0:
+            return _make(tape, np.zeros_like(da), lambda g: None)
+        scaled = da / scale
+        m = float(np.linalg.norm(scaled))
+        y = scaled / m
+        n = scale * m
+    else:
+        y = da / n
 
     def backward(g):
         _accum(a, (g - y * np.dot(g, y)) / n)
