@@ -15,7 +15,7 @@ import numpy as np
 from . import diffmath as dm
 from . import mining, pair_reps
 from .encoder import EncoderParams, embed, featurize
-from .mining import Batch, Blocking, Dataset, validate_blocking
+from .mining import Batch, Dataset
 
 
 class EmptyNegatives(ValueError):
@@ -59,8 +59,8 @@ class MlpHead:
     dropout_rate: float = 0.1
 
     def forward(self, tape, x: dm.Tensor, rng: np.random.Generator | None = None, training: bool = False) -> dm.Tensor:
-        """Logits for a (N, in) matrix of pair features; returns rank-1 length N."""
-        h = dm.add(tape, dm.matmul(tape, x, self.w1), self.b1)
+        """Logits for the pair features along the last axis of x, shaped x.shape[:-1]."""
+        h = dm.affine(tape, x, self.w1, self.b1)
         h = dm.layer_norm(tape, h, self.ln_gain, self.ln_bias)
         if training and self.dropout_rate > 0.0:
             if rng is None:
@@ -69,8 +69,8 @@ class MlpHead:
             mask = (rng.random(h.shape) < keep) / keep
             h = dm.mul(tape, h, mask)
         h = dm.gelu(tape, h)
-        logits = dm.add(tape, dm.matmul(tape, h, self.w2), self.b2)
-        return dm.reshape(tape, logits, (logits.shape[0],))
+        logits = dm.affine(tape, h, self.w2, self.b2)
+        return dm.reshape(tape, logits, logits.shape[:-1])
 
 
 def init_head(rng: np.random.Generator, in_dim: int, hidden: int | None = None, dropout_rate: float = 0.1) -> MlpHead:
@@ -122,49 +122,62 @@ def _bce_mean(tape, logits: dm.Tensor, targets: np.ndarray) -> dm.Tensor:
     return dm.mean_all(tape, dm.bce_with_logits(tape, logits, targets))
 
 
+def _check_blockings(gammas: dm.Tensor, targets: list[np.ndarray]) -> None:
+    if any(int(np.sum(t == mining.POSITIVE_TARGET)) != 1 for t in targets):
+        raise mining.BadBlocking("blocking without a unique positive")
+    if sum(map(len, targets)) != gammas.shape[0]:
+        raise dm.DimensionMismatch(f"{gammas.shape[0]} pair features for {sum(map(len, targets))} targets")
+
+
 def aux_loss_ql(
     tape,
     head: MlpHead,
-    blockings: list[tuple[dm.Tensor, np.ndarray]],
+    gammas: dm.Tensor,
+    targets: list[np.ndarray],
     rng: np.random.Generator | None = None,
     training: bool = False,
 ) -> dm.Tensor:
     """BCE of the pair classifier on raw 4d pair features.
 
-    Each blocking is a (K, 4d) feature matrix plus its K targets and must
-    contain exactly one positive.
+    gammas is the (P, 4d) matrix of the pair features of every blocking,
+    blocking after blocking; targets holds each blocking's K targets, with
+    exactly one positive.
     """
-    for _, targets in blockings:
-        if int(np.sum(targets == mining.POSITIVE_TARGET)) != 1:
-            raise mining.BadBlocking("blocking without a unique positive")
-    features = dm.concat(tape, [g for g, _ in blockings], axis=0)
-    targets = np.concatenate([t for _, t in blockings])
-    logits = head.forward(tape, features, rng=rng, training=training)
-    return _bce_mean(tape, logits, targets)
+    _check_blockings(gammas, targets)
+    logits = head.forward(tape, gammas, rng=rng, training=training)
+    return _bce_mean(tape, logits, np.concatenate(targets))
 
 
 def aux_loss_qb(
     tape,
     head: MlpHead,
     block: pair_reps.BlockContextParams,
-    blockings: list[tuple[dm.Tensor, np.ndarray]],
+    gammas: dm.Tensor,
+    targets: list[np.ndarray],
     rng: np.random.Generator | None = None,
     training: bool = False,
 ) -> dm.Tensor:
-    """BCE of the pair classifier on contextualized 16d pair features."""
-    deltas = []
-    target_parts = []
-    for gammas, targets in blockings:
-        if int(np.sum(targets == mining.POSITIVE_TARGET)) != 1:
-            raise mining.BadBlocking("blocking without a unique positive")
-        if gammas.shape[0] < 2:
-            raise mining.BadBlocking("contextualization needs K >= 2 pairs")
-        lam = pair_reps.contextualize(tape, block, gammas)
-        deltas.append(pair_reps.build_delta(tape, gammas, lam))
-        target_parts.append(targets)
-    features = dm.concat(tape, deltas, axis=0)
-    logits = head.forward(tape, features, rng=rng, training=training)
-    return _bce_mean(tape, logits, np.concatenate(target_parts))
+    """BCE of the pair classifier on contextualized 16d pair features.
+
+    Takes the inputs of aux_loss_ql. The blockings of each size K >= 2 are
+    contextualized as one (G, K, 4d) batch; a blocking of a single pair
+    has no context and is left out.
+    """
+    _check_blockings(gammas, targets)
+    sizes = np.array([len(t) for t in targets])
+    starts = np.cumsum(sizes) - sizes
+    deltas, order = [], []
+    for k in np.unique(sizes[sizes >= 2]):
+        members = np.flatnonzero(sizes == k)
+        groups = dm.gather_rows(tape, gammas, starts[members, None] + np.arange(k))
+        deltas.append(pair_reps.build_delta(tape, groups, pair_reps.contextualize(tape, block, groups)))
+        order.extend(members)
+    if not deltas:
+        raise mining.BadBlocking("contextualization needs a blocking of K >= 2 pairs")
+    if len(deltas) > 1:
+        deltas = [dm.concat(tape, [dm.reshape(tape, d, (-1, d.shape[-1])) for d in deltas])]
+    logits = head.forward(tape, deltas[0], rng=rng, training=training)
+    return _bce_mean(tape, logits, np.concatenate([targets[i] for i in order]).reshape(logits.shape))
 
 
 @dataclass
@@ -244,31 +257,25 @@ def total_loss(
         negatives = {qid: list(batch.neg_pools[qid]) for qid in batch.query_ids}
         sims = {qid: {lid: float(t.data) for lid, t in s_negs[qid].items()} for qid in batch.query_ids}
         blockings, shrunk = mining.build_blockings(batch, negatives, sims, cfg.k)
-        for b in blockings:
-            validate_blocking(b)
-
-        def pair_features(b: Blocking) -> tuple[dm.Tensor, np.ndarray]:
-            hq = q_emb[b.query_id]
-            rows = []
-            for lid in b.pair_label_ids:
-                hl = l_emb[lid]
-                if cfg.detach_aux:
-                    rows.append(pair_reps.build_gamma(tape, dm.detach(tape, hq), dm.detach(tape, hl)))
-                else:
-                    rows.append(pair_reps.build_gamma(tape, hq, hl))
-            return dm.stack(tape, rows), np.array(b.targets)
-
-        feats = [pair_features(b) for b in blockings]
+        # every pair's 4d feature in one pass: stack the embeddings once,
+        # then gather each pair's query and label rows
+        q_row = {qid: i for i, qid in enumerate(q_emb)}
+        l_row = {lid: len(q_row) + j for j, lid in enumerate(l_emb)}
+        stacked = dm.stack(tape, [*q_emb.values(), *l_emb.values()])
+        if cfg.detach_aux:
+            stacked = dm.detach(tape, stacked)
+        q_rows = dm.gather_rows(tape, stacked, [q_row[b.query_id] for b in blockings for _ in b.pair_label_ids])
+        l_rows = dm.gather_rows(tape, stacked, [l_row[lid] for b in blockings for lid in b.pair_label_ids])
+        gammas = pair_reps.build_gamma(tape, q_rows, l_rows)
+        targets = [np.array(b.targets) for b in blockings]
         if cfg.beta1 != 0.0:
-            ql = aux_loss_ql(tape, head_ql, feats, rng=rng, training=training)
+            ql = aux_loss_ql(tape, head_ql, gammas, targets, rng=rng, training=training)
             xe_ql_val = float(ql.data)
             total = dm.add(tape, total, dm.mul(tape, ql, cfg.beta1))
-        if cfg.beta2 != 0.0:
-            wide = [(g, t) for g, t in feats if g.shape[0] >= 2]
-            if wide:
-                qb = aux_loss_qb(tape, head_qb, block, wide, rng=rng, training=training)
-                xe_qb_val = float(qb.data)
-                total = dm.add(tape, total, dm.mul(tape, qb, cfg.beta2))
+        if cfg.beta2 != 0.0 and any(len(t) >= 2 for t in targets):
+            qb = aux_loss_qb(tape, head_qb, block, gammas, targets, rng=rng, training=training)
+            xe_qb_val = float(qb.data)
+            total = dm.add(tape, total, dm.mul(tape, qb, cfg.beta2))
 
     breakdown = LossBreakdown(
         base=float(base.data),

@@ -20,26 +20,25 @@ from . import diffmath as dm
 from .diffmath import DimensionMismatch
 
 
+def _combine(tape, a: dm.Tensor, b: dm.Tensor) -> dm.Tensor:
+    """{a, b, |a - b|, a * b}, concatenated along the last axis."""
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"pair feature inputs {a.shape} vs {b.shape}")
+    diff = dm.elementwise_abs(tape, dm.sub(tape, a, b))
+    prod = dm.mul(tape, a, b)
+    return dm.concat(tape, [a, b, diff, prod], axis=a.ndim - 1)
+
+
 def build_gamma(tape, h_q: dm.Tensor, h_l: dm.Tensor) -> dm.Tensor:
-    """4d pair feature: {h_q, h_l, |h_q - h_l|, h_q * h_l}."""
-    if h_q.shape != h_l.shape or h_q.ndim != 1:
-        raise DimensionMismatch(f"gamma inputs {h_q.shape} vs {h_l.shape}")
-    diff = dm.elementwise_abs(tape, dm.sub(tape, h_q, h_l))
-    prod = dm.mul(tape, h_q, h_l)
-    return dm.concat(tape, [h_q, h_l, diff, prod])
+    """4d pair feature {h_q, h_l, |h_q - h_l|, h_q * h_l} of one pair
+    (rank-1) or of a matrix of pairs (rank-2, one pair per row)."""
+    return _combine(tape, h_q, h_l)
 
 
 def build_delta(tape, gamma: dm.Tensor, lam: dm.Tensor) -> dm.Tensor:
-    """16d feature combining a pair's raw and contextualized forms.
-
-    Works on a single pair (rank-1) or a group of pairs (rank-2, rows);
-    concatenation runs along the feature axis.
-    """
-    if gamma.shape != lam.shape:
-        raise DimensionMismatch(f"delta inputs {gamma.shape} vs {lam.shape}")
-    diff = dm.elementwise_abs(tape, dm.sub(tape, gamma, lam))
-    prod = dm.mul(tape, gamma, lam)
-    return dm.concat(tape, [gamma, lam, diff, prod], axis=gamma.ndim - 1)
+    """16d feature combining pairs' raw and contextualized forms, along
+    the last axis of a pair (rank-1), rows of pairs or groups of rows."""
+    return _combine(tape, gamma, lam)
 
 
 @dataclass
@@ -96,45 +95,45 @@ def init_block(rng: np.random.Generator, width: int) -> BlockContextParams:
 
 
 def contextualize(tape, block: BlockContextParams, gammas: dm.Tensor, return_attention: bool = False):
-    """Apply the encoder block to a (K, 4d) group of pair features.
+    """Apply the encoder block to every group of a (G, K, 4d) batch of
+    pair features, or to one (K, 4d) group.
 
-    Returns the contextualized (K, 4d) matrix; with return_attention,
-    also the (K, K) softmax attention matrix.
+    Returns the contextualized features in the shape of the input; with
+    return_attention, also the (G, K, K) or (K, K) softmax attention.
     """
-    if gammas.ndim != 2 or gammas.shape[1] != block.width:
+    if gammas.ndim not in (2, 3) or gammas.shape[-1] != block.width:
         raise DimensionMismatch(f"group shape {gammas.shape}, block width {block.width}")
-    if gammas.shape[0] < 2:
+    k, width = gammas.shape[-2:]
+    if k < 2:
         raise DimensionMismatch("contextualize needs K >= 2 pairs")
 
-    # run attention in a canonical row order so the operation is
-    # bit-exactly permutation-equivariant (summation order would
-    # otherwise leak the input ordering into the last ulp)
-    n = gammas.shape[0]
-    canon = sorted(range(n), key=lambda i: gammas.data[i].tobytes())
-    inverse = np.empty(n, dtype=np.intp)
-    inverse[canon] = np.arange(n)
-    permuted = canon != list(range(n))
-    if permuted:
-        gammas = dm.gather_rows(tape, gammas, np.asarray(canon, dtype=np.intp))
+    # run each group in a canonical row order (ascending row bytes) so the
+    # operation is bit-exactly permutation-equivariant: summation order
+    # would otherwise leak the input ordering into the last ulp. canon
+    # holds flat row indices, (G, K); inverse maps them back.
+    groups = gammas.data.reshape(-1, k, width)
+    canon = np.array([sorted(range(k), key=lambda i: g[i].tobytes()) for g in groups], dtype=np.intp)
+    canon += k * np.arange(len(groups))[:, None]
+    inverse = np.argsort(canon.ravel()).reshape(gammas.shape[:-1])
+    flat = gammas if gammas.ndim == 2 else dm.reshape(tape, gammas, (-1, width))
+    x = dm.gather_rows(tape, flat, canon)
 
-    xn = dm.layer_norm(tape, gammas, block.ln1_gain, block.ln1_bias)
-    q = dm.add(tape, dm.matmul(tape, xn, block.wq), block.bq)
-    k = dm.add(tape, dm.matmul(tape, xn, block.wk), block.bk)
-    v = dm.add(tape, dm.matmul(tape, xn, block.wv), block.bv)
-    scores = dm.mul(tape, dm.matmul(tape, q, dm.transpose(tape, k)), 1.0 / math.sqrt(block.width))
+    xn = dm.layer_norm(tape, x, block.ln1_gain, block.ln1_bias)
+    q = dm.affine(tape, xn, block.wq, block.bq)
+    keys = dm.affine(tape, xn, block.wk, block.bk)
+    v = dm.affine(tape, xn, block.wv, block.bv)
+    scores = dm.mul(tape, dm.matmul(tape, q, dm.transpose(tape, keys)), 1.0 / math.sqrt(width))
     attn = dm.softmax(tape, scores)
-    mixed = dm.add(tape, dm.matmul(tape, dm.matmul(tape, attn, v), block.wo), block.bo)
-    x2 = dm.add(tape, gammas, mixed)
+    x2 = dm.add(tape, x, dm.affine(tape, dm.matmul(tape, attn, v), block.wo, block.bo))
 
     yn = dm.layer_norm(tape, x2, block.ln2_gain, block.ln2_bias)
-    hidden = dm.gelu(tape, dm.add(tape, dm.matmul(tape, yn, block.ff_w1), block.ff_b1))
-    ff = dm.add(tape, dm.matmul(tape, hidden, block.ff_w2), block.ff_b2)
-    out = dm.add(tape, x2, ff)
-    if permuted:
-        out = dm.gather_rows(tape, out, inverse)
+    hidden = dm.gelu(tape, dm.affine(tape, yn, block.ff_w1, block.ff_b1))
+    out = dm.add(tape, x2, dm.affine(tape, hidden, block.ff_w2, block.ff_b2))
+
+    def input_order(t: dm.Tensor) -> dm.Tensor:
+        return dm.gather_rows(tape, dm.reshape(tape, t, (-1, t.shape[-1])), inverse)
+
     if return_attention:
-        if permuted:
-            rows_fixed = dm.gather_rows(tape, attn, inverse)
-            attn = dm.transpose(tape, dm.gather_rows(tape, dm.transpose(tape, rows_fixed), inverse))
-        return out, attn
-    return out
+        attn = dm.transpose(tape, input_order(dm.transpose(tape, input_order(attn))))
+        return input_order(out), attn
+    return input_order(out)

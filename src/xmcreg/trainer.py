@@ -185,7 +185,7 @@ def write_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
     buf += CHECKPOINT_MAGIC
     buf += struct.pack("<I", len(tensors))
     for name, arr in tensors.items():
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        arr = np.asarray(arr, dtype=np.float64)  # keeps rank 0, unlike ascontiguousarray
         encoded = name.encode("utf-8")
         buf += struct.pack("<H", len(encoded))
         buf += encoded
@@ -200,13 +200,11 @@ def write_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
 
 def read_tensors(path: str | Path) -> dict[str, np.ndarray]:
     """Read a container written by write_tensors. A truncated file, trailing
-    bytes, a duplicate name, or a rank or size that runs past the end of
-    the file is rejected with its byte offset."""
+    bytes, a name that is not UTF-8 or repeats, or a rank or size that runs
+    past the end of the file is rejected with its byte offset."""
     raw = Path(path).read_bytes()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: bad checkpoint magic {raw[:4]!r}")
     view = memoryview(raw)
-    off = 4
+    off = 0
 
     def take(size: int, what: str) -> memoryview:
         nonlocal off
@@ -215,12 +213,17 @@ def read_tensors(path: str | Path) -> dict[str, np.ndarray]:
         off += size
         return view[off - size : off]
 
+    if bytes(take(4, "magic")) != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: bad checkpoint magic {raw[:4]!r} at byte 0")
     (count,) = struct.unpack("<I", take(4, "tensor count"))
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         name_off = off
         (nlen,) = struct.unpack("<H", take(2, "name length"))
-        name = str(take(nlen, "name"), "utf-8")
+        try:
+            name = str(take(nlen, "name"), "utf-8")
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: tensor name at byte {off - nlen} is not UTF-8: {err.reason}") from None
         if name in tensors:
             raise ValueError(f"{path}: duplicate tensor name {name!r} at byte {name_off}")
         (rank,) = struct.unpack("<B", take(1, "rank"))
@@ -250,11 +253,28 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":
+        """Read a checkpoint and its config sidecar, if there is one. A
+        sidecar with dim, dim_hidden and num_buckets must agree with the
+        shapes of the encoder, head and block tensors."""
         path = Path(path)
         payload = read_tensors(path)
         epoch = int(payload.pop("meta/epoch", np.array([0.0]))[0])
         sidecar = path.with_name(path.name + ".config.json")
         config = json.loads(sidecar.read_text()) if sidecar.exists() else {}
+        if all(key in config for key in ("dim", "dim_hidden", "num_buckets")):
+            d, hidden, width = config["dim"], config["dim_hidden"], 4 * config["dim"]
+            expected = {
+                "encoder/bucket_table": (config["num_buckets"], hidden),
+                "encoder/projection": (hidden, d),
+                "head_ql/w1": (width, width),
+                "head_qb/w1": (4 * width, 4 * width),
+                "block/wq": (width, width),
+            }
+            for name, shape in expected.items():
+                if name in payload and payload[name].shape != shape:
+                    raise ValueError(
+                        f"{path}: {name} has shape {payload[name].shape}, expected {shape} from {sidecar.name}"
+                    )
         return cls(tensors=payload, config=config, epoch=epoch)
 
 
@@ -328,6 +348,9 @@ def train(
             if not np.isfinite(breakdown.total):
                 raise NonFiniteLoss(f"non-finite loss at step {step_index}")
             tape.backward(total)
+            for name, p in params.items():
+                if p.grad is not None and not np.isfinite(p.grad).all():
+                    raise dm.NonFiniteGradient(f"non-finite gradient of {name} at step {step_index}")
             update_step(params, state, config.learning_rate)
             step_index += 1
             for key, val in breakdown.as_dict().items():

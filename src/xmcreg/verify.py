@@ -45,11 +45,20 @@ def kernel_gradchecks(seed: int, tol: float = 1e-4, max_coords: int = 64) -> Sui
     targets = rng.integers(0, 2, size=5).astype(float)
     idx = rng.integers(0, 3, size=6)
     probe = rng.normal(size=5)
+    x3 = dm.Tensor(rng.normal(size=(2, 3, 4)))
+    y3 = dm.Tensor(rng.normal(size=(2, 4, 3)))
+    bias2 = dm.Tensor(rng.normal(size=2))
+    idx2 = rng.integers(0, 3, size=(2, 3))
 
     checks = {
         "add": (lambda tape: _square_mean(tape, dm.add(tape, x2, y2)), {"x": x2, "y": y2}),
         "hadamard": (lambda tape: _square_mean(tape, dm.mul(tape, x2, y2)), {"x": x2, "y": y2}),
         "matmul": (lambda tape: _square_mean(tape, dm.matmul(tape, x2, w)), {"x": x2, "w": w}),
+        "matmul-rank3": (lambda tape: _square_mean(tape, dm.matmul(tape, x3, y3)), {"x": x3, "y": y3}),
+        "affine": (
+            lambda tape: _square_mean(tape, dm.affine(tape, x3, w, bias2)),
+            {"x": x3, "w": w, "bias": bias2},
+        ),
         "concat": (lambda tape: _square_mean(tape, dm.concat(tape, [v1, v2])), {"a": v1, "b": v2}),
         "elementwise-abs": (lambda tape: _square_mean(tape, dm.elementwise_abs(tape, kinky)), {"x": kinky}),
         "relu": (lambda tape: _square_mean(tape, dm.relu(tape, kinky)), {"x": kinky}),
@@ -71,7 +80,9 @@ def kernel_gradchecks(seed: int, tol: float = 1e-4, max_coords: int = 64) -> Sui
             {"z": v1},
         ),
         "gather_rows": (lambda tape: _square_mean(tape, dm.gather_rows(tape, x2, idx)), {"x": x2}),
+        "gather_rows-grouped": (lambda tape: _square_mean(tape, dm.gather_rows(tape, x2, idx2)), {"x": x2}),
         "transpose": (lambda tape: _square_mean(tape, dm.transpose(tape, x2)), {"x": x2}),
+        "transpose-rank3": (lambda tape: _square_mean(tape, dm.transpose(tape, x3)), {"x": x3}),
     }
 
     worst = 0.0

@@ -1,6 +1,10 @@
 """End-to-end command-line workflows."""
 
+import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +176,23 @@ class TestHistogram:
         obj = json.loads(out.read_text())
         assert set(obj) == {"edges", "correct_counts", "incorrect_counts", "overlap"}
         assert len(obj["edges"]) == 11
+
+
+class TestFingerprintScript:
+    def test_prints_the_sha256_of_every_output(self, dataset_dir, tmp_path):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TINY_TRAIN_CFG)
+        script = Path(__file__).resolve().parents[1] / "scripts" / "fingerprint.py"
+        out = tmp_path / "run"
+        result = subprocess.run(
+            [sys.executable, str(script), "--config", str(cfg), "--data", str(dataset_dir), "--out", str(out)],
+            capture_output=True, text=True, check=True,
+        )
+        lines = [line.split("  ") for line in result.stdout.splitlines()]
+        names = ["checkpoint.bin", "checkpoint.bin.config.json", "train_log.jsonl", "report.json", "scores.tsv"]
+        assert [name for _, name in lines] == names
+        for digest, name in lines:
+            assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()
 
 
 class TestUsage:

@@ -251,3 +251,60 @@ class TestGatherRowsBackward:
     def test_constant_operand_gets_no_gradient(self):
         out = dm.gather_rows(dm.GradTape(), np.ones((4, 2)), np.array([1, 3]))
         out._backward(np.ones((2, 2)))  # nothing to accumulate into
+
+
+class TestBatchedKernels:
+    def test_rank3_matmul_is_per_slice_product(self):
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=(4, 3, 5)), rng.normal(size=(4, 5, 2))
+        out = dm.matmul(None, dm.Tensor(a), dm.Tensor(b)).data
+        for i in range(4):
+            np.testing.assert_allclose(out[i], a[i] @ b[i], rtol=1e-14)
+
+    def test_matmul_rank_and_batch_mismatch(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(dm.DimensionMismatch):
+            dm.matmul(None, dm.Tensor(rng.normal(size=(2, 3, 4))), dm.Tensor(rng.normal(size=(3, 4, 2))))
+        with pytest.raises(dm.DimensionMismatch):
+            dm.matmul(None, dm.Tensor(rng.normal(size=(2, 3, 4))), dm.Tensor(rng.normal(size=(4, 2))))
+
+    def test_transpose_swaps_last_two_axes(self):
+        x = np.arange(24.0).reshape(2, 3, 4)
+        np.testing.assert_array_equal(dm.transpose(None, dm.Tensor(x)).data, x.transpose(0, 2, 1))
+        np.testing.assert_array_equal(dm.transpose(None, dm.Tensor(x[0])).data, x[0].T)
+
+    def test_affine_rank2_equals_matmul_then_add_bitwise(self):
+        rng = np.random.default_rng(1)
+        x, w, b = (dm.Tensor(rng.normal(size=s)) for s in ((5, 4), (4, 3), (3,)))
+        tape_a, tape_b = dm.GradTape(), dm.GradTape()
+        fused = dm.affine(tape_a, x, w, b)
+        tape_a.backward(dm.mean_all(tape_a, dm.mul(tape_a, fused, fused)))
+        grads = [t.grad.copy() for t in (x, w, b)]
+        for t in (x, w, b):
+            t.grad = None
+        split = dm.add(tape_b, dm.matmul(tape_b, x, w), b)
+        tape_b.backward(dm.mean_all(tape_b, dm.mul(tape_b, split, split)))
+        assert fused.data.tobytes() == split.data.tobytes()
+        for g, t in zip(grads, (x, w, b)):
+            assert g.tobytes() == t.grad.tobytes()
+
+    def test_affine_rank3_applies_to_every_row(self):
+        rng = np.random.default_rng(2)
+        x, w, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)
+        out = dm.affine(None, dm.Tensor(x), dm.Tensor(w), dm.Tensor(b)).data
+        np.testing.assert_allclose(out, x @ w + b, rtol=1e-14)
+        with pytest.raises(dm.DimensionMismatch):
+            dm.affine(None, dm.Tensor(x), dm.Tensor(w), dm.Tensor(np.zeros(4)))
+
+    @pytest.mark.parametrize("idx", [[[4, 0, 1], [1, 1, 3]], [[4, 0], [2, 3]]])
+    def test_gather_rows_with_grouped_index(self, idx):
+        # a (G, K) index gives (G, K, width); repeated and unique indices
+        a = dm.Tensor(np.random.default_rng(3).normal(size=(5, 2)))
+        idx = np.array(idx)
+        tape = dm.GradTape()
+        out = dm.gather_rows(tape, a, idx)
+        np.testing.assert_array_equal(out.data, a.data[idx])
+        tape.backward(out)
+        expected = np.zeros((5, 2))
+        np.add.at(expected, idx.ravel(), np.ones(2))
+        np.testing.assert_array_equal(a.grad, expected)

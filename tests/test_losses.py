@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmcreg import diffmath as dm
-from xmcreg import mining
+from xmcreg import mining, verify
+from xmcreg.encoder import embed, featurize
 from xmcreg.losses import (
     EmptyNegatives,
     LossConfig,
@@ -22,7 +23,7 @@ from xmcreg.losses import (
     total_loss,
     triplet_base_loss,
 )
-from xmcreg.pair_reps import init_block
+from xmcreg.pair_reps import build_delta, build_gamma, contextualize, init_block
 from xmcreg.trainer import init_model
 
 from conftest import tiny_config
@@ -132,18 +133,23 @@ def _random_blockings(rng, n, k, width):
     return out
 
 
+def _batched(blockings):
+    """The (P, width) feature matrix and per-blocking targets the aux losses take."""
+    return dm.Tensor(np.concatenate([g.data for g, _ in blockings])), [t for _, t in blockings]
+
+
 class TestAuxLosses:
     def test_ql_uninformative_is_ln2(self):
         rng = np.random.default_rng(0)
         blockings = _random_blockings(rng, 3, 4, 8)
-        out = float(aux_loss_ql(None, _zero_head(8), blockings).data)
+        out = float(aux_loss_ql(None, _zero_head(8), *_batched(blockings)).data)
         np.testing.assert_allclose(out, math.log(2), atol=1e-12)
 
     def test_qb_uninformative_is_ln2(self):
         rng = np.random.default_rng(0)
         blockings = _random_blockings(rng, 2, 3, 8)
         block = init_block(np.random.default_rng(1), width=8)
-        out = float(aux_loss_qb(None, _zero_head(32), block, blockings).data)
+        out = float(aux_loss_qb(None, _zero_head(32), block, *_batched(blockings)).data)
         np.testing.assert_allclose(out, math.log(2), atol=1e-12)
 
     def test_bad_blocking_rejected(self):
@@ -151,10 +157,10 @@ class TestAuxLosses:
         feats = dm.Tensor(rng.normal(size=(3, 8)))
         all_neg = np.full(3, mining.NEGATIVE_TARGET)
         with pytest.raises(mining.BadBlocking):
-            aux_loss_ql(None, _zero_head(8), [(feats, all_neg)])
+            aux_loss_ql(None, _zero_head(8), feats, [all_neg])
         block = init_block(rng, width=8)
         with pytest.raises(mining.BadBlocking):
-            aux_loss_qb(None, _zero_head(32), block, [(feats, all_neg)])
+            aux_loss_qb(None, _zero_head(32), block, feats, [all_neg])
 
     def test_qb_pair_swap_invariance(self):
         rng = np.random.default_rng(3)
@@ -162,8 +168,8 @@ class TestAuxLosses:
         block = init_block(np.random.default_rng(5), width=8)
         feats = rng.normal(size=(2, 8))
         targets = np.array([mining.POSITIVE_TARGET, mining.NEGATIVE_TARGET])
-        a = float(aux_loss_qb(None, head, block, [(dm.Tensor(feats), targets)]).data)
-        b = float(aux_loss_qb(None, head, block, [(dm.Tensor(feats[::-1].copy()), targets[::-1].copy())]).data)
+        a = float(aux_loss_qb(None, head, block, dm.Tensor(feats), [targets]).data)
+        b = float(aux_loss_qb(None, head, block, dm.Tensor(feats[::-1].copy()), [targets[::-1].copy()]).data)
         assert a == b  # exact, not approximate
 
     def test_dropout_needs_rng(self):
@@ -318,3 +324,202 @@ class TestTotalLoss:
         assert full[2]["encoder/bucket_table"] is not None
         # labels outside the base negatives are neither embedded nor scored
         assert full[3] == short[3]
+
+
+# ---------------------------------------------------------------------------
+# the per-pair objective, kept as the oracle of the batched regularizer
+
+
+def _oracle_aux_ql(tape, head, blockings, rng=None, training=False):
+    """One (K, 4d) feature matrix per blocking, concatenated for the head."""
+    for _, targets in blockings:
+        if int(np.sum(targets == mining.POSITIVE_TARGET)) != 1:
+            raise mining.BadBlocking("blocking without a unique positive")
+    features = dm.concat(tape, [g for g, _ in blockings], axis=0)
+    logits = head.forward(tape, features, rng=rng, training=training)
+    return dm.mean_all(tape, dm.bce_with_logits(tape, logits, np.concatenate([t for _, t in blockings])))
+
+
+def _oracle_aux_qb(tape, head, block, blockings, rng=None, training=False):
+    """One contextualize and one build_delta per blocking."""
+    deltas = []
+    for gammas, _ in blockings:
+        lam = contextualize(tape, block, gammas)
+        deltas.append(build_delta(tape, gammas, lam))
+    features = dm.concat(tape, deltas, axis=0)
+    logits = head.forward(tape, features, rng=rng, training=training)
+    return dm.mean_all(tape, dm.bce_with_logits(tape, logits, np.concatenate([t for _, t in blockings])))
+
+
+def _oracle_total_loss(tape, dataset, batch, model, cfg):
+    """One embed per text, one dot and one build_gamma per pair, one
+    stack per blocking; every pool negative is a base negative."""
+    qids = batch.query_ids
+    label_ids = sorted({batch.pos_label_ids[q] for q in qids} | {l for q in qids for l in batch.neg_pools[q]})
+    texts = [dataset.query_by_id[q].text for q in qids] + [dataset.label_by_id[l].text for l in label_ids]
+    features = iter(featurize(texts, model.enc.num_buckets))
+    q_emb = {q: embed(model.enc, next(features), tape) for q in qids}
+    l_emb = {l: embed(model.enc, next(features), tape) for l in label_ids}
+    s_pos = {q: dm.dot(tape, q_emb[q], l_emb[batch.pos_label_ids[q]]) for q in qids}
+    s_negs = {q: {l: dm.dot(tape, q_emb[q], l_emb[l]) for l in batch.neg_pools[q]} for q in qids}
+    terms = [triplet_base_loss(tape, s_pos[q], list(s_negs[q].values()), cfg.triplet_margin) for q in qids if s_negs[q]]
+    total = dm.mean_all(tape, dm.stack(tape, terms))
+    if cfg.tcm is not None:
+        all_neg = [t for q in qids for t in s_negs[q].values()]
+        total = dm.add(tape, total, tcm_loss(tape, list(s_pos.values()), all_neg, cfg.tcm))
+    sims = {q: {l: float(t.data) for l, t in s_negs[q].items()} for q in qids}
+    blockings, _ = mining.build_blockings(batch, {q: list(batch.neg_pools[q]) for q in qids}, sims, cfg.k)
+    feats = []
+    for b in blockings:
+        rows = [build_gamma(tape, q_emb[b.query_id], l_emb[l]) for l in b.pair_label_ids]
+        feats.append((dm.stack(tape, rows), np.array(b.targets)))
+    if cfg.beta1 != 0.0:
+        ql = _oracle_aux_ql(tape, model.head_ql, feats)
+        total = dm.add(tape, total, dm.mul(tape, ql, cfg.beta1))
+    wide = [(g, t) for g, t in feats if g.shape[0] >= 2]
+    if cfg.beta2 != 0.0 and wide:
+        qb = _oracle_aux_qb(tape, model.head_qb, model.block, wide)
+        total = dm.add(tape, total, dm.mul(tape, qb, cfg.beta2))
+    return total
+
+
+def _value_and_grads(params, fn):
+    for p in params.values():
+        p.grad = None
+    tape = dm.GradTape()
+    out = fn(tape)
+    tape.backward(out)
+    return float(out.data), {name: None if p.grad is None else p.grad.copy() for name, p in params.items()}
+
+
+def _assert_close(value, grads, oracle_value, oracle_grads):
+    assert value == pytest.approx(oracle_value, rel=1e-12, abs=0.0)
+    assert grads.keys() == oracle_grads.keys()
+    for name, g in grads.items():
+        o = oracle_grads[name]
+        assert (g is None) == (o is None), name
+        if g is not None:
+            # relative to the tensor's largest entry; the floor covers
+            # gradients that are zero up to rounding (block/bk: softmax
+            # ignores a shift shared by all keys)
+            assert np.max(np.abs(g - o)) <= 1e-9 * np.max(np.abs(o)) + 1e-15, name
+
+
+class TestBatchedRegularizer:
+    SIZES = (5, 2, 3, 5, 2, 3, 3, 5)  # mixed blocking sizes, in mixed order
+
+    def _blockings(self, seed, width=8):
+        rng = np.random.default_rng(seed)
+        out = []
+        for k in self.SIZES:
+            targets = np.full(k, mining.NEGATIVE_TARGET)
+            targets[rng.integers(k)] = mining.POSITIVE_TARGET
+            out.append((dm.Tensor(rng.normal(size=(k, width))), targets))
+        return out
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_aux_losses_match_per_blocking_oracle(self, seed):
+        blockings = self._blockings(seed)
+        gammas = dm.Tensor(np.concatenate([g.data for g, _ in blockings]))
+        targets = [t for _, t in blockings]
+        head_ql = init_head(np.random.default_rng(seed + 10), 8, dropout_rate=0.0)
+        head_qb = init_head(np.random.default_rng(seed + 20), 32, dropout_rate=0.0)
+        block = init_block(np.random.default_rng(seed + 30), width=8)
+        params = {f"ql/{k}": v for k, v in vars(head_ql).items() if isinstance(v, dm.Tensor)}
+        params |= {f"qb/{k}": v for k, v in vars(head_qb).items() if isinstance(v, dm.Tensor)}
+        params |= {f"block/{k}": v for k, v in vars(block).items()}
+        oracle_params = dict(params)
+        params["gammas"] = gammas
+
+        def batched(tape):
+            ql = aux_loss_ql(tape, head_ql, gammas, targets)
+            return dm.add(tape, ql, aux_loss_qb(tape, head_qb, block, gammas, targets))
+
+        def oracle(tape):
+            ql = _oracle_aux_ql(tape, head_ql, blockings)
+            return dm.add(tape, ql, _oracle_aux_qb(tape, head_qb, block, blockings))
+
+        value, grads = _value_and_grads(params, batched)
+        oracle_value, oracle_grads = _value_and_grads(oracle_params, oracle)
+        oracle_grads["gammas"] = np.concatenate([g.grad for g, _ in blockings])
+        _assert_close(value, grads, oracle_value, oracle_grads)
+
+    def test_qb_leaves_out_single_pairs(self):
+        # a blocking of one pair has no context: it counts for aux_loss_ql only
+        rng = np.random.default_rng(5)
+        head = init_head(np.random.default_rng(6), 32, dropout_rate=0.0)
+        block = init_block(np.random.default_rng(7), width=8)
+        single, triple = rng.normal(size=(1, 8)), rng.normal(size=(3, 8))
+        targets = np.array([mining.POSITIVE_TARGET, mining.NEGATIVE_TARGET, mining.NEGATIVE_TARGET])
+        both = aux_loss_qb(None, head, block, dm.Tensor(np.concatenate([single, triple])),
+                           [np.array([mining.POSITIVE_TARGET]), targets])
+        alone = aux_loss_qb(None, head, block, dm.Tensor(triple), [targets])
+        assert both.data.tobytes() == alone.data.tobytes()
+        with pytest.raises(mining.BadBlocking):
+            aux_loss_qb(None, head, block, dm.Tensor(single), [np.array([mining.POSITIVE_TARGET])])
+
+    def _mixed_batch(self, seed):
+        """Pools of 0, 1, 2, 4 and 6 negatives: blockings of K = 1, 2, 3, 5
+        and 5 at k = 5, the first three shrunk."""
+        from conftest import tiny_spec
+        from xmcreg.data_io import build_synthetic
+
+        labels, queries, _ = build_synthetic(tiny_spec(num_train_queries=10, seed=seed))
+        dataset = mining.Dataset(queries=queries, labels=labels)
+        rng = np.random.default_rng(seed)
+        sampled = mining.sample_positives(dataset, rng)
+        qids = [q.id for q in dataset.queries]
+        label_ids = [l.id for l in labels]
+        pools = {}
+        for i, qid in enumerate(qids):
+            others = [l for l in rng.permutation(label_ids).tolist() if l not in dataset.query_by_id[qid].positives]
+            pools[qid] = tuple(others[: (0, 1, 2, 4, 6)[i % 5]])
+        batch = mining.Batch(query_ids=qids, pos_label_ids=sampled, neg_pools=pools)
+        return dataset, batch
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("tcm", [True, False])
+    def test_total_loss_matches_per_pair_oracle(self, seed, tcm):
+        dataset, batch = self._mixed_batch(seed)
+        model = init_model(np.random.default_rng(seed), tiny_config(dropout=0.0))
+        params = model.named_tensors()
+        cfg = LossConfig(beta1=1.0, beta2=0.5, tcm=TcmConfig() if tcm else None, k=5)
+
+        def batched(tape):
+            total, _, shrunk = total_loss(
+                tape, dataset, batch, model.enc, model.head_ql, model.head_qb, model.block, cfg
+            )
+            assert shrunk == 6
+            return total
+
+        value, grads = _value_and_grads(params, batched)
+        oracle_value, oracle_grads = _value_and_grads(
+            params, lambda tape: _oracle_total_loss(tape, dataset, batch, model, cfg)
+        )
+        _assert_close(value, grads, oracle_value, oracle_grads)
+
+    def test_detach_aux_leaves_encoder_the_base_gradient(self):
+        # with detach_aux the encoder gets only the base and TCM gradient
+        dataset, batch = self._mixed_batch(0)
+        model = init_model(np.random.default_rng(0), tiny_config(dropout=0.0))
+        params = model.named_tensors()
+        on = LossConfig(beta1=1.0, beta2=0.5, k=5, detach_aux=True)
+        off = LossConfig(beta1=0.0, beta2=0.0, k=5)
+
+        def run(cfg):
+            return _value_and_grads(params, lambda tape: total_loss(
+                tape, dataset, batch, model.enc, model.head_ql, model.head_qb, model.block, cfg
+            )[0])[1]
+
+        detached, base = run(on), run(off)
+        for name in ("encoder/bucket_table", "encoder/projection"):
+            assert detached[name].tobytes() == base[name].tobytes()
+        assert detached["block/wq"] is not None and base["block/wq"] is None
+
+    def test_tape_node_guard(self):
+        # deterministic guard against per-pair or per-blocking nodes coming
+        # back: the per-pair objective recorded 402 nodes here
+        fn, _ = verify.make_micro_objective(0)
+        tape = dm.GradTape()
+        fn(tape)
+        assert len(tape._nodes) <= 200

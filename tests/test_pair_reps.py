@@ -28,6 +28,13 @@ class TestBuildGamma:
         with pytest.raises(DimensionMismatch):
             build_gamma(None, dm.Tensor([1.0, 0.0]), dm.Tensor([1.0, 0.0, 0.0]))
 
+    def test_rows_equal_pairs_one_at_a_time(self):
+        rng = np.random.default_rng(2)
+        hq, hl = rng.normal(size=(5, 8)), rng.normal(size=(5, 8))
+        g = build_gamma(None, dm.Tensor(hq), dm.Tensor(hl)).data
+        for i in range(5):
+            assert g[i].tobytes() == build_gamma(None, dm.Tensor(hq[i]), dm.Tensor(hl[i])).data.tobytes()
+
     @pytest.mark.parametrize("d", [2, 8, 32])
     def test_shape_law(self, d):
         rng = np.random.default_rng(d)
@@ -106,6 +113,27 @@ class TestContextualize:
         perm = np.random.default_rng(0).permutation(5)
         _, attn_p = contextualize(None, self.block, dm.Tensor(g[perm]), return_attention=True)
         np.testing.assert_array_equal(attn_p.data, attn.data[perm][:, perm])
+
+    def test_batch_permutation_equivariance_exact(self):
+        # permuting the rows inside any group of a (G, K, 4d) batch
+        # permutes that group's output rows, bit for bit
+        g = self.rng.normal(size=(4, 5, 8))
+        g[2, 3] = g[2, 1]  # tied rows keep their input order
+        out = contextualize(None, self.block, dm.Tensor(g)).data
+        for seed in range(5):
+            perms = [np.random.default_rng([seed, i]).permutation(5) for i in range(4)]
+            permuted = np.stack([g[i][p] for i, p in enumerate(perms)])
+            out_p = contextualize(None, self.block, dm.Tensor(permuted)).data
+            np.testing.assert_array_equal(out_p, np.stack([out[i][p] for i, p in enumerate(perms)]))
+
+    def test_batch_matches_groups_one_at_a_time(self):
+        g = self.rng.normal(size=(3, 4, 8))
+        out, attn = contextualize(None, self.block, dm.Tensor(g), return_attention=True)
+        assert out.shape == (3, 4, 8) and attn.shape == (3, 4, 4)
+        for i in range(3):
+            one, one_attn = contextualize(None, self.block, dm.Tensor(g[i]), return_attention=True)
+            np.testing.assert_allclose(out.data[i], one.data, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(attn.data[i], one_attn.data, rtol=1e-12, atol=1e-14)
 
     def test_needs_k_at_least_two(self):
         with pytest.raises(DimensionMismatch):

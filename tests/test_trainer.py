@@ -3,9 +3,15 @@
 import copy
 import dataclasses
 import json
+import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xmcreg import diffmath as dm
 from xmcreg import trainer
@@ -191,6 +197,11 @@ class TestCheckpointFormat:
         with pytest.raises(ValueError, match="duplicate tensor name 'a' at byte 68"):
             self._read(tmp_path, raw[:4] + (2).to_bytes(4, "little") + entry + entry)
 
+    def test_name_not_utf8_rejected_with_offset(self, tmp_path):
+        raw = self._container(tmp_path)
+        with pytest.raises(ValueError, match="tensor name at byte 10 is not UTF-8"):
+            self._read(tmp_path, raw[:10] + b"\xff" + raw[11:])
+
     def test_rank_or_size_past_end_rejected_with_offset(self, tmp_path):
         raw = self._container(tmp_path)
         huge_rank = raw[:11] + bytes([255]) + raw[12:]
@@ -208,6 +219,45 @@ class TestCheckpointFormat:
         assert back.epoch == 3
         assert back.config == {"epochs": 3}
         np.testing.assert_array_equal(back.tensors["w"], np.ones((2, 2)))
+
+    def test_sidecar_checked_against_shapes(self, tmp_path, tiny_dataset):
+        ckpt, _ = train(tiny_dataset, tiny_config(epochs=1))
+        path = tmp_path / "c.bin"
+        ckpt.save(path)
+        assert Checkpoint.load(path).config == ckpt.config
+        sidecar = tmp_path / "c.bin.config.json"
+        for key, name, found, expected in (
+            ("dim", "encoder/projection", (16, 8), (16, 12)),
+            ("dim_hidden", "encoder/bucket_table", (1024, 16), (1024, 20)),
+            ("num_buckets", "encoder/bucket_table", (1024, 16), (512, 16)),
+        ):
+            config = dict(ckpt.config)
+            config[key] = {"dim": 12, "dim_hidden": 20, "num_buckets": 512}[key]
+            sidecar.write_text(json.dumps(config))
+            with pytest.raises(ValueError) as err:
+                Checkpoint.load(path)
+            assert str(path) in str(err.value) and name in str(err.value)
+            assert f"shape {found}, expected {expected} from c.bin.config.json" in str(err.value)
+
+    def test_sidecar_checks_head_and_block_widths(self, tmp_path, tiny_dataset):
+        ckpt, _ = train(tiny_dataset, tiny_config(epochs=1))
+        for name, shape in (("head_ql/w1", (32, 32)), ("head_qb/w1", (128, 128)), ("block/wq", (32, 32))):
+            tensors = dict(ckpt.tensors)
+            tensors[name] = np.zeros((shape[0] + 4, shape[1]))
+            path = tmp_path / "c.bin"
+            Checkpoint(tensors=tensors, config=ckpt.config, epoch=1).save(path)
+            with pytest.raises(ValueError, match=f"{name} has shape .*, expected {re.escape(str(shape))}"):
+                Checkpoint.load(path)
+
+    def test_missing_sidecar_still_loads(self, tmp_path, tiny_dataset):
+        ckpt, _ = train(tiny_dataset, tiny_config(epochs=1))
+        path = tmp_path / "c.bin"
+        ckpt.save(path)
+        (tmp_path / "c.bin.config.json").unlink()
+        back = Checkpoint.load(path)
+        assert back.config == {} and back.epoch == 1
+        for name, arr in ckpt.tensors.items():
+            assert back.tensors[name].tobytes() == arr.tobytes()
 
     def test_optimizer_state_round_trips(self, tmp_path, tiny_dataset):
         config = tiny_config(epochs=1)
@@ -294,11 +344,107 @@ class TestTrain:
         with pytest.raises(NonFiniteLoss, match="step 2"):
             train(tiny_dataset, tiny_config(epochs=2))
 
+    def test_nonfinite_gradient_aborts_before_update(self, tiny_dataset, monkeypatch):
+        # a finite loss whose backward leaves a NaN in one parameter's gradient
+        real = trainer.total_loss
+        calls = {"n": 0}
+
+        def poisoned(tape, dataset, batch, enc, *args, **kwargs):
+            total, breakdown, shrunk = real(tape, dataset, batch, enc, *args, **kwargs)
+            calls["n"] += 1
+            if calls["n"] < 3:
+                return total, breakdown, shrunk
+            out = dm.add(tape, total, 0.0)
+            forward = out._backward
+
+            def backward(g):
+                forward(g)
+                enc.projection.grad = np.zeros_like(enc.projection.data)
+                enc.projection.grad[0, 0] = np.nan
+
+            out._backward = backward
+            return out, breakdown, shrunk
+
+        monkeypatch.setattr(trainer, "total_loss", poisoned)
+        updates = []
+        monkeypatch.setattr(trainer, "update_step", lambda *a, **k: updates.append(1) or update_step(*a, **k))
+        with pytest.raises(dm.NonFiniteGradient, match="encoder/projection at step 2"):
+            train(tiny_dataset, tiny_config(epochs=2))
+        assert len(updates) == 2
+
     def test_ance_sampler_runs(self, tiny_dataset):
         config = tiny_config(epochs=1, sampler="ance", pool_size=5)
         ckpt, log = train(tiny_dataset, config)
         assert len(log) == 1
         assert "encoder/bucket_table" in ckpt.tensors
+
+
+# float64 bit patterns: ±0.0, ±inf, quiet and signalling NaNs with
+# payloads and either sign, and arbitrary bits
+_SPECIAL_BITS = [0, 1 << 63, 0x7FF0 << 48, 0xFFF0 << 48, 0x7FF8 << 48, 0x7FF0000000000001, 0xFFF8000000000ABC]
+_BITS = st.one_of(st.sampled_from(_SPECIAL_BITS), st.integers(0, 2**64 - 1))
+
+
+@st.composite
+def _arrays(draw):
+    shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+    bits = draw(st.lists(_BITS, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(bits, dtype=np.uint64).view(np.float64).reshape(shape)
+
+
+_NAMES = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_CONTAINERS = st.dictionaries(_NAMES, _arrays(), max_size=4)
+
+
+def _written(tensors) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.bin"
+        write_tensors(path, tensors)
+        return path.read_bytes()
+
+
+def _read_bytes(raw: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.bin"
+        path.write_bytes(raw)
+        return read_tensors(path)
+
+
+class TestContainerFuzz:
+    @given(_CONTAINERS)
+    def test_round_trip_bit_for_bit(self, tensors):
+        back = _read_bytes(_written(tensors))
+        assert list(back) == list(tensors)
+        for name, arr in tensors.items():
+            assert back[name].shape == arr.shape
+            assert back[name].tobytes() == arr.tobytes()
+
+    # one example reads every prefix of its file, so its time grows with the file
+    @settings(max_examples=50, deadline=None)
+    @given(_CONTAINERS)
+    def test_every_strict_prefix_rejected_with_offset(self, tensors):
+        raw = _written(tensors)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.bin"
+            for end in range(len(raw)):
+                path.write_bytes(raw[:end])
+                with pytest.raises(ValueError, match=r"at byte \d+"):
+                    read_tensors(path)
+
+    @given(_CONTAINERS, st.data())
+    def test_corrupted_byte_read_or_rejected_with_offset(self, tensors, data):
+        raw = bytearray(_written(tensors))
+        raw[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
+        try:
+            _read_bytes(bytes(raw))
+        except ValueError as err:
+            assert re.search(r"at byte \d+", str(err)), err
+
+    @given(_CONTAINERS, st.binary(min_size=1, max_size=16))
+    def test_appended_bytes_reported_as_trailing(self, tensors, extra):
+        raw = _written(tensors)
+        with pytest.raises(ValueError, match=f"{len(extra)} trailing bytes at byte {len(raw)}"):
+            _read_bytes(raw + extra)
 
 
 class TestModelRoundTrip:
