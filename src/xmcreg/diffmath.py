@@ -137,17 +137,19 @@ def mul(tape, a, b) -> Tensor:
 
 
 def matmul(tape, a, b) -> Tensor:
-    """Vector-matrix or matrix-matrix product, or a batch of matrix
-    products over the leading axis of two rank-3 operands."""
+    """Matrix-matrix product, or a batch of them over the leading axis of
+    a rank-3 operand and a rank-3 or shared rank-2 one. (N, 1, k) @ (k, n)
+    equals each vector's product bit for bit; a (N, k) gemm does not."""
     da, db = _val(a), _val(b)
-    if (da.ndim, db.ndim) not in ((1, 2), (2, 2), (3, 3)) or da.shape[:-2] != db.shape[:-2] \
-            or da.shape[-1] != db.shape[-2]:
+    if (da.ndim, db.ndim) not in ((2, 2), (3, 3), (3, 2)) or da.shape[-1] != db.shape[-2] \
+            or db.ndim == 3 and da.shape[0] != db.shape[0]:
         raise DimensionMismatch(f"matmul {da.shape} @ {db.shape}")
     out = da @ db
 
     def backward(g):
         _accum(a, g @ db.swapaxes(-1, -2))
-        _accum(b, np.outer(da, g) if da.ndim == 1 else da.swapaxes(-1, -2) @ g)
+        _accum(b, da.swapaxes(-1, -2) @ g if db.ndim == 3 else
+               da.reshape(-1, da.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
 
     return _make(tape, out, backward)
 
@@ -170,17 +172,23 @@ def affine(tape, x, w, bias) -> Tensor:
     return _make(tape, out, backward)
 
 
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # one BLAS dot per pair of vectors along the last axis, equal to np.dot
+    # of each pair bit for bit (einsum, (x * y).sum(-1) and gemv are not)
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
 def dot(tape, a, b) -> Tensor:
+    """Inner products along the last axis of two same-shape operands (rank 1 to 3)."""
     da, db = _val(a), _val(b)
-    if da.shape != db.shape or da.ndim != 1:
+    if da.shape != db.shape or not 1 <= da.ndim <= 3:
         raise DimensionMismatch(f"dot {da.shape} . {db.shape}")
-    out = np.dot(da, db)
 
     def backward(g):
-        _accum(a, g * db)
-        _accum(b, g * da)
+        _accum(a, g[..., None] * db)
+        _accum(b, g[..., None] * da)
 
-    return _make(tape, out, backward)
+    return _make(tape, _row_dots(da, db), backward)
 
 
 def transpose(tape, a) -> Tensor:
@@ -219,15 +227,12 @@ def concat(tape, parts, axis: int = 0) -> Tensor:
     return _make(tape, out, backward)
 
 
-def stack(tape, parts, axis: int = 0) -> Tensor:
-    datas = [_val(p) for p in parts]
-    out = np.stack(datas, axis=axis)
-
+def stack(tape, parts) -> Tensor:
     def backward(g):
-        for i, p in enumerate(parts):
-            _accum(p, np.take(g, i, axis=axis))
+        for p, gp in zip(parts, g):
+            _accum(p, gp)
 
-    return _make(tape, out, backward)
+    return _make(tape, np.stack([_val(p) for p in parts]), backward)
 
 
 def gather_rows(tape, a, idx) -> Tensor:
@@ -281,6 +286,20 @@ def sum_axis0(tape, a) -> Tensor:
         _accum(a, np.broadcast_to(g, da.shape).copy())
 
     return _make(tape, da.sum(axis=0), backward)
+
+
+def mean_rows(tape, a, lengths) -> Tensor:
+    """Mean of the first lengths[i] (>= 1) entries of each row i of a matrix,
+    equal to the 1-D mean of each prefix bit for bit (a padded sum is not)."""
+    da, lengths = _val(a), np.asarray(lengths)
+    if da.ndim != 2 or lengths.shape != da.shape[:1] or not np.all((lengths >= 1) & (lengths <= da.shape[1])):
+        raise DimensionMismatch(f"mean_rows of {da.shape} over lengths {lengths.tolist()}")
+    mask = np.arange(da.shape[1]) < lengths[:, None]
+
+    def backward(g):
+        _accum(a, np.where(mask, (g / lengths)[:, None], 0.0))
+
+    return _make(tape, np.mean(da, axis=1, where=mask), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -371,29 +390,28 @@ def softmax(tape, a) -> Tensor:
 
 
 def l2_normalize(tape, a) -> Tensor:
-    """Unit-norm projection of a rank-1 vector; all-zero maps to all-zero."""
+    """Unit-norm projection of each vector along the last axis; an all-zero
+    vector maps to all-zero."""
     da = _val(a)
-    if da.ndim != 1:
-        raise DimensionMismatch("l2_normalize expects rank-1")
-    n = float(np.linalg.norm(da))
-    if not 1e-150 < n < 1e150:
-        # the squares under- or overflow (or all are zero): norm the vector
-        # scaled by its largest entry, so tiny and huge vectors still come
-        # out unit-norm
-        scale = float(np.max(np.abs(da)))
-        if scale == 0.0:
-            return _make(tape, np.zeros_like(da), lambda g: None)
-        scaled = da / scale
-        m = float(np.linalg.norm(scaled))
-        y = scaled / m
-        n = scale * m
-    else:
-        y = da / n
+    rows = da.reshape(-1, da.shape[-1])
+    n = np.sqrt(_row_dots(rows, rows))
+    odd = ~((1e-150 < n) & (n < 1e150))
+    y = rows / np.where(odd, 1.0, n)[:, None]
+    if odd.any():
+        # the squares under- or overflow, or all are zero: norm the vector
+        # scaled by its largest entry, so tiny and huge ones come out unit-norm
+        scale = np.max(np.abs(rows[odd]), axis=1, keepdims=True)
+        scaled = np.divide(rows[odd], scale, out=np.zeros_like(rows[odd]), where=scale != 0.0)
+        m = np.sqrt(_row_dots(scaled, scaled))[:, None]
+        y[odd] = np.divide(scaled, m, out=np.zeros_like(scaled), where=m != 0.0)
+        n[odd] = (scale * m)[:, 0]
+    n[n == 0.0] = np.inf  # an all-zero vector passes back no gradient
 
     def backward(g):
-        _accum(a, (g - y * np.dot(g, y)) / n)
+        g = g.reshape(rows.shape)
+        _accum(a, ((g - y * _row_dots(g, y)[:, None]) / n[:, None]).reshape(da.shape))
 
-    return _make(tape, y, backward)
+    return _make(tape, y.reshape(da.shape), backward)
 
 
 def bce_with_logits(tape, z, y) -> Tensor:

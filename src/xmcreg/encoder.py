@@ -15,9 +15,9 @@ import numpy as np
 from . import diffmath as dm
 
 MAX_CHARS = 128
-# texts hashed per vectorized pass of featurize. 64 keeps each temporary
-# array near 64 kB (8k trigrams at MAX_CHARS); at 512 texts per pass the
-# peak RSS of a 24k-text eval rose by about 1 MB
+# texts featurized and embedded per pass of encode_matrix. 64 keeps each
+# hashing temporary near 64 kB (8k trigrams at MAX_CHARS); at 512 texts
+# per pass the peak RSS of a 24k-text eval rose by about 1 MB
 FEATURIZE_CHUNK = 64
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
@@ -62,15 +62,8 @@ def featurize(texts: list[str], num_buckets: int) -> list[tuple[np.ndarray, np.n
     are hashed with 64-bit FNV-1a into ``num_buckets`` buckets. A text
     maps to its distinct buckets in ascending order and their counts
     divided by the number of trigrams. Empty text maps to the reserved
-    bucket 0 with weight 1. Texts are hashed FEATURIZE_CHUNK at a time.
+    bucket 0 with weight 1. All texts are hashed in one vectorized pass.
     """
-    out: list[tuple[np.ndarray, np.ndarray]] = []
-    for start in range(0, len(texts), FEATURIZE_CHUNK):
-        out.extend(_featurize_chunk(texts[start : start + FEATURIZE_CHUNK], num_buckets))
-    return out
-
-
-def _featurize_chunk(texts: list[str], num_buckets: int) -> list[tuple[np.ndarray, np.ndarray]]:
     lowered = [t[:MAX_CHARS].lower() for t in texts]
     padded = ["#" + t + "#" for t in lowered if t]
     raw = np.frombuffer("".join(padded).encode("utf-8"), dtype=np.uint8)
@@ -104,27 +97,33 @@ def _featurize_chunk(texts: list[str], num_buckets: int) -> list[tuple[np.ndarra
     return out
 
 
-def embed(params: EncoderParams, features: tuple[np.ndarray, np.ndarray],
+def embed(params: EncoderParams, features: list[tuple[np.ndarray, np.ndarray]],
           tape: dm.GradTape | None = None) -> dm.Tensor:
-    """Unit-norm embedding of one featurized text (weighted sum of its
-    bucket rows, projected)."""
-    idx, weights = features
-    rows = dm.gather_rows(tape, params.bucket_table, idx)
-    pooled = dm.sum_axis0(tape, dm.mul(tape, rows, weights[:, None]))
+    """Unit-norm embeddings of featurized texts, one row per text: the
+    weighted sum of each text's bucket rows, projected."""
+    n = len(features)
+    width = max(len(ids) for ids, _ in features)
+    # (trigram slot, text, 1); pad slots take bucket 0 with weight 0
+    idx = np.zeros((width, n, 1), dtype=np.intp)
+    weights = np.zeros((width, n, 1, 1))
+    for j, (ids, w) in enumerate(features):
+        idx[: len(ids), j, 0] = ids
+        weights[: len(w), j, 0, 0] = w
+    pooled = dm.sum_axis0(tape, dm.mul(tape, dm.gather_rows(tape, params.bucket_table, idx), weights))
+    # (N, 1, d_in) @ (d_in, d): one vector-matrix product per text
     projected = dm.matmul(tape, pooled, params.projection)
-    return dm.l2_normalize(tape, projected)
+    return dm.reshape(tape, dm.l2_normalize(tape, projected), (n, params.dim))
 
 
 def encode(params: EncoderParams, text: str, tape: dm.GradTape | None = None) -> dm.Tensor:
     """Unit-norm embedding of a text (count-weighted mean of bucket rows)."""
-    return embed(params, featurize([text], params.num_buckets)[0], tape)
+    return dm.reshape(tape, embed(params, featurize([text], params.num_buckets), tape), (params.dim,))
 
 
 def encode_matrix(params: EncoderParams, texts: list[str]) -> np.ndarray:
     """Stacked embeddings for frozen-parameter inference (no tape)."""
     out = np.empty((len(texts), params.dim))
     for start in range(0, len(texts), FEATURIZE_CHUNK):
-        chunk = featurize(texts[start : start + FEATURIZE_CHUNK], params.num_buckets)
-        for row, features in enumerate(chunk, start):
-            out[row] = embed(params, features).data
+        chunk = texts[start : start + FEATURIZE_CHUNK]
+        out[start : start + len(chunk)] = embed(params, featurize(chunk, params.num_buckets)).data
     return out

@@ -86,35 +86,47 @@ def init_head(rng: np.random.Generator, in_dim: int, hidden: int | None = None, 
     )
 
 
-def _as_tensor(x) -> dm.Tensor:
-    return x if isinstance(x, dm.Tensor) else dm.Tensor(float(x))
-
-
-def triplet_base_loss(tape, s_pos, s_negs, margin: float) -> dm.Tensor:
-    """Mean over negatives of max(0, margin - s_pos + s_neg)."""
-    if len(s_negs) == 0:
+def triplet_base_loss(tape, s_pos, s_negs, margin: float, counts=None) -> dm.Tensor:
+    """Mean over queries of the mean over each query's negatives of
+    max(0, margin - s_pos + s_neg), for one query's score and a list of
+    its negatives' scores, or for (Q,) positive scores and (Q, W) scores
+    whose row i starts with query i's counts[i] negatives. Queries without
+    a negative are left out."""
+    if counts is None:
+        if len(s_negs) == 0:
+            raise EmptyNegatives("triplet loss with no negatives")
+        s_negs = dm.reshape(tape, dm.stack(tape, s_negs), (1, -1))
+        counts = [s_negs.shape[1]]
+    rows = np.flatnonzero(counts)
+    if rows.size == 0:
         raise EmptyNegatives("triplet loss with no negatives")
-    s_pos = _as_tensor(s_pos)
-    negs = dm.stack(tape, [_as_tensor(s) for s in s_negs])
-    hinge = dm.relu(tape, dm.add(tape, dm.sub(tape, negs, s_pos), float(margin)))
-    return dm.mean_all(tape, hinge)
+    shifted = dm.sub(tape, s_negs, dm.reshape(tape, s_pos, (-1, 1)))
+    hinge = dm.relu(tape, dm.add(tape, shifted, float(margin)))
+    per_query = dm.mean_rows(tape, dm.gather_rows(tape, hinge, rows), np.asarray(counts)[rows])
+    return dm.mean_all(tape, per_query)
+
+
+def _hard(tape, sims, is_hard) -> dm.Tensor | None:
+    """The scores is_hard selects, or None. A list of scalars is filtered
+    before it is stacked, so the scores left out get no gradient."""
+    if isinstance(sims, dm.Tensor):
+        rows = np.flatnonzero(is_hard(sims.data))
+        return dm.gather_rows(tape, sims, rows) if rows.size else None
+    hard = [s for s in sims if is_hard(s.data if isinstance(s, dm.Tensor) else s)]
+    return dm.stack(tape, hard) if hard else None
 
 
 def tcm_loss(tape, pos_sims, neg_sims, cfg: TcmConfig) -> dm.Tensor:
     """Mean shortfall of hard positives below m+ plus mean excess of hard
     negatives above m-. Hard-set membership is strict; empty sets
-    contribute zero."""
-    pos = [_as_tensor(s) for s in pos_sims]
-    neg = [_as_tensor(s) for s in neg_sims]
-    hard_pos = [s for s in pos if float(s.data) < cfg.m_plus]
-    hard_neg = [s for s in neg if float(s.data) > cfg.m_minus]
+    contribute zero. Each score set is a vector or a list of scalars."""
+    hard_pos = _hard(tape, pos_sims, lambda s: s < cfg.m_plus)
+    hard_neg = _hard(tape, neg_sims, lambda s: s > cfg.m_minus)
     total = dm.Tensor(0.0)
-    if hard_pos:
-        shortfall = dm.sub(tape, cfg.m_plus, dm.stack(tape, hard_pos))
-        total = dm.add(tape, total, dm.mean_all(tape, shortfall))
-    if hard_neg:
-        excess = dm.sub(tape, dm.stack(tape, hard_neg), cfg.m_minus)
-        total = dm.add(tape, total, dm.mean_all(tape, excess))
+    if hard_pos is not None:
+        total = dm.add(tape, total, dm.mean_all(tape, dm.sub(tape, cfg.m_plus, hard_pos)))
+    if hard_neg is not None:
+        total = dm.add(tape, total, dm.mean_all(tape, dm.sub(tape, hard_neg, cfg.m_minus)))
     return total
 
 
@@ -208,65 +220,51 @@ def total_loss(
     the number of shrunk blockings. With beta1 = beta2 = 0 and the
     regularizer disabled, the total is bit-identical to the base loss.
     """
-    base_negs = batch.base_neg_ids if batch.base_neg_ids is not None else {
-        qid: list(batch.neg_pools[qid]) for qid in batch.query_ids
-    }
-    # TCM and the blockings read every pool negative; the triplet term
-    # reads only the base negatives
+    qids = batch.query_ids
+    base_negs = batch.base_neg_ids or {qid: batch.neg_pools[qid] for qid in qids}
+    # row i of the (Q, W) negative scores: query i's base negatives (the
+    # triplet term's), the rest of its pool if TCM or the blockings read
+    # it, then pads that score the positive again and are never read
     whole_pool = cfg.tcm is not None or cfg.beta1 != 0.0 or cfg.beta2 != 0.0
-    negs = {
-        qid: [lid for lid in batch.neg_pools[qid] if whole_pool or lid in base_negs[qid]]
-        for qid in batch.query_ids
-    }
-    needed = set(batch.pos_label_ids.values())
-    for pool in negs.values():
-        needed.update(pool)
-    label_ids = sorted(needed)
-    texts = [dataset.query_by_id[qid].text for qid in batch.query_ids]
-    texts += [dataset.label_by_id[lid].text for lid in label_ids]
-    features = iter(featurize(texts, enc.num_buckets))
-    q_emb = {qid: embed(enc, next(features), tape) for qid in batch.query_ids}
-    l_emb = {lid: embed(enc, next(features), tape) for lid in label_ids}
+    cols = [[*base_negs[q], *(l for l in batch.neg_pools[q] if whole_pool and l not in base_negs[q])] for q in qids]
+    pos_ids = [batch.pos_label_ids[q] for q in qids]
+    label_ids = np.array(sorted(set(pos_ids).union(*cols)))
+    texts = [dataset.query_by_id[q].text for q in qids] + [dataset.label_by_id[l].text for l in label_ids.tolist()]
+    # the embedding rows: the queries, then the labels in ascending id order
+    emb = embed(enc, featurize(texts, enc.num_buckets), tape)
 
-    s_pos: dict[int, dm.Tensor] = {}
-    s_negs: dict[int, dict[int, dm.Tensor]] = {}
-    for qid in batch.query_ids:
-        s_pos[qid] = dm.dot(tape, q_emb[qid], l_emb[batch.pos_label_ids[qid]])
-        s_negs[qid] = {lid: dm.dot(tape, q_emb[qid], l_emb[lid]) for lid in negs[qid]}
+    def label_rows(lids):
+        return len(qids) + np.searchsorted(label_ids, lids)
 
-    triplet_terms = [
-        triplet_base_loss(tape, s_pos[qid], [s_negs[qid][lid] for lid in base_negs[qid]], cfg.triplet_margin)
-        for qid in batch.query_ids
-        if base_negs[qid]
-    ]
-    base = dm.mean_all(tape, dm.stack(tape, triplet_terms)) if triplet_terms else dm.Tensor(0.0)
+    q_rows = np.arange(len(qids))
+    s_pos = dm.dot(tape, dm.gather_rows(tape, emb, q_rows), dm.gather_rows(tape, emb, label_rows(pos_ids)))
+    width = max([1, *map(len, cols)])
+    grid = label_rows([c + [p] * (width - len(c)) for c, p in zip(cols, pos_ids)])
+    q_grid = np.repeat(q_rows[:, None], width, axis=1)
+    s_neg = dm.dot(tape, dm.gather_rows(tape, emb, q_grid), dm.gather_rows(tape, emb, grid))
 
+    counts = [len(base_negs[q]) for q in qids]
+    base = triplet_base_loss(tape, s_pos, s_neg, cfg.triplet_margin, counts) if any(counts) else dm.Tensor(0.0)
     total = base
-    tcm_val = 0.0
+    tcm_val = xe_ql_val = xe_qb_val = 0.0
+    shrunk = 0
     if cfg.tcm is not None:
-        all_pos = [s_pos[qid] for qid in batch.query_ids]
-        all_neg = [t for qid in batch.query_ids for t in s_negs[qid].values()]
-        tcm_term = tcm_loss(tape, all_pos, all_neg, cfg.tcm)
+        # the pool negatives, query by query in pool order
+        pool = [i * width + cols[i].index(l) for i, q in enumerate(qids) for l in batch.neg_pools[q]]
+        tcm_term = tcm_loss(tape, s_pos, dm.gather_rows(tape, dm.reshape(tape, s_neg, (-1,)), pool), cfg.tcm)
         tcm_val = float(tcm_term.data)
         total = dm.add(tape, total, tcm_term)
 
-    xe_ql_val = 0.0
-    xe_qb_val = 0.0
-    shrunk = 0
     if cfg.beta1 != 0.0 or cfg.beta2 != 0.0:
-        negatives = {qid: list(batch.neg_pools[qid]) for qid in batch.query_ids}
-        sims = {qid: {lid: float(t.data) for lid, t in s_negs[qid].items()} for qid in batch.query_ids}
-        blockings, shrunk = mining.build_blockings(batch, negatives, sims, cfg.k)
-        # every pair's 4d feature in one pass: stack the embeddings once,
-        # then gather each pair's query and label rows
-        q_row = {qid: i for i, qid in enumerate(q_emb)}
-        l_row = {lid: len(q_row) + j for j, lid in enumerate(l_emb)}
-        stacked = dm.stack(tape, [*q_emb.values(), *l_emb.values()])
+        sims = {q: dict(zip(c, row)) for q, c, row in zip(qids, cols, s_neg.data.tolist())}
+        blockings, shrunk = mining.build_blockings(batch, batch.neg_pools, sims, cfg.k)
+        # every pair's 4d feature in one pass, from its query's and its
+        # label's embedding rows; blocking i is query i's
         if cfg.detach_aux:
-            stacked = dm.detach(tape, stacked)
-        q_rows = dm.gather_rows(tape, stacked, [q_row[b.query_id] for b in blockings for _ in b.pair_label_ids])
-        l_rows = dm.gather_rows(tape, stacked, [l_row[lid] for b in blockings for lid in b.pair_label_ids])
-        gammas = pair_reps.build_gamma(tape, q_rows, l_rows)
+            emb = dm.detach(tape, emb)
+        pair_q = dm.gather_rows(tape, emb, np.repeat(q_rows, [len(b.pair_label_ids) for b in blockings]))
+        pair_l = dm.gather_rows(tape, emb, label_rows([lid for b in blockings for lid in b.pair_label_ids]))
+        gammas = pair_reps.build_gamma(tape, pair_q, pair_l)
         targets = [np.array(b.targets) for b in blockings]
         if cfg.beta1 != 0.0:
             ql = aux_loss_ql(tape, head_ql, gammas, targets, rng=rng, training=training)
@@ -277,11 +275,5 @@ def total_loss(
             xe_qb_val = float(qb.data)
             total = dm.add(tape, total, dm.mul(tape, qb, cfg.beta2))
 
-    breakdown = LossBreakdown(
-        base=float(base.data),
-        tcm=tcm_val,
-        xe_ql=xe_ql_val,
-        xe_qb=xe_qb_val,
-        total=float(total.data),
-    )
+    breakdown = LossBreakdown(float(base.data), tcm_val, xe_ql_val, xe_qb_val, float(total.data))
     return total, breakdown, shrunk

@@ -245,7 +245,3 @@ def build_blockings(
         )
     return blockings, shrunk
 
-
-def validate_blocking(blocking: Blocking) -> None:
-    if sum(1 for t in blocking.targets if t == POSITIVE_TARGET) != 1:
-        raise BadBlocking(f"blocking for query {blocking.query_id} lacks a unique positive")

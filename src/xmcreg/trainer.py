@@ -228,6 +228,9 @@ def read_tensors(path: str | Path) -> dict[str, np.ndarray]:
             raise ValueError(f"{path}: duplicate tensor name {name!r} at byte {name_off}")
         (rank,) = struct.unpack("<B", take(1, "rank"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of {name!r}"))
+        # a zero dimension passes the size check whatever the others are
+        if 8 * math.prod(d for d in dims if d) > np.iinfo(np.intp).max:
+            raise ValueError(f"{path}: shape {dims} of {name!r} at byte {off - 4 * rank} is too large for an array")
         data = take(8 * math.prod(dims), f"data of {name!r}")
         tensors[name] = np.frombuffer(data, dtype="<f8").reshape(dims).copy()
     if off != len(raw):

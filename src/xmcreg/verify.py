@@ -34,11 +34,9 @@ def kernel_gradchecks(seed: int, tol: float = 1e-4, max_coords: int = 64) -> Sui
         # keep |x| >= 0.2 so abs/relu kinks stay out of fd range
         return rng.uniform(0.2, 1.0, size=shape) * rng.choice([-1.0, 1.0], size=shape)
 
-    x2 = dm.Tensor(rng.normal(size=(3, 4)))
-    y2 = dm.Tensor(rng.normal(size=(3, 4)))
+    x2, y2 = (dm.Tensor(rng.normal(size=(3, 4))) for _ in range(2))
     w = dm.Tensor(rng.normal(size=(4, 2)))
-    v1 = dm.Tensor(rng.normal(size=5))
-    v2 = dm.Tensor(rng.normal(size=5))
+    v1, v2 = (dm.Tensor(rng.normal(size=5)) for _ in range(2))
     kinky = dm.Tensor(away_from_zero((3, 4)))
     gain = dm.Tensor(rng.normal(size=4))
     bias = dm.Tensor(rng.normal(size=4))
@@ -49,50 +47,44 @@ def kernel_gradchecks(seed: int, tol: float = 1e-4, max_coords: int = 64) -> Sui
     y3 = dm.Tensor(rng.normal(size=(2, 4, 3)))
     bias2 = dm.Tensor(rng.normal(size=2))
     idx2 = rng.integers(0, 3, size=(2, 3))
+    z3 = dm.Tensor(rng.normal(size=(2, 3, 4)))
+    probe2 = rng.normal(size=(3, 4))
+    lengths = rng.integers(1, 5, size=3)
 
     checks = {
         "add": (lambda tape: _square_mean(tape, dm.add(tape, x2, y2)), {"x": x2, "y": y2}),
         "hadamard": (lambda tape: _square_mean(tape, dm.mul(tape, x2, y2)), {"x": x2, "y": y2}),
         "matmul": (lambda tape: _square_mean(tape, dm.matmul(tape, x2, w)), {"x": x2, "w": w}),
         "matmul-rank3": (lambda tape: _square_mean(tape, dm.matmul(tape, x3, y3)), {"x": x3, "y": y3}),
-        "affine": (
-            lambda tape: _square_mean(tape, dm.affine(tape, x3, w, bias2)),
-            {"x": x3, "w": w, "bias": bias2},
-        ),
+        "matmul-rank3-rank2": (lambda tape: _square_mean(tape, dm.matmul(tape, x3, w)), {"x": x3, "w": w}),
+        "affine": (lambda tape: _square_mean(tape, dm.affine(tape, x3, w, bias2)), {"x": x3, "w": w, "bias": bias2}),
         "concat": (lambda tape: _square_mean(tape, dm.concat(tape, [v1, v2])), {"a": v1, "b": v2}),
         "elementwise-abs": (lambda tape: _square_mean(tape, dm.elementwise_abs(tape, kinky)), {"x": kinky}),
         "relu": (lambda tape: _square_mean(tape, dm.relu(tape, kinky)), {"x": kinky}),
         "gelu": (lambda tape: _square_mean(tape, dm.gelu(tape, x2)), {"x": x2}),
-        "layer_norm": (
-            lambda tape: _square_mean(tape, dm.layer_norm(tape, x2, gain, bias)),
-            {"x": x2, "gain": gain, "bias": bias},
-        ),
+        "layer_norm": (lambda tape: _square_mean(tape, dm.layer_norm(tape, x2, gain, bias)),
+                       {"x": x2, "gain": gain, "bias": bias}),
         "softmax": (lambda tape: _square_mean(tape, dm.softmax(tape, x2)), {"x": x2}),
         "mean-pool": (lambda tape: _square_mean(tape, dm.sum_axis0(tape, x2)), {"x": x2}),
         # linear functional: the squared norm of a unit vector is constant
-        "l2_normalize": (
-            lambda tape: dm.mean_all(tape, dm.mul(tape, dm.l2_normalize(tape, v1), probe)),
-            {"v": v1},
-        ),
+        "l2_normalize": (lambda tape: dm.mean_all(tape, dm.mul(tape, dm.l2_normalize(tape, v1), probe)), {"v": v1}),
+        "l2_normalize-rank2": (
+            lambda tape: dm.mean_all(tape, dm.mul(tape, dm.l2_normalize(tape, x2), probe2)), {"x": x2}),
         "dot": (lambda tape: _square_mean(tape, dm.dot(tape, v1, v2)), {"a": v1, "b": v2}),
-        "bce_with_logits": (
-            lambda tape: dm.mean_all(tape, dm.bce_with_logits(tape, v1, targets)),
-            {"z": v1},
-        ),
+        "dot-rank2": (lambda tape: _square_mean(tape, dm.dot(tape, x2, y2)), {"a": x2, "b": y2}),
+        "dot-rank3": (lambda tape: _square_mean(tape, dm.dot(tape, x3, z3)), {"a": x3, "b": z3}),
+        "mean_rows": (lambda tape: _square_mean(tape, dm.mean_rows(tape, x2, lengths)), {"x": x2}),
+        "bce_with_logits": (lambda tape: dm.mean_all(tape, dm.bce_with_logits(tape, v1, targets)), {"z": v1}),
         "gather_rows": (lambda tape: _square_mean(tape, dm.gather_rows(tape, x2, idx)), {"x": x2}),
         "gather_rows-grouped": (lambda tape: _square_mean(tape, dm.gather_rows(tape, x2, idx2)), {"x": x2}),
         "transpose": (lambda tape: _square_mean(tape, dm.transpose(tape, x2)), {"x": x2}),
         "transpose-rank3": (lambda tape: _square_mean(tape, dm.transpose(tape, x3)), {"x": x3}),
     }
 
-    worst = 0.0
-    worst_name = ""
-    for name, (fn, params) in checks.items():
-        report = dm.grad_check(fn, params, seed=seed, tol=tol, max_coords=max_coords)
-        if report.max_relative_error > worst:
-            worst = report.max_relative_error
-            worst_name = name
-    return SuiteReport(max_relative_error=worst, passed=worst <= tol, worst_case=worst_name)
+    errors = {name: dm.grad_check(fn, params, seed=seed, tol=tol, max_coords=max_coords).max_relative_error
+              for name, (fn, params) in checks.items()}
+    worst = max(errors, key=errors.get)
+    return SuiteReport(max_relative_error=errors[worst], passed=errors[worst] <= tol, worst_case=worst)
 
 
 def make_micro_objective(seed: int, d: int = 8, batch_size: int = 6, k: int = 3, num_labels: int = 20):

@@ -20,6 +20,13 @@ class TestL2Normalize:
         out = dm.l2_normalize(None, dm.Tensor([0.0, 0.0]))
         np.testing.assert_array_equal(out.data, [0.0, 0.0])
 
+    def test_zero_rows_pass_back_zero_gradient(self):
+        x = dm.Tensor(np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 0.0]]))
+        tape = dm.GradTape()
+        tape.backward(dm.mean_all(tape, dm.mul(tape, dm.l2_normalize(tape, x), np.ones((3, 2)))))
+        np.testing.assert_array_equal(x.grad[[0, 2]], 0.0)
+        assert np.all(x.grad[1] != 0.0)
+
     def test_tiny_vector_no_overflow(self):
         out = dm.l2_normalize(None, dm.Tensor([1e-30, 0.0]))
         np.testing.assert_allclose(out.data, [1.0, 0.0], atol=1e-15)
@@ -261,12 +268,42 @@ class TestBatchedKernels:
         for i in range(4):
             np.testing.assert_allclose(out[i], a[i] @ b[i], rtol=1e-14)
 
+    def test_rank3_by_matrix_equals_each_vector_product_bitwise(self):
+        rng = np.random.default_rng(0)
+        x, w = rng.normal(size=(50, 1, 64)), rng.normal(size=(64, 32))
+        out = dm.matmul(None, dm.Tensor(x), dm.Tensor(w)).data
+        assert out.shape == (50, 1, 32)
+        for i in range(50):
+            assert out[i, 0].tobytes() == (x[i, 0] @ w).tobytes()
+
     def test_matmul_rank_and_batch_mismatch(self):
         rng = np.random.default_rng(0)
         with pytest.raises(dm.DimensionMismatch):
             dm.matmul(None, dm.Tensor(rng.normal(size=(2, 3, 4))), dm.Tensor(rng.normal(size=(3, 4, 2))))
         with pytest.raises(dm.DimensionMismatch):
-            dm.matmul(None, dm.Tensor(rng.normal(size=(2, 3, 4))), dm.Tensor(rng.normal(size=(4, 2))))
+            dm.matmul(None, dm.Tensor(rng.normal(size=4)), dm.Tensor(rng.normal(size=(4, 2))))
+
+    def test_mean_rows_equals_each_prefix_mean_bitwise(self):
+        a = np.random.default_rng(0).normal(size=(40, 43))
+        lengths = np.arange(1, 41)
+        out = dm.mean_rows(None, dm.Tensor(a), lengths).data
+        for i, n in enumerate(lengths):
+            assert out[i].tobytes() == np.mean(a[i, :n]).tobytes(), n
+
+    def test_mean_rows_needs_a_nonempty_prefix_per_row(self):
+        with pytest.raises(dm.DimensionMismatch):
+            dm.mean_rows(None, dm.Tensor(np.ones((2, 3))), [1, 0])
+        with pytest.raises(dm.DimensionMismatch):
+            dm.mean_rows(None, dm.Tensor(np.ones((2, 3))), [1, 4])
+
+    def test_rowwise_dot_equals_np_dot_bitwise(self):
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=(5, 7, 32)), rng.normal(size=(5, 7, 32))
+        out = dm.dot(None, dm.Tensor(a), dm.Tensor(b)).data
+        assert out.shape == (5, 7)
+        for i in range(5):
+            for j in range(7):
+                assert out[i, j].tobytes() == np.dot(a[i, j], b[i, j]).tobytes()
 
     def test_transpose_swaps_last_two_axes(self):
         x = np.arange(24.0).reshape(2, 3, 4)

@@ -12,6 +12,7 @@ from xmcreg import encoder
 from xmcreg.encoder import (
     MAX_CHARS,
     EncoderParams,
+    embed,
     encode,
     encode_matrix,
     featurize,
@@ -125,6 +126,50 @@ def test_encode_matrix_rows_equal_encode_across_chunks(texts, chunk):
     assert mat.shape == (len(texts), params.dim)
     for row, text in zip(mat, texts):
         assert row.tobytes() == encode(params, text).data.tobytes()
+
+
+def embed_oracle(params: EncoderParams, features: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """One text's embedding as a numpy vector: weighted row sum, vector-matrix
+    product, then the norm, rescaled by the largest entry when the squares
+    under- or overflow."""
+    idx, weights = features
+    v = (params.bucket_table.data[idx] * weights[:, None]).sum(axis=0) @ params.projection.data
+    n = float(np.linalg.norm(v))
+    if not 1e-150 < n < 1e150:
+        scale = float(np.max(np.abs(v)))
+        if scale == 0.0:
+            return np.zeros_like(v)
+        v = v / scale
+        n = float(np.linalg.norm(v))
+    return v / n
+
+
+class TestBatchedEmbed:
+    # empty, one character, truncated, multibyte, a zero row, a row near
+    # 1e-160 (the rescaled norm) and a plain one
+    TEXTS = ["", "a", "long text " * 20, "crème brûlée 中文 😀", "qqqq", "tiny", "oreo double stuf"]
+
+    def _params(self) -> EncoderParams:
+        params = init_encoder(np.random.default_rng(0), d=8, d_in=16, num_buckets=1024)
+        (zero_ids, _), (tiny_ids, _) = featurize(["qqqq", "tiny"], params.num_buckets)
+        params.bucket_table.data[zero_ids] = 0.0
+        params.bucket_table.data[tiny_ids] *= 1e-160
+        return params
+
+    def test_rows_equal_single_text_encode_bitwise(self):
+        params = self._params()
+        assert len(self.TEXTS[2]) > MAX_CHARS
+        features = featurize(self.TEXTS, params.num_buckets)
+        rows = embed(params, features).data
+        assert rows.shape == (len(self.TEXTS), params.dim)
+        for row, text, f in zip(rows, self.TEXTS, features):
+            assert row.tobytes() == encode(params, text).data.tobytes(), text
+            assert row.tobytes() == embed_oracle(params, f).tobytes(), text
+        assert rows[4].tobytes() == np.zeros(params.dim).tobytes()
+        idx, weights = features[5]
+        tiny = (params.bucket_table.data[idx] * weights[:, None]).sum(axis=0) @ params.projection.data
+        assert 0.0 < np.linalg.norm(tiny) < 1e-150
+        assert abs(np.linalg.norm(rows[5]) - 1.0) < 1e-12
 
 
 class TestEncode:

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmcreg import diffmath as dm
-from xmcreg import mining, verify
-from xmcreg.encoder import embed, featurize
+from xmcreg import losses, mining, verify
+from xmcreg.data_io import build_synthetic
+from xmcreg.encoder import embed, encode, featurize
 from xmcreg.losses import (
     EmptyNegatives,
     LossConfig,
@@ -26,7 +27,7 @@ from xmcreg.losses import (
 from xmcreg.pair_reps import build_delta, build_gamma, contextualize, init_block
 from xmcreg.trainer import init_model
 
-from conftest import tiny_config
+from conftest import tiny_config, tiny_spec
 
 
 class TestTripletBase:
@@ -162,6 +163,12 @@ class TestAuxLosses:
         with pytest.raises(mining.BadBlocking):
             aux_loss_qb(None, _zero_head(32), block, feats, [all_neg])
 
+    def test_blocking_with_two_positives_rejected(self):
+        feats = dm.Tensor(np.random.default_rng(0).normal(size=(3, 8)))
+        two_pos = np.array([mining.POSITIVE_TARGET, mining.POSITIVE_TARGET, mining.NEGATIVE_TARGET])
+        with pytest.raises(mining.BadBlocking):
+            aux_loss_ql(None, _zero_head(8), feats, [two_pos])
+
     def test_qb_pair_swap_invariance(self):
         rng = np.random.default_rng(3)
         head = init_head(np.random.default_rng(4), 32, dropout_rate=0.0)
@@ -222,9 +229,6 @@ class TestBceSuite:
 
 class TestTotalLoss:
     def _setup(self, seed=0):
-        from conftest import tiny_spec
-        from xmcreg.data_io import build_synthetic
-
         labels, queries, _ = build_synthetic(tiny_spec(num_train_queries=6))
         dataset = mining.Dataset(queries=queries, labels=labels)
         config = tiny_config(batch_size=6, dropout=0.0)
@@ -325,6 +329,47 @@ class TestTotalLoss:
         # labels outside the base negatives are neither embedded nor scored
         assert full[3] == short[3]
 
+    def test_pool_sampler_with_tcm_matches_per_pair_scores_bitwise(self, monkeypatch):
+        # the triplet term reads the base negatives in their own order, TCM
+        # every pool negative in pool order
+        dataset, batch, model, _ = self._setup()
+        rng = np.random.default_rng(4)
+        label_ids = [l.id for l in dataset.labels]
+        pools, base = {}, {}
+        for i, qid in enumerate(batch.query_ids):
+            own = dataset.query_by_id[qid].positives
+            pools[qid] = tuple([l for l in rng.permutation(label_ids).tolist() if l not in own][:8])
+            base[qid] = [pools[qid][j] for j in rng.permutation(8)[: 2 * i]]  # none for the first query
+        b = mining.Batch(query_ids=batch.query_ids, pos_label_ids=batch.pos_label_ids,
+                         neg_pools=pools, base_neg_ids=base)
+        cfg = LossConfig(beta1=0.0, beta2=0.0, tcm=TcmConfig())
+        seen = {}
+        for name in ("triplet_base_loss", "tcm_loss"):
+            def spy(*args, _name=name, _fn=getattr(losses, name)):
+                seen[_name] = args
+                return _fn(*args)
+            monkeypatch.setattr(losses, name, spy)
+        total, breakdown, _ = total_loss(None, dataset, b, model.enc, model.head_ql, model.head_qb, model.block, cfg)
+
+        def emb(text):
+            return encode(model.enc, text)
+
+        s_pos, terms, pool_negs = [], [], []
+        for i, qid in enumerate(b.query_ids):
+            q = emb(dataset.query_by_id[qid].text)
+            s_pos.append(dm.dot(None, q, emb(dataset.label_by_id[b.pos_label_ids[qid]].text)))
+            s = {l: dm.dot(None, q, emb(dataset.label_by_id[l].text)) for l in pools[qid]}
+            pool_negs += s.values()
+            base_scores = [float(s[l].data) for l in base[qid]]
+            assert seen["triplet_base_loss"][2].data[i, : len(base_scores)].tolist() == base_scores
+            if base[qid]:
+                terms.append(triplet_base_loss(None, s_pos[-1], [s[l] for l in base[qid]], cfg.triplet_margin))
+        assert seen["tcm_loss"][2].data.tolist() == [float(t.data) for t in pool_negs]
+        expected_base = dm.mean_all(None, dm.stack(None, terms)).data
+        expected_tcm = tcm_loss(None, s_pos, pool_negs, cfg.tcm).data
+        assert breakdown.base == float(expected_base) and breakdown.tcm == float(expected_tcm)
+        assert total.data == dm.add(None, expected_base, expected_tcm).data
+
 
 # ---------------------------------------------------------------------------
 # the per-pair objective, kept as the oracle of the batched regularizer
@@ -358,8 +403,8 @@ def _oracle_total_loss(tape, dataset, batch, model, cfg):
     label_ids = sorted({batch.pos_label_ids[q] for q in qids} | {l for q in qids for l in batch.neg_pools[q]})
     texts = [dataset.query_by_id[q].text for q in qids] + [dataset.label_by_id[l].text for l in label_ids]
     features = iter(featurize(texts, model.enc.num_buckets))
-    q_emb = {q: embed(model.enc, next(features), tape) for q in qids}
-    l_emb = {l: embed(model.enc, next(features), tape) for l in label_ids}
+    q_emb = {q: dm.reshape(tape, embed(model.enc, [next(features)], tape), (-1,)) for q in qids}
+    l_emb = {l: dm.reshape(tape, embed(model.enc, [next(features)], tape), (-1,)) for l in label_ids}
     s_pos = {q: dm.dot(tape, q_emb[q], l_emb[batch.pos_label_ids[q]]) for q in qids}
     s_negs = {q: {l: dm.dot(tape, q_emb[q], l_emb[l]) for l in batch.neg_pools[q]} for q in qids}
     terms = [triplet_base_loss(tape, s_pos[q], list(s_negs[q].values()), cfg.triplet_margin) for q in qids if s_negs[q]]
@@ -461,9 +506,6 @@ class TestBatchedRegularizer:
     def _mixed_batch(self, seed):
         """Pools of 0, 1, 2, 4 and 6 negatives: blockings of K = 1, 2, 3, 5
         and 5 at k = 5, the first three shrunk."""
-        from conftest import tiny_spec
-        from xmcreg.data_io import build_synthetic
-
         labels, queries, _ = build_synthetic(tiny_spec(num_train_queries=10, seed=seed))
         dataset = mining.Dataset(queries=queries, labels=labels)
         rng = np.random.default_rng(seed)
@@ -517,9 +559,27 @@ class TestBatchedRegularizer:
         assert detached["block/wq"] is not None and base["block/wq"] is None
 
     def test_tape_node_guard(self):
-        # deterministic guard against per-pair or per-blocking nodes coming
-        # back: the per-pair objective recorded 402 nodes here
+        # deterministic guard against per-text, per-pair or per-blocking
+        # nodes coming back: the per-pair objective recorded 402 nodes here,
+        # the per-pair base path 186, the matrix-shaped one 79
         fn, _ = verify.make_micro_objective(0)
         tape = dm.GradTape()
         fn(tape)
-        assert len(tape._nodes) <= 200
+        assert len(tape._nodes) <= 90
+
+    def test_base_tape_nodes_do_not_grow_with_the_batch(self):
+        cfg = LossConfig(beta1=0.0, beta2=0.0, tcm=None)
+        nodes = []
+        for n in (6, 12):
+            labels, queries, _ = build_synthetic(tiny_spec(num_train_queries=n))
+            dataset = mining.Dataset(queries=queries, labels=labels)
+            model = init_model(np.random.default_rng(0), tiny_config(batch_size=n, dropout=0.0))
+            qids = [q.id for q in queries]
+            sampled = mining.sample_positives(dataset, np.random.default_rng(0))
+            batch = mining.Batch(query_ids=qids, pos_label_ids=sampled, neg_pools={})
+            negs = mining.in_batch_negatives(batch, dataset)
+            batch.neg_pools = {qid: tuple(negs[qid]) for qid in qids}
+            tape = dm.GradTape()
+            total_loss(tape, dataset, batch, model.enc, model.head_ql, model.head_qb, model.block, cfg)
+            nodes.append(len(tape._nodes))
+        assert nodes[0] == nodes[1]

@@ -9,7 +9,6 @@ from xmcreg import mining
 from xmcreg.encoder import TextRecord
 from xmcreg.mining import (
     Batch,
-    Blocking,
     Dataset,
     QueryRecord,
     TooFewQueries,
@@ -18,7 +17,6 @@ from xmcreg.mining import (
     cluster_batches,
     in_batch_negatives,
     sample_positives,
-    validate_blocking,
 )
 
 
@@ -209,17 +207,6 @@ class TestBuildBlockings:
         blockings, _ = self._batch([int(l) for l in negs], sims, k=k)
         oracle = sorted(sims, key=lambda l: (-sims[l], l))[: k - 1]
         assert list(blockings[0].pair_label_ids[1:]) == oracle
-
-
-def test_validate_blocking():
-    good = Blocking(query_id=0, pair_label_ids=(1, 2), targets=(0.0, 1.0))
-    validate_blocking(good)
-    bad = Blocking(query_id=0, pair_label_ids=(1, 2), targets=(1.0, 1.0))
-    with pytest.raises(mining.BadBlocking):
-        validate_blocking(bad)
-    double = Blocking(query_id=0, pair_label_ids=(1, 2), targets=(0.0, 0.0))
-    with pytest.raises(mining.BadBlocking):
-        validate_blocking(double)
 
 
 def test_sample_positives_within_sets():

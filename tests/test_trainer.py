@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import re
+import struct
 import tempfile
 from pathlib import Path
 
@@ -439,6 +440,12 @@ class TestContainerFuzz:
             _read_bytes(bytes(raw))
         except ValueError as err:
             assert re.search(r"at byte \d+", str(err)), err
+
+    def test_empty_shape_too_large_for_numpy_rejected_with_offset(self):
+        # a zero dimension makes the size 0, so the size check passes
+        raw = b"ALC1" + struct.pack("<IH", 1, 1) + b"a" + struct.pack("<B3I", 3, 0, 2**32 - 1, 2**32 - 1)
+        with pytest.raises(ValueError, match=r"shape \(0, 4294967295, 4294967295\) of 'a' at byte 12"):
+            _read_bytes(raw)
 
     @given(_CONTAINERS, st.binary(min_size=1, max_size=16))
     def test_appended_bytes_reported_as_trailing(self, tensors, extra):
