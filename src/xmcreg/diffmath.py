@@ -25,13 +25,19 @@ class DimensionMismatch(ValueError):
 
 
 class Tensor:
-    """Rank-0 to rank-3 float64 array with an optional gradient buffer."""
+    """Rank-0 to rank-3 float64 array with an optional gradient buffer.
 
-    __slots__ = ("data", "grad", "_backward")
+    A parameter may own ``grad_view``, a buffer of its shape (a view of the
+    optimizer's gradient arena) that its first gradient is written into
+    instead of a new array.
+    """
+
+    __slots__ = ("data", "grad", "grad_view", "_backward")
 
     def __init__(self, data) -> None:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
+        self.grad_view: np.ndarray | None = None
         self._backward = None
 
     @property
@@ -83,8 +89,13 @@ def _accum(t, g: np.ndarray) -> None:
     if not isinstance(t, Tensor):
         return
     if t.grad is None:
-        # copy: g may alias a downstream node's gradient buffer
-        t.grad = np.array(g, dtype=np.float64)
+        # copy: g may alias a downstream node's gradient buffer. A copy, not
+        # an add into zeros, so a -0.0 in g stays -0.0
+        if t.grad_view is not None and t.grad_view.shape == np.shape(g):
+            np.copyto(t.grad_view, g)
+            t.grad = t.grad_view
+        else:
+            t.grad = np.array(g, dtype=np.float64)
     else:
         t.grad += g
 
@@ -246,7 +257,11 @@ def gather_rows(tape, a, idx) -> Tensor:
         if not isinstance(a, Tensor):
             return
         if a.grad is None:
-            a.grad = np.zeros_like(da)
+            if a.grad_view is None:
+                a.grad = np.zeros_like(da)
+            else:
+                a.grad_view.fill(0.0)
+                a.grad = a.grad_view
         # Only the gathered rows change. + 0.0 maps -0.0 to +0.0 as adding
         # g into a zero buffer did, so with unique idx this equals adding
         # a dense scatter of g bit for bit, except that a -0.0 already in

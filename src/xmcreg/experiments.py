@@ -33,7 +33,7 @@ class ComparisonResult:
 
 def predict(ckpt: trainer.Checkpoint, dataset: mining.Dataset) -> list[evaluation.ScoredPrediction]:
     """Top-1 prediction of the checkpoint's model for every query of the dataset."""
-    model = trainer.model_from_tensors(ckpt.tensors)
+    model = trainer.model_from_tensors(ckpt.tensors, path=ckpt.path)
     q_embs = encode_matrix(model.enc, [q.text for q in dataset.queries])
     l_embs = encode_matrix(model.enc, [l.text for l in dataset.labels])
     return evaluation.retrieve_top1(

@@ -52,10 +52,19 @@ class TrainConfig:
     dropout: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.epochs < 1 or self.batch_size < 2 or self.k < 2 or self.learning_rate <= 0:
-            raise ValueError("invalid training configuration")
-        if self.sampler not in ("cluster", "ance"):
-            raise ValueError(f"unknown sampler {self.sampler!r}")
+        # (field, holds, rule); written so that a NaN fails its rule
+        for name, holds, rule in (
+            ("epochs", self.epochs >= 1, ">= 1"),
+            ("batch_size", self.batch_size >= 2, ">= 2"),
+            ("k", self.k >= 2, ">= 2"),
+            ("learning_rate", self.learning_rate > 0, "> 0"),
+            ("sampler", self.sampler in ("cluster", "ance"), "'cluster' or 'ance'"),
+            ("refresh_cadence", self.refresh_cadence >= 1, ">= 1"),
+            ("pool_size", self.sampler != "ance" or self.pool_size >= 1, ">= 1 with the ance sampler"),
+            ("dropout", 0 <= self.dropout < 1, "in [0, 1)"),
+        ):
+            if not holds:
+                raise ValueError(f"invalid training configuration: {name} must be {rule}, got {getattr(self, name)!r}")
 
     def loss_config(self) -> LossConfig:
         return LossConfig(
@@ -108,7 +117,14 @@ def init_model(rng: np.random.Generator, config: TrainConfig) -> ModelParams:
     return ModelParams(enc=enc, head_ql=head_ql, head_qb=head_qb, block=block)
 
 
-def model_from_tensors(tensors: dict[str, np.ndarray], dropout: float = 0.1) -> ModelParams:
+def model_from_tensors(tensors: dict[str, np.ndarray], dropout: float = 0.1,
+                       path: str | Path | None = None) -> ModelParams:
+    """The model held by a checkpoint's tensors (read from ``path``, which a
+    missing tensor's error names)."""
+    for attr, prefix, cls, names in _LAYOUT:
+        for name in names:
+            if f"{prefix}/{name}" not in tensors:
+                raise ValueError(f"{path or 'checkpoint'}: no model tensor '{prefix}/{name}'")
     model = ModelParams(**{
         attr: cls(**{name: dm.Tensor(tensors[f"{prefix}/{name}"]) for name in names})
         for attr, prefix, cls, names in _LAYOUT
@@ -121,8 +137,25 @@ def model_from_tensors(tensors: dict[str, np.ndarray], dropout: float = 0.1) -> 
 # optimizer
 
 
+# Elements per block of the Adam update: 32k float64 values are 256 KB per
+# arena slice, so a block's parameters, gradients, moments and two
+# temporaries stay in the L2 cache while its thirteen passes run.
+ADAM_BLOCK = 32768
+
+
 @dataclass
 class AdamState:
+    """Adam's moments and the flat float64 arenas behind them.
+
+    ``arena`` rows hold the parameters, gradients, m and v, tensor after
+    tensor in checkpoint order; ``spans`` gives each tensor's [start, stop)
+    there. Each tensor's data and grad_view, m[name] and v[name] are views
+    of its span. ``touched`` names every tensor that had a gradient at some
+    step: only their spans are read or written.
+    """
+
+    arena: np.ndarray
+    spans: dict[str, tuple[int, int]]
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
@@ -130,10 +163,65 @@ class AdamState:
 
 
 def init_adam(params: dict[str, dm.Tensor]) -> AdamState:
-    return AdamState(
-        m={k: np.zeros_like(p.data) for k, p in params.items()},
-        v={k: np.zeros_like(p.data) for k, p in params.items()},
-    )
+    """Move every parameter into the arenas; its data becomes a view there,
+    so the caller's arrays (a loaded checkpoint's, say) are never written."""
+    arena = np.zeros((4, sum(p.data.size for p in params.values())))
+    data, grad, m, v = arena
+    state = AdamState(arena=arena, spans={}, m={}, v={})
+    start = 0
+    for name, p in params.items():
+        stop = start + p.data.size
+        view = data[start:stop].reshape(p.data.shape)
+        view[...] = p.data
+        p.data = view
+        p.grad_view = grad[start:stop].reshape(p.data.shape)
+        state.m[name] = m[start:stop].reshape(p.data.shape)
+        state.v[name] = v[start:stop].reshape(p.data.shape)
+        state.spans[name] = (start, stop)
+        start = stop
+    return state
+
+
+def _collect_gradients(params: dict[str, dm.Tensor], state: AdamState) -> list[list[int]]:
+    """Bring this step's gradients into the gradient arena; return the runs
+    of adjacent touched tensors as merged arena spans.
+
+    A .grad assigned directly is copied into the tensor's view. A touched
+    tensor without a gradient this step gets a zero one there, as Adam
+    reads it. A tensor never touched is left out, arena pages included.
+    """
+    runs: list[list[int]] = []
+    for name, p in params.items():
+        view = p.grad_view
+        if p.grad is None:
+            if name not in state.touched:
+                continue
+            view.fill(0.0)
+            p.grad = view
+        elif p.grad is not view:
+            if np.shape(p.grad) != view.shape:
+                raise ShapeMismatch(f"{name}: grad {np.shape(p.grad)} vs param {p.data.shape}")
+            np.copyto(view, p.grad)
+            p.grad = view
+        state.touched.add(name)
+        start, stop = state.spans[name]
+        if runs and runs[-1][1] == start:
+            runs[-1][1] = stop
+        else:
+            runs.append([start, stop])
+    return runs
+
+
+def nonfinite_gradient(params: dict[str, dm.Tensor], state: AdamState) -> str | None:
+    """Name of the first tensor, in checkpoint order, whose gradient this
+    step holds a NaN or an infinity; None when all are finite."""
+    grad = state.arena[1]
+    for start, stop in _collect_gradients(params, state):
+        finite = np.isfinite(grad[start:stop])
+        if not finite.all():
+            offset = start + int(np.argmin(finite))
+            return next(name for name, (lo, hi) in state.spans.items() if lo <= offset < hi)
+    return None
 
 
 def update_step(params: dict[str, dm.Tensor], state: AdamState, lr: float,
@@ -141,37 +229,38 @@ def update_step(params: dict[str, dm.Tensor], state: AdamState, lr: float,
     """Adaptive moment estimation update with bias correction, in place.
 
     A parameter whose gradient has been zero on every step so far has
-    zero moments and a mathematically zero update, so it is skipped.
+    zero moments and a mathematically zero update, so it is skipped. The
+    others are updated over the arena in blocks of ADAM_BLOCK elements,
+    each element by the operations, in the order, of
+    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+    p = p - lr*(m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps),
+    so the result does not depend on the block size. Gradients are left
+    in place for the caller to read.
     """
+    runs = _collect_gradients(params, state)
     state.step += 1
     t = state.step
-    for name, p in params.items():
-        if p.grad is None:
-            if name not in state.touched:
-                continue
-            g = np.zeros_like(p.data)
-        else:
-            g = p.grad
-            state.touched.add(name)
-        if g.shape != p.data.shape:
-            raise ShapeMismatch(f"{name}: grad {g.shape} vs param {p.data.shape}")
-        # the moments are updated in place, in the operation order of
-        # m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g
-        m, v = state.m[name], state.v[name]
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        sq = (1 - b2) * g
-        sq *= g
-        v += sq
-        update = m / (1 - b1**t)
-        update *= lr
-        denom = v / (1 - b2**t)
-        np.sqrt(denom, out=denom)
-        denom += eps
-        update /= denom
-        # a new array: p.data may be a checkpoint's array, which is not ours to change
-        p.data = p.data - update
+    data, grad, m, v = state.arena
+    tmp = np.empty((2, ADAM_BLOCK))
+    for start, stop in runs:
+        for lo in range(start, stop, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, stop)
+            g, mb, vb = grad[lo:hi], m[lo:hi], v[lo:hi]
+            update, denom = tmp[:, : hi - lo]
+            mb *= b1
+            np.multiply(g, 1 - b1, out=update)
+            mb += update
+            vb *= b2
+            np.multiply(g, 1 - b2, out=denom)
+            denom *= g
+            vb += denom
+            np.divide(mb, 1 - b1**t, out=update)
+            update *= lr
+            np.divide(vb, 1 - b2**t, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += eps
+            update /= denom
+            data[lo:hi] -= update
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +332,7 @@ class Checkpoint:
     tensors: dict[str, np.ndarray]
     config: dict
     epoch: int
+    path: Path | None = None  # the file load read it from
 
     def save(self, path: str | Path) -> None:
         path = Path(path)
@@ -278,7 +368,7 @@ class Checkpoint:
                     raise ValueError(
                         f"{path}: {name} has shape {payload[name].shape}, expected {shape} from {sidecar.name}"
                     )
-        return cls(tensors=payload, config=config, epoch=epoch)
+        return cls(tensors=payload, config=config, epoch=epoch, path=path)
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +441,9 @@ def train(
             if not np.isfinite(breakdown.total):
                 raise NonFiniteLoss(f"non-finite loss at step {step_index}")
             tape.backward(total)
-            for name, p in params.items():
-                if p.grad is not None and not np.isfinite(p.grad).all():
-                    raise dm.NonFiniteGradient(f"non-finite gradient of {name} at step {step_index}")
+            bad = nonfinite_gradient(params, state)
+            if bad is not None:
+                raise dm.NonFiniteGradient(f"non-finite gradient of {bad} at step {step_index}")
             update_step(params, state, config.learning_rate)
             step_index += 1
             for key, val in breakdown.as_dict().items():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from xmcreg.cli import run
+from xmcreg.trainer import Checkpoint
 
 TINY_TRAIN_CFG = (
     "epochs = 2\n"
@@ -94,7 +95,27 @@ class TestTrain:
         assert not (out / "checkpoint.bin").exists()
 
 
+    def test_config_check_error_names_field_value_and_file(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(TINY_TRAIN_CFG + "refresh_cadence = 0\n")
+        out = tmp_path / "out"
+        assert run(["train", "--config", str(cfg), "--data", str(dataset_dir / "train"), "--out", str(out)]) == 2
+        assert f"{cfg}: invalid training configuration: refresh_cadence must be >= 1, got 0" in capsys.readouterr().err
+        assert not (out / "checkpoint.bin").exists()
+
+
 class TestEval:
+    def test_checkpoint_without_model_tensor_names_file_and_tensor(self, trained_dir, dataset_dir, tmp_path, capsys):
+        ckpt = Checkpoint.load(trained_dir / "checkpoint.bin")
+        del ckpt.tensors["head_qb/b2"]
+        path = tmp_path / "partial.bin"
+        ckpt.save(path)
+        report = tmp_path / "report.json"
+        code = run(["eval", "--checkpoint", str(path), "--data", str(dataset_dir / "test"), "--report", str(report)])
+        assert code == 2
+        assert f"error: {path}: no model tensor 'head_qb/b2'" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_report_and_scores(self, trained_dir, dataset_dir, tmp_path):
         report = tmp_path / "report.json"
         scores = tmp_path / "scores.tsv"

@@ -111,11 +111,9 @@ _TEXT = st.text(
 )
 
 
-@given(st.lists(_TEXT, max_size=12), st.integers(1, 5), st.sampled_from([1024, 4096, 997]))
-def test_featurize_matches_oracle_across_chunks(texts, chunk, num_buckets):
-    with mock.patch.object(encoder, "FEATURIZE_CHUNK", chunk):
-        got = featurize(texts, num_buckets)
-    assert_features_identical(got, [featurize_oracle(t, num_buckets) for t in texts])
+@given(st.lists(_TEXT, max_size=12), st.sampled_from([1024, 4096, 997]))
+def test_featurize_matches_oracle(texts, num_buckets):
+    assert_features_identical(featurize(texts, num_buckets), [featurize_oracle(t, num_buckets) for t in texts])
 
 
 @given(st.lists(_TEXT, max_size=8), st.integers(1, 4))

@@ -49,6 +49,22 @@ class TestTrainConfig:
             with pytest.raises(ValueError):
                 TrainConfig(**bad)
 
+    @pytest.mark.parametrize("bad, message", [
+        (dict(epochs=0), "epochs must be >= 1, got 0"),
+        (dict(refresh_cadence=0), "refresh_cadence must be >= 1, got 0"),
+        (dict(sampler="ance", pool_size=0), "pool_size must be >= 1 with the ance sampler, got 0"),
+        (dict(dropout=1.0), "dropout must be in [0, 1), got 1.0"),
+        (dict(dropout=-0.5), "dropout must be in [0, 1), got -0.5"),
+        (dict(learning_rate=float("nan")), "learning_rate must be > 0, got nan"),
+        (dict(sampler="nonsense"), "sampler must be 'cluster' or 'ance', got 'nonsense'"),
+    ])
+    def test_rejection_names_field_and_value(self, bad, message):
+        with pytest.raises(ValueError, match=re.escape(f"invalid training configuration: {message}")):
+            TrainConfig(**bad)
+
+    def test_pool_size_unread_by_cluster_sampler(self):
+        assert TrainConfig(sampler="cluster", pool_size=0).pool_size == 0
+
     def test_loss_config_mirrors_fields(self):
         cfg = TrainConfig(beta1=0.25, beta2=0.75, tcm_enabled=False, k=3, triplet_margin=0.2)
         lc = cfg.loss_config()
@@ -147,6 +163,107 @@ class TestAdam:
         p.grad = np.zeros(5)
         with pytest.raises(ShapeMismatch):
             update_step(params, state, lr=0.1)
+
+
+def _land(p: dm.Tensor, g: np.ndarray) -> None:
+    """Backward of <p, g> on a tape: p's first gradient is exactly g, -0.0 included."""
+    tape = dm.GradTape()
+    tape.backward(dm.dot(tape, dm.reshape(tape, p, (-1,)), np.ravel(g)))
+
+
+class TestArena:
+    SHAPES = (("a", (3, 4)), ("gap", (5,)), ("b", (2, 3)), ("late", (4,)), ("c", ()))
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_blocked_update_matches_per_tensor_formula_bitwise(self, monkeypatch, block):
+        monkeypatch.setattr(trainer, "ADAM_BLOCK", block)
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
+        rng = np.random.default_rng(block)
+        params = {name: dm.Tensor(rng.normal(size=shape)) for name, shape in self.SHAPES}
+        state = init_adam(params)
+        # never read or written: "gap" sits between touched tensors
+        gap = params["gap"]
+        gap.grad_view[...] = np.nan
+        gap_data = gap.data.copy()
+        ref = {name: [p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)] for name, p in params.items()}
+        signed_zeros = rng.normal(size=(2, 3))
+        signed_zeros[0] = -0.0
+        signed_zeros[1, :2] = 0.0
+        a_zeros = np.zeros((3, 4))
+        a_zeros[::2] = -0.0
+        steps = [  # (gradients landed by a tape, gradients assigned to .grad)
+            ({"a": rng.normal(size=(3, 4))}, {"b": rng.normal(size=(2, 3)), "c": rng.normal(size=())}),
+            # c touched earlier, no gradient now; late touched for the first time
+            ({"b": signed_zeros}, {"a": rng.normal(size=(3, 4)), "late": rng.normal(size=4)}),
+            ({"c": rng.normal(size=()), "late": -np.zeros(4)}, {"a": a_zeros}),
+        ]
+        touched = set()
+        for t, (landed, assigned) in enumerate(steps, start=1):
+            for p in params.values():
+                p.grad = None
+            for name, g in landed.items():
+                _land(params[name], g)
+                assert params[name].grad.tobytes() == g.tobytes(), name
+            for name, g in assigned.items():
+                params[name].grad = g.copy()
+            update_step(params, state, lr=lr, b1=b1, b2=b2, eps=eps)
+            touched |= landed.keys() | assigned.keys()
+            for name in touched:
+                g = {**landed, **assigned}.get(name, np.zeros_like(params[name].data))
+                assert params[name].grad.tobytes() == g.tobytes(), (name, t)
+                p_ref, m, v = ref[name]
+                m = b1 * m + (1 - b1) * g
+                v = b2 * v + (1 - b2) * g * g
+                ref[name] = [p_ref - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps), m, v]
+            for name, p in params.items():
+                for got, want in zip((p.data, state.m[name], state.v[name]), ref[name]):
+                    assert got.tobytes() == want.tobytes(), (name, t)
+        assert state.touched == touched == {"a", "b", "c", "late"}
+        assert gap.data.tobytes() == gap_data.tobytes()
+        assert np.isnan(gap.grad_view).all()
+        assert not state.m["gap"].any() and not state.v["gap"].any()
+
+    def test_parameters_and_moments_are_arena_views_after_train(self, tiny_dataset, monkeypatch):
+        seen = {}
+
+        def spy(params):
+            seen["params"], seen["state"] = params, init_adam(params)
+            return seen["state"]
+
+        monkeypatch.setattr(trainer, "init_adam", spy)
+        ckpt, _ = train(tiny_dataset, tiny_config(epochs=1))
+        params, state = seen["params"], seen["state"]
+        assert state.arena.shape == (4, sum(p.data.size for p in params.values()))
+        rows = dict(zip(("data", "grad", "m", "v"), state.arena))
+        for name, p in params.items():
+            start, stop = state.spans[name]
+            for row, arr in ((rows["data"], p.data), (rows["grad"], p.grad_view),
+                             (rows["m"], state.m[name]), (rows["v"], state.v[name])):
+                assert arr.ctypes.data == row[start:].ctypes.data and arr.size == stop - start, name
+            assert p.data.tobytes() == ckpt.tensors[name].tobytes(), name
+
+    def test_nonfinite_gradient_names_first_bad_tensor(self):
+        params = {name: dm.Tensor(np.zeros(shape)) for name, shape in self.SHAPES}
+        state = init_adam(params)
+        for name in ("a", "b", "c"):
+            _land(params[name], np.ones(params[name].shape))
+        assert trainer.nonfinite_gradient(params, state) is None
+        params["c"].grad = np.array(np.nan)
+        params["b"].grad = np.zeros((2, 3))
+        params["b"].grad[0, 0] = np.inf  # the first element of b's span, right after gap's
+        assert trainer.nonfinite_gradient(params, state) == "b"
+        params["b"].grad = None
+        assert trainer.nonfinite_gradient(params, state) == "c"
+
+    def test_gathered_rows_land_in_a_zeroed_view(self):
+        p = dm.Tensor(np.arange(12.0).reshape(4, 3))
+        params = {"p": p}
+        init_adam(params)
+        p.grad_view[...] = np.nan  # a previous step's gradient
+        tape = dm.GradTape()
+        tape.backward(dm.mean_all(tape, dm.gather_rows(tape, p, [1, 3, 1])))
+        assert p.grad is p.grad_view
+        np.testing.assert_array_equal(p.grad, np.array([0, 2, 0, 1])[:, None] * np.full((4, 3), 1 / 9))
 
 
 class TestCheckpointFormat:
@@ -455,6 +572,12 @@ class TestContainerFuzz:
 
 
 class TestModelRoundTrip:
+    def test_missing_model_tensor_named_with_file(self):
+        tensors = {k: np.array(v.data) for k, v in init_model(np.random.default_rng(0), tiny_config()).named_tensors().items()}
+        del tensors["head_qb/b2"]
+        with pytest.raises(ValueError, match=re.escape("ckpt.bin: no model tensor 'head_qb/b2'")):
+            model_from_tensors(tensors, path="ckpt.bin")
+
     def test_named_tensors_rebuild(self):
         config = tiny_config()
         model = init_model(np.random.default_rng(0), config)
