@@ -257,11 +257,7 @@ def gather_rows(tape, a, idx) -> Tensor:
         if not isinstance(a, Tensor):
             return
         if a.grad is None:
-            if a.grad_view is None:
-                a.grad = np.zeros_like(da)
-            else:
-                a.grad_view.fill(0.0)
-                a.grad = a.grad_view
+            a.grad = np.zeros_like(da)
         # Only the gathered rows change. + 0.0 maps -0.0 to +0.0 as adding
         # g into a zero buffer did, so with unique idx this equals adding
         # a dense scatter of g bit for bit, except that a -0.0 already in
@@ -273,6 +269,29 @@ def gather_rows(tape, a, idx) -> Tensor:
             np.add.at(a.grad, idx, g)
 
     return _make(tape, out, backward)
+
+
+def embedding_bag(tape, table, ids, weights) -> Tensor:
+    """Weighted sums of table rows, one per bag: ids and weights of shape
+    (slots,) + S hold bag s's rows and weights in column s, and a slot of
+    weight 0 is a pad. Equals sum(table[ids] * weights, axis=0) bit for bit."""
+    dt, ids, weights = _val(table), np.asarray(ids, dtype=np.intp), np.asarray(weights, dtype=np.float64)
+    if dt.ndim != 2 or ids.ndim < 1 or ids.shape != weights.shape:
+        raise DimensionMismatch(f"embedding_bag of {dt.shape} over ids {ids.shape}, weights {weights.shape}")
+
+    def backward(g):
+        if not isinstance(table, Tensor):
+            return
+        if table.grad is None:  # a parameter's gradient lands in its arena view
+            table.grad = np.empty_like(dt) if table.grad_view is None else table.grad_view
+            table.grad.fill(0.0)
+        # real slots only, slot-major: a pad's g * 0 + 0.0 would add +0.0,
+        # which leaves sums started from zeros as they are. + 0.0 maps -0.0
+        # to +0.0, as adding into a zero buffer does
+        real = np.nonzero(weights)
+        np.add.at(table.grad, ids[real], g[real[1:]] * weights[real][:, None] + 0.0)
+
+    return _make(tape, (dt[ids] * weights[..., None]).sum(axis=0), backward)
 
 
 def detach(tape, a) -> Tensor:
@@ -292,15 +311,6 @@ def mean_all(tape, a) -> Tensor:
         _accum(a, np.full_like(da, float(g) / n))
 
     return _make(tape, da.mean(), backward)
-
-
-def sum_axis0(tape, a) -> Tensor:
-    da = _val(a)
-
-    def backward(g):
-        _accum(a, np.broadcast_to(g, da.shape).copy())
-
-    return _make(tape, da.sum(axis=0), backward)
 
 
 def mean_rows(tape, a, lengths) -> Tensor:

@@ -54,18 +54,19 @@ def init_encoder(rng: np.random.Generator, d: int = 32, d_in: int = 64, num_buck
     return EncoderParams(bucket_table=dm.Tensor(table), projection=dm.Tensor(proj))
 
 
-def featurize(texts: list[str], num_buckets: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Bucket ids and weights of each text's hashed character trigrams.
+def featurize(texts: list[str], num_buckets: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bucket ids and weights of each text's hashed character trigrams, as
+    two (slots, texts) arrays: one bag per column, for embed.
 
     Each text is truncated to MAX_CHARS characters, lowercased, and
     padded with a '#' sentinel on both ends; each trigram's UTF-8 bytes
-    are hashed with 64-bit FNV-1a into ``num_buckets`` buckets. A text
-    maps to its distinct buckets in ascending order and their counts
-    divided by the number of trigrams. Empty text maps to the reserved
-    bucket 0 with weight 1. All texts are hashed in one vectorized pass.
+    are hashed with 64-bit FNV-1a into ``num_buckets`` buckets. A text's
+    column holds its distinct buckets in ascending order and their counts
+    divided by the number of trigrams; the pad slots after them hold
+    bucket 0 with weight 0. Empty text holds the reserved bucket 0 with
+    weight 1. All texts are hashed in one vectorized pass.
     """
-    lowered = [t[:MAX_CHARS].lower() for t in texts]
-    padded = ["#" + t + "#" for t in lowered if t]
+    padded = ["#" + t[:MAX_CHARS].lower() + "#" for t in texts]
     raw = np.frombuffer("".join(padded).encode("utf-8"), dtype=np.uint8)
     # byte offset of every code point, plus the end of the buffer
     cp_start = np.append(np.flatnonzero((raw & 0xC0) != 0x80), raw.size)
@@ -83,36 +84,25 @@ def featurize(texts: list[str], num_buckets: int) -> list[tuple[np.ndarray, np.n
     bucket = (h % np.uint64(num_buckets)).astype(np.int64)
     # one key per (text, bucket): sorted by text, then by bucket
     keys, counts = np.unique(tri_text * num_buckets + bucket, return_counts=True)
-    bounds = np.searchsorted(keys, np.arange(len(padded) + 1) * num_buckets)
-    buckets = (keys % num_buckets).astype(np.intp)
-    weights = counts / tri_counts[keys // num_buckets]
-    out = []
-    j = 0
-    for text in lowered:
-        if not text:
-            out.append((np.zeros(1, dtype=np.intp), np.ones(1)))
-            continue
-        out.append((buckets[bounds[j] : bounds[j + 1]], weights[bounds[j] : bounds[j + 1]]))
-        j += 1
-    return out
+    text = keys // num_buckets
+    slot = np.arange(keys.size) - np.searchsorted(keys, text * num_buckets)
+    ids = np.zeros((int(slot.max(initial=0)) + 1, len(texts)), dtype=np.intp)
+    weights = np.zeros(ids.shape)
+    ids[slot, text] = keys % num_buckets
+    weights[slot, text] = counts / tri_counts[text]
+    weights[0, tri_counts == 0] = 1.0  # empty text: "##" has no trigram
+    return ids, weights
 
 
-def embed(params: EncoderParams, features: list[tuple[np.ndarray, np.ndarray]],
+def embed(params: EncoderParams, features: tuple[np.ndarray, np.ndarray],
           tape: dm.GradTape | None = None) -> dm.Tensor:
     """Unit-norm embeddings of featurized texts, one row per text: the
     weighted sum of each text's bucket rows, projected."""
-    n = len(features)
-    width = max(len(ids) for ids, _ in features)
-    # (trigram slot, text, 1); pad slots take bucket 0 with weight 0
-    idx = np.zeros((width, n, 1), dtype=np.intp)
-    weights = np.zeros((width, n, 1, 1))
-    for j, (ids, w) in enumerate(features):
-        idx[: len(ids), j, 0] = ids
-        weights[: len(w), j, 0, 0] = w
-    pooled = dm.sum_axis0(tape, dm.mul(tape, dm.gather_rows(tape, params.bucket_table, idx), weights))
-    # (N, 1, d_in) @ (d_in, d): one vector-matrix product per text
+    ids, weights = features
+    # (slot, text, 1) bags give (N, 1, d_in): one vector-matrix product per text
+    pooled = dm.embedding_bag(tape, params.bucket_table, ids[..., None], weights[..., None])
     projected = dm.matmul(tape, pooled, params.projection)
-    return dm.reshape(tape, dm.l2_normalize(tape, projected), (n, params.dim))
+    return dm.reshape(tape, dm.l2_normalize(tape, projected), (ids.shape[1], params.dim))
 
 
 def encode(params: EncoderParams, text: str, tape: dm.GradTape | None = None) -> dm.Tensor:

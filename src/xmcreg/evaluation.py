@@ -36,9 +36,6 @@ class Histogram:
     incorrect_counts: list[int]
     overlap: float
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class EvalReport:
@@ -47,10 +44,6 @@ class EvalReport:
     threshold: float | None
     target_precision: float
     histogram: Histogram
-
-    def as_dict(self) -> dict:
-        """The report's fields, the histogram as ``Histogram.as_dict``."""
-        return asdict(self)
 
 
 def retrieve_top1(
@@ -196,5 +189,5 @@ def write_report(path, report: EvalReport | Histogram) -> None:
     """Atomic write of a report as sorted, indented JSON."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    tmp.write_text(json.dumps(asdict(report), sort_keys=True, indent=2) + "\n", encoding="utf-8")
     os.replace(tmp, path)

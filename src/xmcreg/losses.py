@@ -8,7 +8,7 @@ the convention together with p -> 1-p.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,9 +41,6 @@ class LossBreakdown:
     xe_ql: float
     xe_qb: float
     total: float
-
-    def as_dict(self) -> dict[str, float]:
-        return asdict(self)
 
 
 @dataclass

@@ -111,9 +111,9 @@ def contextualize(tape, block: BlockContextParams, gammas: dm.Tensor, return_att
     # operation is bit-exactly permutation-equivariant: summation order
     # would otherwise leak the input ordering into the last ulp. canon
     # holds flat row indices, (G, K); inverse maps them back.
-    groups = gammas.data.reshape(-1, k, width)
-    canon = np.array([sorted(range(k), key=lambda i: g[i].tobytes()) for g in groups], dtype=np.intp)
-    canon += k * np.arange(len(groups))[:, None]
+    rows = np.ascontiguousarray(gammas.data).reshape(-1, k, width).view(np.dtype((np.void, 8 * width)))[..., 0]
+    canon = np.argsort(rows, axis=-1, kind="stable")
+    canon += k * np.arange(len(rows))[:, None]
     inverse = np.argsort(canon.ravel()).reshape(gammas.shape[:-1])
     flat = gammas if gammas.ndim == 2 else dm.reshape(tape, gammas, (-1, width))
     x = dm.gather_rows(tape, flat, canon)

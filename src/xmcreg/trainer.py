@@ -62,6 +62,9 @@ class TrainConfig:
             ("refresh_cadence", self.refresh_cadence >= 1, ">= 1"),
             ("pool_size", self.sampler != "ance" or self.pool_size >= 1, ">= 1 with the ance sampler"),
             ("dropout", 0 <= self.dropout < 1, "in [0, 1)"),
+            ("dim", self.dim >= 2, ">= 2"),
+            ("dim_hidden", self.dim_hidden >= 1, ">= 1"),
+            ("num_buckets", self.num_buckets >= 1024, ">= 1024"),
         ):
             if not holds:
                 raise ValueError(f"invalid training configuration: {name} must be {rule}, got {getattr(self, name)!r}")
@@ -446,7 +449,7 @@ def train(
                 raise dm.NonFiniteGradient(f"non-finite gradient of {bad} at step {step_index}")
             update_step(params, state, config.learning_rate)
             step_index += 1
-            for key, val in breakdown.as_dict().items():
+            for key, val in asdict(breakdown).items():
                 sums[key] += val
 
         n = len(groups)

@@ -50,22 +50,27 @@ def kernel_gradchecks(seed: int, tol: float = 1e-4, max_coords: int = 64) -> Sui
     z3 = dm.Tensor(rng.normal(size=(2, 3, 4)))
     probe2 = rng.normal(size=(3, 4))
     lengths = rng.integers(1, 5, size=3)
+    # bags of x2's rows, one per column: pads (row 0, weight 0), row 2 in two bags, a bag of pads only
+    bag_ids, bag_w = [[1, 2, 0, 0], [2, 0, 0, 0], [0, 1, 0, 0]], [[0.25, 0.5, 0, 1], [0.75, 0.3, 0, 0], [0, 0.2, 0, 0]]
 
     checks = {
         "add": (lambda tape: _square_mean(tape, dm.add(tape, x2, y2)), {"x": x2, "y": y2}),
+        "sub": (lambda tape: _square_mean(tape, dm.sub(tape, x2, y2)), {"x": x2, "y": y2}),
         "hadamard": (lambda tape: _square_mean(tape, dm.mul(tape, x2, y2)), {"x": x2, "y": y2}),
         "matmul": (lambda tape: _square_mean(tape, dm.matmul(tape, x2, w)), {"x": x2, "w": w}),
         "matmul-rank3": (lambda tape: _square_mean(tape, dm.matmul(tape, x3, y3)), {"x": x3, "y": y3}),
         "matmul-rank3-rank2": (lambda tape: _square_mean(tape, dm.matmul(tape, x3, w)), {"x": x3, "w": w}),
         "affine": (lambda tape: _square_mean(tape, dm.affine(tape, x3, w, bias2)), {"x": x3, "w": w, "bias": bias2}),
         "concat": (lambda tape: _square_mean(tape, dm.concat(tape, [v1, v2])), {"a": v1, "b": v2}),
+        "stack": (lambda tape: _square_mean(tape, dm.stack(tape, [v1, v2])), {"a": v1, "b": v2}),
+        "reshape": (lambda tape: _square_mean(tape, dm.reshape(tape, x2, (2, 6))), {"x": x2}),
         "elementwise-abs": (lambda tape: _square_mean(tape, dm.elementwise_abs(tape, kinky)), {"x": kinky}),
         "relu": (lambda tape: _square_mean(tape, dm.relu(tape, kinky)), {"x": kinky}),
         "gelu": (lambda tape: _square_mean(tape, dm.gelu(tape, x2)), {"x": x2}),
         "layer_norm": (lambda tape: _square_mean(tape, dm.layer_norm(tape, x2, gain, bias)),
                        {"x": x2, "gain": gain, "bias": bias}),
         "softmax": (lambda tape: _square_mean(tape, dm.softmax(tape, x2)), {"x": x2}),
-        "mean-pool": (lambda tape: _square_mean(tape, dm.sum_axis0(tape, x2)), {"x": x2}),
+        "embedding_bag": (lambda tape: _square_mean(tape, dm.embedding_bag(tape, x2, bag_ids, bag_w)), {"t": x2}),
         # linear functional: the squared norm of a unit vector is constant
         "l2_normalize": (lambda tape: dm.mean_all(tape, dm.mul(tape, dm.l2_normalize(tape, v1), probe)), {"v": v1}),
         "l2_normalize-rank2": (

@@ -103,6 +103,14 @@ class TestTrain:
         assert f"{cfg}: invalid training configuration: refresh_cadence must be >= 1, got 0" in capsys.readouterr().err
         assert not (out / "checkpoint.bin").exists()
 
+    def test_model_size_check_error_names_field_and_file(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(TINY_TRAIN_CFG.replace("dim_hidden = 16", "dim_hidden = 0"))
+        out = tmp_path / "out"
+        assert run(["train", "--config", str(cfg), "--data", str(dataset_dir / "train"), "--out", str(out)]) == 2
+        assert f"{cfg}: invalid training configuration: dim_hidden must be >= 1, got 0" in capsys.readouterr().err
+        assert not (out / "checkpoint.bin").exists()
+
 
 class TestEval:
     def test_checkpoint_without_model_tensor_names_file_and_tensor(self, trained_dir, dataset_dir, tmp_path, capsys):

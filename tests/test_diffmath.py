@@ -1,11 +1,14 @@
 """Kernel-level forward values and backward-pass verification."""
 
+import inspect
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from xmcreg import diffmath as dm
 from xmcreg.verify import kernel_gradchecks
@@ -161,6 +164,28 @@ def test_kernel_jvp_matches_finite_differences(seed):
     assert report.passed, f"worst kernel {report.worst_case}: {report.max_relative_error}"
 
 
+def test_every_kernel_is_gradchecked():
+    # detach passes no gradient by design
+    kernels = {name for name, fn in vars(dm).items()
+               if inspect.isfunction(fn) and fn.__module__ == dm.__name__ and not name.startswith("_")
+               and list(inspect.signature(fn).parameters)[:1] == ["tape"]}
+    assert {"add", "embedding_bag", "detach"} <= kernels
+    called = set()
+
+    def spy(name):
+        kernel = getattr(dm, name)
+
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return kernel(*args, **kwargs)
+
+        return wrapper
+
+    with mock.patch.multiple(dm, **{name: spy(name) for name in kernels}):
+        kernel_gradchecks(0, max_coords=1)
+    assert kernels - {"detach"} - called == set()
+
+
 def test_kernels_deterministic():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(4, 5))
@@ -258,6 +283,57 @@ class TestGatherRowsBackward:
     def test_constant_operand_gets_no_gradient(self):
         out = dm.gather_rows(dm.GradTape(), np.ones((4, 2)), np.array([1, 3]))
         out._backward(np.ones((2, 2)))  # nothing to accumulate into
+
+
+class TestEmbeddingBag:
+    def test_bags_with_pads_and_an_empty_text(self):
+        table = np.arange(12.0).reshape(4, 3)
+        # bag 0: rows 1 and 3; bag 1: row 0 with weight 1 (an empty text)
+        ids = np.array([[1, 0], [3, 0]])
+        weights = np.array([[0.25, 1.0], [0.75, 0.0]])
+        out = dm.embedding_bag(None, dm.Tensor(table), ids, weights)
+        np.testing.assert_array_equal(out.data, [0.25 * table[1] + 0.75 * table[3], table[0]])
+
+    def test_pad_slots_pass_no_gradient(self):
+        # a pad's g * 0 would be NaN for an infinite g
+        t = dm.Tensor(np.ones((3, 2)))
+        out = dm.embedding_bag(dm.GradTape(), t, [[2, 1], [0, 0]], [[1.0, 0.5], [0.0, 0.0]])
+        out._backward(np.array([[np.inf, 1.0], [2.0, 3.0]]))
+        np.testing.assert_array_equal(t.grad, [[0.0, 0.0], [1.0, 1.5], [np.inf, 1.0]])
+
+    def test_shape_mismatch(self):
+        with pytest.raises(dm.DimensionMismatch):
+            dm.embedding_bag(None, dm.Tensor(np.ones((3, 2))), [[0, 1]], [[1.0], [1.0]])
+        with pytest.raises(dm.DimensionMismatch):
+            dm.embedding_bag(None, dm.Tensor(np.ones(3)), [[0, 1]], [[1.0, 1.0]])
+
+
+_SIGNED = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-100.0, 100.0))
+
+
+@st.composite
+def _bag_cases(draw):
+    rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    slots, bags = draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    table = draw(arrays(np.float64, (rows, width), elements=st.floats(-100.0, 100.0)))
+    ids = draw(arrays(np.intp, (slots, bags), elements=st.integers(0, rows - 1)))
+    weights = draw(arrays(np.float64, (slots, bags), elements=_SIGNED))
+    g = draw(arrays(np.float64, (bags, width), elements=_SIGNED))
+    return table, ids, weights, g
+
+
+@given(_bag_cases())
+def test_embedding_bag_equals_numpy_bitwise(case):
+    """Forward and table gradient against plain numpy: repeated rows, pads
+    (weight 0) and signed zeros in the gradient."""
+    table, ids, weights, g = case
+    t = dm.Tensor(table.copy())
+    out = dm.embedding_bag(dm.GradTape(), t, ids, weights)
+    assert out.data.tobytes() == (table[ids] * weights[..., None]).sum(0).tobytes()
+    out._backward(g)
+    want = np.zeros_like(table)
+    np.add.at(want, ids, g * weights[..., None] + 0.0)
+    assert t.grad.tobytes() == want.tobytes()
 
 
 class TestBatchedKernels:

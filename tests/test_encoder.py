@@ -44,10 +44,25 @@ def featurize_oracle(text: str, num_buckets: int) -> tuple[np.ndarray, np.ndarra
     return idx, weights
 
 
+def bags(features) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each column's real slots of featurize's (slots, texts) arrays, after
+    checking that its pad slots hold bucket 0 with weight 0."""
+    ids, weights = features
+    assert ids.dtype == np.intp and weights.dtype == np.float64 and ids.shape == weights.shape
+    out = []
+    for j in range(ids.shape[1]):
+        n = np.count_nonzero(weights[:, j])
+        assert np.all(weights[:n, j] > 0)
+        assert not ids[n:, j].any() and weights[n:, j].tobytes() == bytes(8 * (len(weights) - n))
+        out.append((ids[:n, j], weights[:n, j]))
+    return out
+
+
 def assert_features_identical(got, want):
+    """featurize's bags equal a list of per-text (ids, weights) bit for bit."""
+    got = bags(got)
     assert len(got) == len(want)
     for (gi, gw), (wi, ww) in zip(got, want):
-        assert gi.dtype == np.intp and gw.dtype == np.float64
         np.testing.assert_array_equal(gi, wi)
         assert gw.tobytes() == ww.tobytes()
 
@@ -67,24 +82,24 @@ class TestFnv1a64:
 class TestFeaturize:
     def test_two_char_text_has_two_trigrams(self):
         # "#ab#" yields trigrams "#ab" and "ab#"
-        [(idx, weights)] = featurize(["ab"], 4096)
+        [(idx, weights)] = bags(featurize(["ab"], 4096))
         assert (weights * 2).sum() == 2
         expected = {fnv1a64(t.encode()) % 4096 for t in ("#ab", "ab#")}
         assert set(idx.tolist()) == expected
 
     def test_empty_text_reserved_bucket(self):
-        [(idx, weights)] = featurize([""], 4096)
+        [(idx, weights)] = bags(featurize([""], 4096))
         assert idx.tolist() == [0] and weights.tolist() == [1.0]
 
     def test_lowercasing(self):
-        assert_features_identical(featurize(["AB"], 4096), featurize(["ab"], 4096))
+        assert_features_identical(featurize(["AB"], 4096), bags(featurize(["ab"], 4096)))
 
     def test_truncation(self):
         long = "x" * 1000
-        assert_features_identical(featurize([long], 4096), featurize([long[:MAX_CHARS]], 4096))
+        assert_features_identical(featurize([long], 4096), bags(featurize([long[:MAX_CHARS]], 4096)))
 
     def test_repeated_trigrams_counted(self):
-        [(idx, weights)] = featurize(["aaaa"], 4096)
+        [(idx, weights)] = bags(featurize(["aaaa"], 4096))
         bucket = fnv1a64(b"aaa") % 4096
         # "aaa" is two of the four trigrams of "#aaaa#"
         assert weights[idx.tolist().index(bucket)] * 4 == 2
@@ -96,12 +111,12 @@ class TestFeaturize:
                 featurize(texts, num_buckets), [featurize_oracle(t, num_buckets) for t in texts])
 
     def test_surrogate_rejected_like_oracle(self):
-        for fn in (featurize_oracle, lambda t, n: featurize([t], n)):
+        for fn in (featurize_oracle, lambda t, n: bags(featurize([t], n))):
             with pytest.raises(UnicodeEncodeError):
                 fn("a\ud800", 1024)
 
     def test_no_texts(self):
-        assert featurize([], 4096) == []
+        assert bags(featurize([], 4096)) == []
 
 
 # multi-byte and length-changing characters, the sentinel, and plain ASCII
@@ -149,7 +164,7 @@ class TestBatchedEmbed:
 
     def _params(self) -> EncoderParams:
         params = init_encoder(np.random.default_rng(0), d=8, d_in=16, num_buckets=1024)
-        (zero_ids, _), (tiny_ids, _) = featurize(["qqqq", "tiny"], params.num_buckets)
+        (zero_ids, _), (tiny_ids, _) = bags(featurize(["qqqq", "tiny"], params.num_buckets))
         params.bucket_table.data[zero_ids] = 0.0
         params.bucket_table.data[tiny_ids] *= 1e-160
         return params
@@ -160,11 +175,11 @@ class TestBatchedEmbed:
         features = featurize(self.TEXTS, params.num_buckets)
         rows = embed(params, features).data
         assert rows.shape == (len(self.TEXTS), params.dim)
-        for row, text, f in zip(rows, self.TEXTS, features):
+        for row, text, f in zip(rows, self.TEXTS, bags(features)):
             assert row.tobytes() == encode(params, text).data.tobytes(), text
             assert row.tobytes() == embed_oracle(params, f).tobytes(), text
         assert rows[4].tobytes() == np.zeros(params.dim).tobytes()
-        idx, weights = features[5]
+        idx, weights = bags(features)[5]
         tiny = (params.bucket_table.data[idx] * weights[:, None]).sum(axis=0) @ params.projection.data
         assert 0.0 < np.linalg.norm(tiny) < 1e-150
         assert abs(np.linalg.norm(rows[5]) - 1.0) < 1e-12
@@ -236,4 +251,4 @@ def test_featurize_pure(a, b):
     # no shared state between calls
     fa = featurize([a], 2048)
     featurize([b], 2048)
-    assert_features_identical(featurize([a], 2048), fa)
+    assert_features_identical(featurize([a], 2048), bags(fa))

@@ -1,6 +1,7 @@
 """Retrieval, precision, coverage-at-target, and histogram reporting."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -271,7 +272,7 @@ class TestFiles:
         hist = score_histogram(_preds([0.9, 0.4], [True, False]), bins=2)
         path = tmp_path / "hist.json"
         write_report(path, hist)
-        assert json.loads(path.read_text()) == hist.as_dict()
+        assert json.loads(path.read_text()) == asdict(hist)
         assert not (tmp_path / "hist.json.tmp").exists()
 
 

@@ -402,9 +402,11 @@ def _oracle_total_loss(tape, dataset, batch, model, cfg):
     qids = batch.query_ids
     label_ids = sorted({batch.pos_label_ids[q] for q in qids} | {l for q in qids for l in batch.neg_pools[q]})
     texts = [dataset.query_by_id[q].text for q in qids] + [dataset.label_by_id[l].text for l in label_ids]
-    features = iter(featurize(texts, model.enc.num_buckets))
-    q_emb = {q: dm.reshape(tape, embed(model.enc, [next(features)], tape), (-1,)) for q in qids}
-    l_emb = {l: dm.reshape(tape, embed(model.enc, [next(features)], tape), (-1,)) for l in label_ids}
+    ids, weights = featurize(texts, model.enc.num_buckets)
+    # each text's real slots, one bag at a time
+    bags = iter((ids[: np.count_nonzero(w), j, None], w[: np.count_nonzero(w), None]) for j, w in enumerate(weights.T))
+    q_emb = {q: dm.reshape(tape, embed(model.enc, next(bags), tape), (-1,)) for q in qids}
+    l_emb = {l: dm.reshape(tape, embed(model.enc, next(bags), tape), (-1,)) for l in label_ids}
     s_pos = {q: dm.dot(tape, q_emb[q], l_emb[batch.pos_label_ids[q]]) for q in qids}
     s_negs = {q: {l: dm.dot(tape, q_emb[q], l_emb[l]) for l in batch.neg_pools[q]} for q in qids}
     terms = [triplet_base_loss(tape, s_pos[q], list(s_negs[q].values()), cfg.triplet_margin) for q in qids if s_negs[q]]

@@ -135,6 +135,19 @@ class TestContextualize:
             np.testing.assert_allclose(out.data[i], one.data, rtol=1e-12, atol=1e-14)
             np.testing.assert_allclose(attn.data[i], one_attn.data, rtol=1e-12, atol=1e-14)
 
+    def test_batch_with_tied_rows_and_signed_zeros_matches_groups_bitwise(self):
+        g = self.rng.normal(size=(4, 5, 8))
+        g[1, 3] = g[1, 0]
+        g[2, :, 0] = 0.0
+        g[2, 1, 0] = -0.0  # rows equal as numbers, not as bytes
+        g[2, 2:4] = np.where(self.rng.random((2, 8)) < 0.5, -0.0, 0.0)
+        g[3, 4] = g[3, 2] = -g[3, 0]
+        out, attn = contextualize(None, self.block, dm.Tensor(g), return_attention=True)
+        for i in range(4):
+            one, one_attn = contextualize(None, self.block, dm.Tensor(g[i]), return_attention=True)
+            assert out.data[i].tobytes() == one.data.tobytes()
+            assert attn.data[i].tobytes() == one_attn.data.tobytes()
+
     def test_needs_k_at_least_two(self):
         with pytest.raises(DimensionMismatch):
             contextualize(None, self.block, dm.Tensor(self.rng.normal(size=(1, 8))))

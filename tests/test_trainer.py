@@ -57,6 +57,9 @@ class TestTrainConfig:
         (dict(dropout=-0.5), "dropout must be in [0, 1), got -0.5"),
         (dict(learning_rate=float("nan")), "learning_rate must be > 0, got nan"),
         (dict(sampler="nonsense"), "sampler must be 'cluster' or 'ance', got 'nonsense'"),
+        (dict(dim=1), "dim must be >= 2, got 1"),
+        (dict(dim_hidden=0), "dim_hidden must be >= 1, got 0"),
+        (dict(num_buckets=512), "num_buckets must be >= 1024, got 512"),
     ])
     def test_rejection_names_field_and_value(self, bad, message):
         with pytest.raises(ValueError, match=re.escape(f"invalid training configuration: {message}")):
@@ -261,7 +264,9 @@ class TestArena:
         init_adam(params)
         p.grad_view[...] = np.nan  # a previous step's gradient
         tape = dm.GradTape()
-        tape.backward(dm.mean_all(tape, dm.gather_rows(tape, p, [1, 3, 1])))
+        # rows 1, 3 and 1 again, in three bags of one row
+        bags = dm.embedding_bag(tape, p, [[1, 3, 1]], np.ones((1, 3)))
+        tape.backward(dm.mean_all(tape, bags))
         assert p.grad is p.grad_view
         np.testing.assert_array_equal(p.grad, np.array([0, 2, 0, 1])[:, None] * np.full((4, 3), 1 / 9))
 
