@@ -61,7 +61,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_generate(args) -> int:
     if args.spec:
-        spec, _ = data_io.load_key_values(args.spec, data_io.SyntheticSpec)
+        spec = data_io.load_key_values(args.spec, data_io.SyntheticSpec)
     else:
         if args.num_labels is None or args.num_queries is None:
             raise UsageError("generate-data needs --spec or both --num-labels and --num-queries")
@@ -78,7 +78,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_train(args) -> int:
     if args.config:
-        config, _ = data_io.load_run_config(args.config)
+        config = data_io.load_key_values(args.config, trainer.TrainConfig)
     else:
         config = trainer.TrainConfig()
     dataset = data_io.load_dataset(args.data)

@@ -19,7 +19,6 @@ import numpy as np
 
 from .encoder import TextRecord
 from .mining import Dataset, QueryRecord
-from .trainer import TrainConfig
 
 
 class InvalidSpec(ValueError):
@@ -176,67 +175,74 @@ def generate(spec: SyntheticSpec, out_dir: str | Path) -> None:
         )
 
 
-def _read_jsonl(path: Path) -> list[tuple[int, dict]]:
-    rows = []
-    with open(path, encoding="utf-8") as f:
+# what each field type of a record file reads as in an error message
+_KIND_NAMES = {int: "an integer", str: "a string", list: "a list of integers"}
+
+
+def _records(path: Path, fields: dict[str, type]):
+    """Yield (line number, values of ``fields`` in order) for every
+    non-blank line of a JSONL file. Each line must be a UTF-8 JSON object
+    holding each field with exactly its JSON type: an int is not a bool
+    or a float, and a list holds ints. Anything else raises ParseError
+    at ``path:line``. Other keys are ignored."""
+    with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
+                obj = json.loads(line.decode("utf-8"))
+            except ValueError as e:  # not UTF-8, or not JSON
                 raise ParseError(f"{path}:{lineno}: {e}") from e
-            if not isinstance(obj, dict):
-                raise ParseError(f"{path}:{lineno}: expected an object")
-            rows.append((lineno, obj))
-    return rows
+            if type(obj) is not dict:
+                raise ParseError(f"{path}:{lineno}: expected an object, got {json.dumps(obj)}")
+            values = []
+            for name, kind in fields.items():
+                if name not in obj:
+                    raise ParseError(f"{path}:{lineno}: missing field {name!r}")
+                value = obj[name]
+                # type(), not isinstance(): True must not pass as the int 1
+                if type(value) is not kind or (kind is list and any(type(x) is not int for x in value)):
+                    raise ParseError(f"{path}:{lineno}: {name!r} must be {_KIND_NAMES[kind]}, got {json.dumps(value)}")
+                values.append(value)
+            yield lineno, values
+
+
+def _claim_id(path: Path, lineno: int, kind: str, id_: int, seen: set[int]) -> None:
+    if id_ < 0:
+        raise ValidationError(f"{path}:{lineno}: negative {kind} id {id_}")
+    if id_ in seen:
+        raise ValidationError(f"{path}:{lineno}: duplicate {kind} id {id_}")
+    seen.add(id_)
 
 
 def load_dataset(data_dir: str | Path) -> Dataset:
-    """Load and validate a labels.jsonl / queries.jsonl directory."""
+    """Load and validate a labels.jsonl / queries.jsonl directory. Every
+    rejection names the file and line of the offending record."""
     data_dir = Path(data_dir)
     labels = []
-    label_ids = set()
-    for lineno, obj in _read_jsonl(data_dir / "labels.jsonl"):
-        try:
-            lid, text = int(obj["id"]), str(obj["text"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"labels.jsonl:{lineno}: {e}") from e
-        if lid < 0:
-            raise ValidationError(f"negative label id {lid}")
-        if lid in label_ids:
-            raise ValidationError(f"duplicate label id {lid}")
-        label_ids.add(lid)
+    label_ids: set[int] = set()
+    path = data_dir / "labels.jsonl"
+    for lineno, (lid, text) in _records(path, {"id": int, "text": str}):
+        _claim_id(path, lineno, "label", lid, label_ids)
         labels.append(TextRecord(id=lid, text=text))
 
     queries = []
-    query_ids = set()
-    for lineno, obj in _read_jsonl(data_dir / "queries.jsonl"):
-        try:
-            qid, text, pos = int(obj["id"]), str(obj["text"]), list(obj["labels"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"queries.jsonl:{lineno}: {e}") from e
-        if qid < 0:
-            raise ValidationError(f"negative query id {qid}")
-        if qid in query_ids:
-            raise ValidationError(f"duplicate query id {qid}")
-        query_ids.add(qid)
+    query_ids: set[int] = set()
+    path = data_dir / "queries.jsonl"
+    for lineno, (qid, text, pos) in _records(path, {"id": int, "text": str, "labels": list}):
+        _claim_id(path, lineno, "query", qid, query_ids)
         if not pos:
-            raise ValidationError(f"query {qid} has no positive labels")
+            raise ValidationError(f"{path}:{lineno}: query {qid} has no positive labels")
         for lid in pos:
-            if int(lid) not in label_ids:
-                raise ValidationError(f"query {qid} references missing label id {lid}")
-        queries.append(QueryRecord(id=qid, text=text, positives=frozenset(int(l) for l in pos)))
+            if lid not in label_ids:
+                raise ValidationError(f"{path}:{lineno}: query {qid} references missing label id {lid}")
+        queries.append(QueryRecord(id=qid, text=text, positives=frozenset(pos)))
 
     return Dataset(queries=queries, labels=labels)
 
 
 # ---------------------------------------------------------------------------
 # config files: `key = value` lines, '#' comments
-
-_PATH_KEYS = ("data", "out")
-
 
 def _parse_value(kind: type, value: str):
     if kind is bool:
@@ -246,9 +252,8 @@ def _parse_value(kind: type, value: str):
     return kind(value)
 
 
-def load_key_values(path: str | Path, cls: type, path_keys: tuple[str, ...] = ()) -> tuple:
-    """Parse a config file into an instance of the dataclass ``cls``, plus
-    the raw values of ``path_keys``.
+def load_key_values(path: str | Path, cls: type):
+    """Parse a config file into an instance of the dataclass ``cls``.
 
     Values are converted by each field's type. Unknown keys and
     unconvertible values are rejected with ``path:line``, values that
@@ -257,7 +262,6 @@ def load_key_values(path: str | Path, cls: type, path_keys: tuple[str, ...] = ()
     kinds = typing.get_type_hints(cls)
     names = {f.name for f in dataclasses.fields(cls)}
     overrides: dict = {}
-    paths: dict[str, str] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -266,9 +270,6 @@ def load_key_values(path: str | Path, cls: type, path_keys: tuple[str, ...] = ()
             if "=" not in line:
                 raise ParseError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key in path_keys:
-                paths[key] = value
-                continue
             if key not in names:
                 raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
             try:
@@ -276,11 +277,6 @@ def load_key_values(path: str | Path, cls: type, path_keys: tuple[str, ...] = ()
             except ValueError as e:
                 raise ParseError(f"{path}:{lineno}: {e}") from e
     try:
-        return cls(**overrides), paths
+        return cls(**overrides)
     except ValueError as e:
         raise ParseError(f"{path}: {e}") from e
-
-
-def load_run_config(path: str | Path) -> tuple[TrainConfig, dict[str, str]]:
-    """A run config: TrainConfig fields plus optional ``data`` and ``out`` paths."""
-    return load_key_values(path, TrainConfig, _PATH_KEYS)

@@ -82,26 +82,21 @@ def coverage_at_target(preds: list[ScoredPrediction], target_precision: float) -
         raise ValueError("target_precision must be in (0, 1]")
     if not preds:
         raise EmptyPredictions("no predictions")
-    rows = sorted(preds, key=lambda p: -p.score)
-    best_size = 0
-    best_tau: float | None = None
-    accepted = 0
-    correct = 0
-    i = 0
-    n = len(rows)
-    while i < n:
-        j = i
-        while j < n and rows[j].score == rows[i].score:
-            correct += rows[j].correct
-            j += 1
-        accepted = j
-        if correct / accepted >= target_precision and accepted > best_size:
-            best_size = accepted
-            best_tau = rows[i].score
-        i = j
-    if best_size == 0:
+    scores = np.array([p.score for p in preds], dtype=np.float64)
+    nan = np.isnan(scores)
+    if nan.any():
+        raise ValueError(f"score of query {preds[int(np.argmax(nan))].query_id} is NaN")
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    hits = np.cumsum(np.array([p.correct for p in preds])[order])
+    # last index of each group of equal scores; accepted sizes grow along it
+    ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    meets = np.flatnonzero(hits[ends] / (ends + 1) >= target_precision)
+    if meets.size == 0:
         return 0.0, None
-    return best_size / n, best_tau
+    best = meets[-1]
+    first = ends[best - 1] + 1 if best > 0 else 0
+    return int(ends[best] + 1) / len(preds), preds[order[first]].score
 
 
 def score_histogram(preds: list[ScoredPrediction], bins: int = 50) -> Histogram:

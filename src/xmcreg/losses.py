@@ -70,14 +70,14 @@ class MlpHead:
         return dm.reshape(tape, logits, logits.shape[:-1])
 
 
-def init_head(rng: np.random.Generator, in_dim: int, hidden: int | None = None, dropout_rate: float = 0.1) -> MlpHead:
-    hidden = in_dim if hidden is None else hidden
+def init_head(rng: np.random.Generator, in_dim: int, dropout_rate: float = 0.1) -> MlpHead:
+    """A head whose hidden layer is as wide as its input."""
     return MlpHead(
-        w1=dm.Tensor(rng.normal(0.0, 1.0 / np.sqrt(in_dim), size=(in_dim, hidden))),
-        b1=dm.Tensor(np.zeros(hidden)),
-        ln_gain=dm.Tensor(np.ones(hidden)),
-        ln_bias=dm.Tensor(np.zeros(hidden)),
-        w2=dm.Tensor(rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(hidden, 1))),
+        w1=dm.Tensor(rng.normal(0.0, 1.0 / np.sqrt(in_dim), size=(in_dim, in_dim))),
+        b1=dm.Tensor(np.zeros(in_dim)),
+        ln_gain=dm.Tensor(np.ones(in_dim)),
+        ln_bias=dm.Tensor(np.zeros(in_dim)),
+        w2=dm.Tensor(rng.normal(0.0, 1.0 / np.sqrt(in_dim), size=(in_dim, 1))),
         b2=dm.Tensor(np.zeros(1)),
         dropout_rate=dropout_rate,
     )

@@ -62,6 +62,8 @@ class TrainConfig:
             ("refresh_cadence", self.refresh_cadence >= 1, ">= 1"),
             ("pool_size", self.sampler != "ance" or self.pool_size >= 1, ">= 1 with the ance sampler"),
             ("dropout", 0 <= self.dropout < 1, "in [0, 1)"),
+            ("m_minus", not self.tcm_enabled or self.m_minus >= -1, ">= -1 with tcm_enabled"),
+            ("m_plus", not self.tcm_enabled or self.m_minus < self.m_plus <= 1, "in (m_minus, 1] with tcm_enabled"),
             ("dim", self.dim >= 2, ">= 2"),
             ("dim_hidden", self.dim_hidden >= 1, ">= 1"),
             ("num_buckets", self.num_buckets >= 1024, ">= 1024"),
@@ -120,20 +122,17 @@ def init_model(rng: np.random.Generator, config: TrainConfig) -> ModelParams:
     return ModelParams(enc=enc, head_ql=head_ql, head_qb=head_qb, block=block)
 
 
-def model_from_tensors(tensors: dict[str, np.ndarray], dropout: float = 0.1,
-                       path: str | Path | None = None) -> ModelParams:
+def model_from_tensors(tensors: dict[str, np.ndarray], path: str | Path | None = None) -> ModelParams:
     """The model held by a checkpoint's tensors (read from ``path``, which a
     missing tensor's error names)."""
     for attr, prefix, cls, names in _LAYOUT:
         for name in names:
             if f"{prefix}/{name}" not in tensors:
                 raise ValueError(f"{path or 'checkpoint'}: no model tensor '{prefix}/{name}'")
-    model = ModelParams(**{
+    return ModelParams(**{
         attr: cls(**{name: dm.Tensor(tensors[f"{prefix}/{name}"]) for name in names})
         for attr, prefix, cls, names in _LAYOUT
     })
-    model.head_ql.dropout_rate = model.head_qb.dropout_rate = dropout
-    return model
 
 
 # ---------------------------------------------------------------------------
@@ -215,18 +214,6 @@ def _collect_gradients(params: dict[str, dm.Tensor], state: AdamState) -> list[l
     return runs
 
 
-def nonfinite_gradient(params: dict[str, dm.Tensor], state: AdamState) -> str | None:
-    """Name of the first tensor, in checkpoint order, whose gradient this
-    step holds a NaN or an infinity; None when all are finite."""
-    grad = state.arena[1]
-    for start, stop in _collect_gradients(params, state):
-        finite = np.isfinite(grad[start:stop])
-        if not finite.all():
-            offset = start + int(np.argmin(finite))
-            return next(name for name, (lo, hi) in state.spans.items() if lo <= offset < hi)
-    return None
-
-
 def update_step(params: dict[str, dm.Tensor], state: AdamState, lr: float,
                 b1: float = 0.9, b2: float = 0.999, eps: float = 1e-8) -> None:
     """Adaptive moment estimation update with bias correction, in place.
@@ -239,11 +226,21 @@ def update_step(params: dict[str, dm.Tensor], state: AdamState, lr: float,
     p = p - lr*(m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps),
     so the result does not depend on the block size. Gradients are left
     in place for the caller to read.
+
+    A NaN or infinite gradient raises NonFiniteGradient, naming the first
+    such tensor in checkpoint order, before any parameter or moment is
+    written.
     """
     runs = _collect_gradients(params, state)
+    data, grad, m, v = state.arena
+    for start, stop in runs:
+        finite = np.isfinite(grad[start:stop])
+        if not finite.all():
+            offset = start + int(np.argmin(finite))
+            bad = next(name for name, (lo, hi) in state.spans.items() if lo <= offset < hi)
+            raise dm.NonFiniteGradient(f"non-finite gradient of {bad} at step {state.step}")
     state.step += 1
     t = state.step
-    data, grad, m, v = state.arena
     tmp = np.empty((2, ADAM_BLOCK))
     for start, stop in runs:
         for lo in range(start, stop, ADAM_BLOCK):
@@ -407,7 +404,6 @@ def train(
     groups: list[list[int]] = []
     pools: list[list[int]] = []
     log: list[dict] = []
-    step_index = 0
     for epoch in range(config.epochs):
         if epoch % config.refresh_cadence == 0:
             q_embs = encode_matrix(model.enc, q_texts)
@@ -442,13 +438,9 @@ def train(
                 model.block, loss_cfg, rng=rng, training=True,
             )
             if not np.isfinite(breakdown.total):
-                raise NonFiniteLoss(f"non-finite loss at step {step_index}")
+                raise NonFiniteLoss(f"non-finite loss at step {state.step}")
             tape.backward(total)
-            bad = nonfinite_gradient(params, state)
-            if bad is not None:
-                raise dm.NonFiniteGradient(f"non-finite gradient of {bad} at step {step_index}")
             update_step(params, state, config.learning_rate)
-            step_index += 1
             for key, val in asdict(breakdown).items():
                 sums[key] += val
 

@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -38,3 +41,20 @@ def tiny_config(**overrides) -> TrainConfig:
 def tiny_dataset() -> Dataset:
     labels, train_q, _ = build_synthetic(tiny_spec())
     return Dataset(queries=train_q, labels=labels)
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in a block still running after ``seconds``, so a
+    hang fails its test instead of stalling the suite (Unix only)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

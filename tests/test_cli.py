@@ -2,14 +2,18 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from xmcreg.cli import run
 from xmcreg.trainer import Checkpoint
+
+from conftest import deadline
 
 TINY_TRAIN_CFG = (
     "epochs = 2\n"
@@ -111,6 +115,15 @@ class TestTrain:
         assert f"{cfg}: invalid training configuration: dim_hidden must be >= 1, got 0" in capsys.readouterr().err
         assert not (out / "checkpoint.bin").exists()
 
+    def test_margin_check_error_names_file(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(TINY_TRAIN_CFG + "m_plus = 0.3\n")
+        out = tmp_path / "out"
+        assert run(["train", "--config", str(cfg), "--data", str(dataset_dir / "train"), "--out", str(out)]) == 2
+        message = "invalid training configuration: m_plus must be in (m_minus, 1] with tcm_enabled, got 0.3"
+        assert f"{cfg}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def test_checkpoint_without_model_tensor_names_file_and_tensor(self, trained_dir, dataset_dir, tmp_path, capsys):
@@ -122,6 +135,18 @@ class TestEval:
         code = run(["eval", "--checkpoint", str(path), "--data", str(dataset_dir / "test"), "--report", str(report)])
         assert code == 2
         assert f"error: {path}: no model tensor 'head_qb/b2'" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_nan_checkpoint_fails_instead_of_hanging(self, trained_dir, dataset_dir, tmp_path, capsys):
+        ckpt = Checkpoint.load(trained_dir / "checkpoint.bin")
+        ckpt.tensors["encoder/projection"][...] = np.nan
+        path = tmp_path / "nan.bin"
+        ckpt.save(path)
+        report = tmp_path / "report.json"
+        with deadline(60):
+            code = run(["eval", "--checkpoint", str(path), "--data", str(dataset_dir / "test"), "--report", str(report)])
+        assert code == 2
+        assert re.search(r"^error: score of query \d+ is NaN$", capsys.readouterr().err, re.M)
         assert not report.exists()
 
     def test_report_and_scores(self, trained_dir, dataset_dir, tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from xmcreg.data_io import (
     generate,
     load_dataset,
     load_key_values,
-    load_run_config,
 )
 from xmcreg.trainer import TrainConfig
 
@@ -178,6 +178,121 @@ class TestGenerateAndLoad:
                 load_dataset(d)
 
 
+# Each field of a record file with values of every other JSON type; a list
+# of labels must also hold only integers.
+_WRONG_TYPE = {
+    "id": [None, True, False, 1.0, 1.7, "1", [1], {"id": 1}],
+    "text": [None, True, 3, 1.5, ["a"], {"text": "a"}],
+    "labels": [None, True, 1, 1.5, "12", {"0": 0}, [True], [1.0], ["1"], [None], [[1]], [{}]],
+}
+_PARSE = ("wrong_type", "missing_field", "not_an_object", "not_json")
+_VALIDATION = ("negative_id", "repeated_id", "empty_labels", "dangling_label")
+
+
+@st.composite
+def _record_files(draw):
+    """Valid labels.jsonl and queries.jsonl records, at least two of each."""
+    ids = st.lists(st.integers(0, 2**40), min_size=2, max_size=6, unique=True)
+    texts = st.text(max_size=12)
+    label_ids = draw(ids)
+    labels = [{"id": i, "text": draw(texts)} for i in label_ids]
+    positives = st.lists(st.sampled_from(label_ids), min_size=1, max_size=4)
+    queries = [{"id": i, "text": draw(texts), "labels": draw(positives)} for i in draw(ids)]
+    return labels, queries
+
+
+@st.composite
+def _layouts(draw, count):
+    """Blank lines before each of ``count`` lines, and the line ending."""
+    return draw(st.lists(st.integers(0, 2), min_size=count, max_size=count)), draw(st.sampled_from([b"\n", b"\r\n"]))
+
+
+def _write_lines(path, lines, layout):
+    """Write byte lines after their blank lines; return their line numbers."""
+    gaps, end = layout
+    path.write_bytes(b"".join(end * gap + line + end for gap, line in zip(gaps, lines)))
+    return [i + 1 + sum(gaps[: i + 1]) for i in range(len(lines))]
+
+
+def _encode(records, ascii_only=True):
+    return [json.dumps(r, ensure_ascii=ascii_only).encode("utf-8") for r in records]
+
+
+class TestRecordFuzz:
+    """load_dataset loads valid record files exactly as written and rejects
+    every malformed record at its own path:line."""
+
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_record_files(), st.booleans(), st.data())
+    def test_valid_files_load_as_written(self, tmp_path, files, ascii_only, data):
+        labels, queries = files
+        for name, records in (("labels.jsonl", labels), ("queries.jsonl", queries)):
+            _write_lines(tmp_path / name, _encode(records, ascii_only), data.draw(_layouts(len(records))))
+        ds = load_dataset(tmp_path)
+        assert [(l.id, l.text) for l in ds.labels] == [(r["id"], r["text"]) for r in labels]
+        assert [(q.id, q.text, q.positives) for q in ds.queries] == [
+            (r["id"], r["text"], frozenset(r["labels"])) for r in queries
+        ]
+
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_record_files(), st.sampled_from(_PARSE + _VALIDATION), st.data())
+    def test_malformed_record_rejected_at_its_line(self, tmp_path, files, kind, data):
+        labels, queries = files
+        name = "queries.jsonl" if kind in ("empty_labels", "dangling_label") else data.draw(
+            st.sampled_from(["labels.jsonl", "queries.jsonl"]))
+        records = labels if name == "labels.jsonl" else queries
+        i = data.draw(st.integers(1 if kind == "repeated_id" else 0, len(records) - 1))
+        bad = dict(records[i])
+        if kind == "wrong_type":
+            field = data.draw(st.sampled_from(sorted(bad)))
+            bad[field] = data.draw(st.sampled_from(_WRONG_TYPE[field]))
+        elif kind == "missing_field":
+            del bad[data.draw(st.sampled_from(sorted(bad)))]
+        elif kind == "negative_id":
+            bad["id"] = -data.draw(st.integers(1, 2**40))
+        elif kind == "repeated_id":
+            bad["id"] = records[data.draw(st.integers(0, i - 1))]["id"]
+        elif kind == "empty_labels":
+            bad["labels"] = []
+        elif kind == "dangling_label":
+            missing = max(r["id"] for r in labels) + 1
+            bad["labels"] = data.draw(st.permutations(bad["labels"] + [missing]))
+        lines = {"labels.jsonl": _encode(labels), "queries.jsonl": _encode(queries)}
+        if kind == "not_an_object":
+            lines[name][i] = data.draw(st.sampled_from([b"[1, 2]", b'"text"', b"3", b"null", b"true",
+                                                        json.dumps(list(bad.values())).encode()]))
+        elif kind == "not_json":
+            line = lines[name][i]
+            lines[name][i] = data.draw(st.sampled_from([b"not json", b"{'id': 1}", line[:-1] + b",}",
+                                                        line + b"}", b"\xff" + line,
+                                                        line[: data.draw(st.integers(1, len(line) - 1))]]))
+        else:
+            lines[name][i] = _encode([bad])[0]
+        for file in lines:
+            numbers = _write_lines(tmp_path / file, lines[file], data.draw(_layouts(len(lines[file]))))
+            if file == name:
+                lineno = numbers[i]
+        error = ParseError if kind in _PARSE else ValidationError
+        with pytest.raises(error, match=f"^{re.escape(str(tmp_path / name))}:{lineno}: "):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("name, line, message", [
+        ("labels.jsonl", '{"id": 1, "text": null}', "'text' must be a string, got null"),
+        ("queries.jsonl", '{"id": 1, "text": "q", "labels": "12"}', "'labels' must be a list of integers, got \"12\""),
+        ("queries.jsonl", '{"id": 1, "text": "q", "labels": [0, "x"]}', "'labels' must be a list of integers"),
+        ("labels.jsonl", '{"id": 1.7, "text": "a"}', "'id' must be an integer, got 1.7"),
+        ("labels.jsonl", '{"id": true, "text": "a"}', "'id' must be an integer, got true"),
+        ("labels.jsonl", '{"id": 1}', "missing field 'text'"),
+    ])
+    def test_no_value_is_coerced(self, tmp_path, name, line, message):
+        (tmp_path / "labels.jsonl").write_text('{"id": 0, "text": "a"}\n')
+        (tmp_path / "queries.jsonl").write_text('{"id": 0, "text": "q", "labels": [0]}\n')
+        with open(tmp_path / name, "a") as f:
+            f.write(line + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / name))}:2: {re.escape(message)}"):
+            load_dataset(tmp_path)
+
+
 class TestRunConfig:
     def test_parses_typed_values_and_comments(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -187,33 +302,37 @@ class TestRunConfig:
             "learning_rate = 0.01  # tuned\n"
             "tcm_enabled = false\n"
             "sampler = ance\n"
-            "data = /tmp/ds\n"
-            "out = /tmp/out\n"
         )
-        config, paths = load_run_config(cfg)
+        config = load_key_values(cfg, TrainConfig)
         assert config.epochs == 3
         assert config.learning_rate == 0.01
         assert config.tcm_enabled is False
         assert config.sampler == "ance"
-        assert paths == {"data": "/tmp/ds", "out": "/tmp/out"}
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("nonsense = 1\n")
         with pytest.raises(ParseError, match="unknown key"):
-            load_run_config(cfg)
+            load_key_values(cfg, TrainConfig)
+
+    def test_data_path_is_not_a_config_key(self, tmp_path):
+        # the dataset and output directories are --data and --out flags
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs = 3\ndata = /tmp/ds\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(cfg))}:2: unknown key 'data'$"):
+            load_key_values(cfg, TrainConfig)
 
     def test_bad_value_rejected_with_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epochs = 3\nlearning_rate = fast\n")
         with pytest.raises(ParseError, match=":2"):
-            load_run_config(cfg)
+            load_key_values(cfg, TrainConfig)
 
     def test_missing_equals_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epochs\n")
         with pytest.raises(ParseError):
-            load_run_config(cfg)
+            load_key_values(cfg, TrainConfig)
 
 
 def _field_values(cls):
@@ -246,7 +365,7 @@ class TestKeyValueParser:
             assume(False)
         path = tmp_path / "fields.cfg"
         path.write_text("".join(f"{k} = {_format(v)}\n" for k, v in values.items()))
-        parsed, _ = load_key_values(path, cls)
+        parsed = load_key_values(path, cls)
         assert dataclasses.asdict(parsed) == dataclasses.asdict(expected)
 
     @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -23,6 +23,8 @@ from xmcreg.evaluation import (
     write_scores,
 )
 
+from conftest import deadline
+
 
 def _preds(scores, correct):
     return [
@@ -165,6 +167,18 @@ class TestCoverage:
         preds = _preds([0.9, 0.8, 0.8], [True, True, False])
         c, tau = coverage_at_target(preds, 0.9)
         assert c == pytest.approx(1 / 3) and tau == 0.9
+
+    @pytest.mark.parametrize("scores, nan_query", [([0.9, float("nan")], 1), ([float("nan"), 0.9], 0)])
+    def test_nan_score_raises_naming_its_query(self, scores, nan_query):
+        preds = _preds(scores, [True, False])
+        with deadline(10), pytest.raises(ValueError, match=f"^score of query {nan_query} is NaN$"):
+            coverage_at_target(preds, 0.5)
+
+    def test_threshold_keeps_the_sign_of_zero(self):
+        # -0.0 == 0.0: the group's first score in input order is the threshold
+        for first, second in ((-0.0, 0.0), (0.0, -0.0)):
+            _, tau = coverage_at_target(_preds([first, second], [True, True]), 1.0)
+            assert str(tau) == str(first)
 
     def test_target_validated(self):
         preds = _preds([0.9], [True])

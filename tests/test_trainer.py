@@ -60,6 +60,9 @@ class TestTrainConfig:
         (dict(dim=1), "dim must be >= 2, got 1"),
         (dict(dim_hidden=0), "dim_hidden must be >= 1, got 0"),
         (dict(num_buckets=512), "num_buckets must be >= 1024, got 512"),
+        (dict(m_plus=0.3), "m_plus must be in (m_minus, 1] with tcm_enabled, got 0.3"),
+        (dict(m_plus=1.5), "m_plus must be in (m_minus, 1] with tcm_enabled, got 1.5"),
+        (dict(m_minus=-2.0, m_plus=0.5), "m_minus must be >= -1 with tcm_enabled, got -2.0"),
     ])
     def test_rejection_names_field_and_value(self, bad, message):
         with pytest.raises(ValueError, match=re.escape(f"invalid training configuration: {message}")):
@@ -67,6 +70,9 @@ class TestTrainConfig:
 
     def test_pool_size_unread_by_cluster_sampler(self):
         assert TrainConfig(sampler="cluster", pool_size=0).pool_size == 0
+
+    def test_margins_unread_without_tcm(self):
+        assert TrainConfig(tcm_enabled=False, m_plus=0.3).m_plus == 0.3
 
     def test_loss_config_mirrors_fields(self):
         cfg = TrainConfig(beta1=0.25, beta2=0.75, tcm_enabled=False, k=3, triplet_margin=0.2)
@@ -250,13 +256,19 @@ class TestArena:
         state = init_adam(params)
         for name in ("a", "b", "c"):
             _land(params[name], np.ones(params[name].shape))
-        assert trainer.nonfinite_gradient(params, state) is None
+        update_step(params, state, lr=0.1)
+        kept = state.arena[[0, 2, 3]].tobytes()
         params["c"].grad = np.array(np.nan)
         params["b"].grad = np.zeros((2, 3))
         params["b"].grad[0, 0] = np.inf  # the first element of b's span, right after gap's
-        assert trainer.nonfinite_gradient(params, state) == "b"
+        with pytest.raises(dm.NonFiniteGradient, match="^non-finite gradient of b at step 1$"):
+            update_step(params, state, lr=0.1)
         params["b"].grad = None
-        assert trainer.nonfinite_gradient(params, state) == "c"
+        with pytest.raises(dm.NonFiniteGradient, match="^non-finite gradient of c at step 1$"):
+            update_step(params, state, lr=0.1)
+        # parameters and moments keep their bytes, and the step does not count
+        assert state.arena[[0, 2, 3]].tobytes() == kept
+        assert state.step == 1
 
     def test_gathered_rows_land_in_a_zeroed_view(self):
         p = dm.Tensor(np.arange(12.0).reshape(4, 3))
@@ -489,11 +501,19 @@ class TestTrain:
             return out, breakdown, shrunk
 
         monkeypatch.setattr(trainer, "total_loss", poisoned)
-        updates = []
-        monkeypatch.setattr(trainer, "update_step", lambda *a, **k: updates.append(1) or update_step(*a, **k))
+        written = []
+
+        def checked(params, state, *args, **kwargs):
+            before = state.arena[[0, 2, 3]].tobytes(), state.step
+            try:
+                update_step(params, state, *args, **kwargs)
+            finally:
+                written.append((state.arena[[0, 2, 3]].tobytes(), state.step) != before)
+
+        monkeypatch.setattr(trainer, "update_step", checked)
         with pytest.raises(dm.NonFiniteGradient, match="encoder/projection at step 2"):
             train(tiny_dataset, tiny_config(epochs=2))
-        assert len(updates) == 2
+        assert written == [True, True, False]
 
     def test_ance_sampler_runs(self, tiny_dataset):
         config = tiny_config(epochs=1, sampler="ance", pool_size=5)
