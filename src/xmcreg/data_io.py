@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -154,10 +155,17 @@ def build_synthetic(spec: SyntheticSpec) -> tuple[list[TextRecord], list[QueryRe
     return labels, make_queries(spec.num_train_queries), make_queries(spec.num_test_queries)
 
 
+def write_atomic(path: str | Path, data: bytes | str) -> None:
+    """Write ``data`` (a str as UTF-8) to ``path`` through a ``.tmp`` file
+    beside it and os.replace, so ``path`` never holds a partial file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    os.replace(tmp, path)
+
+
 def _write_jsonl(path: Path, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for row in rows:
-            f.write(json.dumps(row, sort_keys=True) + "\n")
+    write_atomic(path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
 
 
 def generate(spec: SyntheticSpec, out_dir: str | Path) -> None:

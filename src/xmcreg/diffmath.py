@@ -294,11 +294,6 @@ def embedding_bag(tape, table, ids, weights) -> Tensor:
     return _make(tape, (dt[ids] * weights[..., None]).sum(axis=0), backward)
 
 
-def detach(tape, a) -> Tensor:
-    """Copy that blocks gradient flow into its source."""
-    return Tensor(np.array(_val(a)))
-
-
 # ---------------------------------------------------------------------------
 # reductions
 

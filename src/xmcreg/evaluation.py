@@ -4,12 +4,11 @@ score-histogram reporting."""
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .data_io import write_atomic
 from .mining import score_chunks
 
 
@@ -154,35 +153,40 @@ SCORES_HEADER = "query_id\tlabel_id\tscore\tcorrect"
 
 
 def write_scores(path, preds: list[ScoredPrediction]) -> None:
+    """Atomic write of one tab-separated row per prediction under SCORES_HEADER."""
     lines = [SCORES_HEADER]
     for p in preds:
         lines.append(f"{p.query_id}\t{p.top1_label_id}\t{p.score!r}\t{int(p.correct)}")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_scores(path) -> list[ScoredPrediction]:
+    """Read a file written by write_scores. A row without exactly four
+    tab-separated fields, an id that is not an integer, a score that does
+    not parse or is not finite, or a correct value other than 0 or 1 is
+    rejected with ``path:line``."""
     preds = []
     with open(path, encoding="utf-8") as f:
         header = f.readline().rstrip("\n")
         if header != SCORES_HEADER:
             raise ValueError(f"{path}: unexpected scores header {header!r}")
-        for line in f:
-            qid, lid, score, correct = line.rstrip("\n").split("\t")
-            preds.append(
-                ScoredPrediction(
-                    query_id=int(qid),
-                    top1_label_id=int(lid),
-                    score=float(score),
-                    correct=bool(int(correct)),
-                )
-            )
+        for lineno, line in enumerate(f, start=2):
+            row = line.rstrip("\n").split("\t")
+            try:
+                if len(row) != 4:
+                    raise ValueError(f"expected 4 tab-separated fields, got {len(row)}")
+                qid, lid, score, correct = row
+                score = float(score)
+                if not np.isfinite(score):
+                    raise ValueError(f"score {score!r} is not finite")
+                if correct not in ("0", "1"):
+                    raise ValueError(f"correct must be 0 or 1, got {correct!r}")
+                preds.append(ScoredPrediction(int(qid), int(lid), score, correct == "1"))
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
     return preds
 
 
 def write_report(path, report: EvalReport | Histogram) -> None:
     """Atomic write of a report as sorted, indented JSON."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(asdict(report), sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(asdict(report), sort_keys=True, indent=2) + "\n")

@@ -196,7 +196,6 @@ class LossConfig:
     tcm: TcmConfig | None = field(default_factory=TcmConfig)
     triplet_margin: float = 0.3
     k: int = 5
-    detach_aux: bool = False
 
 
 def total_loss(
@@ -257,8 +256,6 @@ def total_loss(
         blockings, shrunk = mining.build_blockings(batch, batch.neg_pools, sims, cfg.k)
         # every pair's 4d feature in one pass, from its query's and its
         # label's embedding rows; blocking i is query i's
-        if cfg.detach_aux:
-            emb = dm.detach(tape, emb)
         pair_q = dm.gather_rows(tape, emb, np.repeat(q_rows, [len(b.pair_label_ids) for b in blockings]))
         pair_l = dm.gather_rows(tape, emb, label_rows([lid for b in blockings for lid in b.pair_label_ids]))
         gammas = pair_reps.build_gamma(tape, pair_q, pair_l)

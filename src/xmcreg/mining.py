@@ -141,11 +141,15 @@ def score_chunks(query_embeddings: np.ndarray, label_embeddings: np.ndarray, lab
     tail of under half a block joins the block before it. No block is
     then a one-row product, which BLAS computes another way, unless the
     input has one row. With single-threaded OpenBLAS the scores equal the
-    same entries of the whole product bit for bit.
+    same entries of the whole product bit for bit. A repeated label id
+    raises ValueError.
     """
     ids = np.asarray(label_ids)
     order = np.argsort(ids, kind="stable")
     sorted_ids = ids[order]
+    repeated = np.flatnonzero(sorted_ids[1:] == sorted_ids[:-1])
+    if repeated.size:
+        raise ValueError(f"label id {sorted_ids[repeated[0]]} is repeated")
     n = query_embeddings.shape[0]
     step = max(1, SCORE_CHUNK_ELEMENTS // (SCORE_BLOCK_ROWS * max(1, len(ids)))) * SCORE_BLOCK_ROWS
     starts = list(range(0, n, step))
@@ -178,15 +182,11 @@ def ance_pool(
         positives = positives_per_query[rows]
         pos_rows = np.repeat(np.arange(len(positives)), [len(p) for p in positives])
         pos_ids = np.fromiter(itertools.chain.from_iterable(positives), dtype=ids.dtype, count=len(pos_rows))
-        # is_pos[r, u]: query r has positive uniq[u]; a repeated label id
-        # masks every column that carries it
-        uniq, uniq_of_col = np.unique(ids, return_inverse=True)
-        u = np.searchsorted(uniq, pos_ids)
-        known = u < len(uniq)
-        known[known] = uniq[u[known]] == pos_ids[known]
-        is_pos = np.zeros((len(positives), len(uniq)), dtype=bool)
-        is_pos[pos_rows[known], u[known]] = True
-        scores[is_pos[:, uniq_of_col]] = -np.inf
+        # each positive's column among the unique ascending ids, if it is a label
+        u = np.searchsorted(ids, pos_ids)
+        known = u < len(ids)
+        known[known] = ids[u[known]] == pos_ids[known]
+        scores[pos_rows[known], u[known]] = -np.inf
         # ascending negated scores, ties in ascending-id column order, as a
         # stable sort would give; masked positives sort last
         np.negative(scores, out=scores)

@@ -94,13 +94,10 @@ def init_block(rng: np.random.Generator, width: int) -> BlockContextParams:
     )
 
 
-def contextualize(tape, block: BlockContextParams, gammas: dm.Tensor, return_attention: bool = False):
+def contextualize(tape, block: BlockContextParams, gammas: dm.Tensor) -> dm.Tensor:
     """Apply the encoder block to every group of a (G, K, 4d) batch of
-    pair features, or to one (K, 4d) group.
-
-    Returns the contextualized features in the shape of the input; with
-    return_attention, also the (G, K, K) or (K, K) softmax attention.
-    """
+    pair features, or to one (K, 4d) group; the contextualized features
+    have the shape of the input."""
     if gammas.ndim not in (2, 3) or gammas.shape[-1] != block.width:
         raise DimensionMismatch(f"group shape {gammas.shape}, block width {block.width}")
     k, width = gammas.shape[-2:]
@@ -130,10 +127,4 @@ def contextualize(tape, block: BlockContextParams, gammas: dm.Tensor, return_att
     hidden = dm.gelu(tape, dm.affine(tape, yn, block.ff_w1, block.ff_b1))
     out = dm.add(tape, x2, dm.affine(tape, hidden, block.ff_w2, block.ff_b2))
 
-    def input_order(t: dm.Tensor) -> dm.Tensor:
-        return dm.gather_rows(tape, dm.reshape(tape, t, (-1, t.shape[-1])), inverse)
-
-    if return_attention:
-        attn = dm.transpose(tape, input_order(dm.transpose(tape, input_order(attn))))
-        return input_order(out), attn
-    return input_order(out)
+    return dm.gather_rows(tape, dm.reshape(tape, out, (-1, width)), inverse)

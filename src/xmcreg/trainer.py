@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 import typing
 from dataclasses import asdict, dataclass, field, fields
@@ -14,6 +13,7 @@ import numpy as np
 
 from . import diffmath as dm
 from . import mining
+from .data_io import write_atomic
 from .encoder import EncoderParams, encode_matrix, init_encoder
 from .losses import LossConfig, MlpHead, TcmConfig, init_head, total_loss
 from .pair_reps import BlockContextParams, init_block
@@ -45,7 +45,6 @@ class TrainConfig:
     seed: int = 0
     refresh_cadence: int = 5
     pool_size: int = 20
-    detach_aux: bool = False
     dim: int = 32
     dim_hidden: int = 64
     num_buckets: int = 4096
@@ -78,7 +77,6 @@ class TrainConfig:
             tcm=TcmConfig(self.m_plus, self.m_minus) if self.tcm_enabled else None,
             triplet_margin=self.triplet_margin,
             k=self.k,
-            detach_aux=self.detach_aux,
         )
 
 
@@ -269,7 +267,6 @@ def update_step(params: dict[str, dm.Tensor], state: AdamState, lr: float,
 
 def write_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
     """Atomic write of the named-tensor container (magic 'ALC1')."""
-    path = Path(path)
     buf = bytearray()
     buf += CHECKPOINT_MAGIC
     buf += struct.pack("<I", len(tensors))
@@ -282,9 +279,7 @@ def write_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
         for d in arr.shape:
             buf += struct.pack("<I", d)
         buf += arr.astype("<f8").tobytes()
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(bytes(buf))
-    os.replace(tmp, path)
+    write_atomic(path, bytes(buf))
 
 
 def read_tensors(path: str | Path) -> dict[str, np.ndarray]:
@@ -340,20 +335,30 @@ class Checkpoint:
         payload["meta/epoch"] = np.array([float(self.epoch)])
         write_tensors(path, payload)
         sidecar = path.with_name(path.name + ".config.json")
-        tmp = sidecar.with_name(sidecar.name + ".tmp")
-        tmp.write_text(json.dumps(self.config, sort_keys=True, indent=2) + "\n")
-        os.replace(tmp, sidecar)
+        write_atomic(sidecar, json.dumps(self.config, sort_keys=True, indent=2) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":
-        """Read a checkpoint and its config sidecar, if there is one. A
-        sidecar with dim, dim_hidden and num_buckets must agree with the
+        """Read a checkpoint and its config sidecar, if there is one. The
+        sidecar must be a JSON object whose dim, dim_hidden and num_buckets,
+        where present, are integers; with all three it must agree with the
         shapes of the encoder, head and block tensors."""
         path = Path(path)
         payload = read_tensors(path)
         epoch = int(payload.pop("meta/epoch", np.array([0.0]))[0])
         sidecar = path.with_name(path.name + ".config.json")
-        config = json.loads(sidecar.read_text()) if sidecar.exists() else {}
+        config = {}
+        if sidecar.exists():
+            try:
+                config = json.loads(sidecar.read_text(encoding="utf-8"))
+            except ValueError as e:  # not UTF-8, or not JSON
+                raise ValueError(f"{sidecar}: not a JSON config: {e}") from None
+            if type(config) is not dict:
+                raise ValueError(f"{sidecar}: expected a JSON object, got {json.dumps(config)[:40]}")
+            for key in ("dim", "dim_hidden", "num_buckets"):
+                # type(), not isinstance(): true must not pass as the integer 1
+                if key in config and type(config[key]) is not int:
+                    raise ValueError(f"{sidecar}: {key!r} must be an integer, got {json.dumps(config[key])}")
         if all(key in config for key in ("dim", "dim_hidden", "num_buckets")):
             d, hidden, width = config["dim"], config["dim_hidden"], 4 * config["dim"]
             expected = {
@@ -449,10 +454,7 @@ def train(
         log.append(entry)
 
     if log_path is not None:
-        log_path = Path(log_path)
-        tmp = log_path.with_name(log_path.name + ".tmp")
-        tmp.write_text("".join(json.dumps(e, sort_keys=True) + "\n" for e in log))
-        os.replace(tmp, log_path)
+        write_atomic(log_path, "".join(json.dumps(e, sort_keys=True) + "\n" for e in log))
 
     tensors = {name: np.array(p.data) for name, p in params.items()}
     for name in params:

@@ -149,6 +149,18 @@ class TestEval:
         assert re.search(r"^error: score of query \d+ is NaN$", capsys.readouterr().err, re.M)
         assert not report.exists()
 
+    def test_malformed_sidecar_fails_naming_it(self, trained_dir, dataset_dir, tmp_path, capsys):
+        ckpt = Checkpoint.load(trained_dir / "checkpoint.bin")
+        path = tmp_path / "c.bin"
+        ckpt.save(path)
+        sidecar = tmp_path / "c.bin.config.json"
+        sidecar.write_text('{"dim": 8,')
+        report = tmp_path / "report.json"
+        code = run(["eval", "--checkpoint", str(path), "--data", str(dataset_dir / "test"), "--report", str(report)])
+        assert code == 2
+        assert f"error: {sidecar}: not a JSON config" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_report_and_scores(self, trained_dir, dataset_dir, tmp_path):
         report = tmp_path / "report.json"
         scores = tmp_path / "scores.tsv"
@@ -230,6 +242,14 @@ class TestHistogram:
         obj = json.loads(out.read_text())
         assert set(obj) == {"edges", "correct_counts", "incorrect_counts", "overlap"}
         assert len(obj["edges"]) == 11
+
+    def test_nan_score_fails_naming_path_and_line(self, tmp_path, capsys):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("query_id\tlabel_id\tscore\tcorrect\n0\t3\t0.9\t1\n1\t4\tnan\t0\n")
+        out = tmp_path / "hist.json"
+        assert run(["histogram", "--scores", str(scores), "--out", str(out)]) == 2
+        assert f"error: {scores}:3: score nan is not finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFingerprintScript:

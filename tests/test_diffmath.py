@@ -165,11 +165,10 @@ def test_kernel_jvp_matches_finite_differences(seed):
 
 
 def test_every_kernel_is_gradchecked():
-    # detach passes no gradient by design
     kernels = {name for name, fn in vars(dm).items()
                if inspect.isfunction(fn) and fn.__module__ == dm.__name__ and not name.startswith("_")
                and list(inspect.signature(fn).parameters)[:1] == ["tape"]}
-    assert {"add", "embedding_bag", "detach"} <= kernels
+    assert {"add", "embedding_bag"} <= kernels
     called = set()
 
     def spy(name):
@@ -183,7 +182,7 @@ def test_every_kernel_is_gradchecked():
 
     with mock.patch.multiple(dm, **{name: spy(name) for name in kernels}):
         kernel_gradchecks(0, max_coords=1)
-    assert kernels - {"detach"} - called == set()
+    assert kernels - called == set()
 
 
 def test_kernels_deterministic():

@@ -112,6 +112,12 @@ class TestRetrieveTop1:
         with pytest.raises(EmptyLabelSpace):
             retrieve_top1(np.ones((1, 2)), np.zeros((0, 2)), [0], [], [frozenset()])
 
+    def test_repeated_label_id_rejected(self):
+        # with a repeated id the lower-id tie rule has no single answer
+        l = np.array([[1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="label id 4 is repeated"):
+            retrieve_top1(np.array([[1.0, 0.0]]), l, [0], [4, 4], [frozenset({4})])
+
 
 class TestPrecision:
     def test_counting(self):
@@ -271,6 +277,25 @@ class TestFiles:
         path.write_text("nope\n")
         with pytest.raises(ValueError):
             read_scores(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("1\t2\t0.5", "expected 4 tab-separated fields, got 3"),
+        ("1\t2\t0.5\t1\t0", "expected 4 tab-separated fields, got 5"),
+        ("", "expected 4 tab-separated fields, got 1"),
+        ("1.5\t2\t0.5\t1", "invalid literal for int()"),
+        ("1\tx\t0.5\t1", "invalid literal for int()"),
+        ("1\t2\thigh\t1", "could not convert string to float"),
+        ("1\t2\tnan\t1", "score nan is not finite"),
+        ("1\t2\t-inf\t0", "score -inf is not finite"),
+        ("1\t2\t0.5\t7", "correct must be 0 or 1, got '7'"),
+        ("1\t2\t0.5\ttrue", "correct must be 0 or 1, got 'true'"),
+    ])
+    def test_malformed_scores_row_names_path_and_line(self, tmp_path, row, message):
+        path = tmp_path / "scores.tsv"
+        path.write_text(f"query_id\tlabel_id\tscore\tcorrect\n0\t1\t0.25\t0\n{row}\n0\t1\t0.25\t0\n")
+        with pytest.raises(ValueError) as err:
+            read_scores(path)
+        assert str(err.value).startswith(f"{path}:3: ") and message in str(err.value)
 
     def test_report_json(self, tmp_path):
         preds = _preds([0.9, 0.4], [True, False])

@@ -261,30 +261,6 @@ class TestTotalLoss:
         )
         assert all(v >= 0.0 for v in (b.base, b.tcm, b.xe_ql, b.xe_qb))
 
-    def test_detach_aux_blocks_encoder_gradient_from_heads(self):
-        dataset, batch, model, config = self._setup()
-        # aux-only objective: with detach_aux the encoder gets no gradient
-        cfg = LossConfig(beta1=1.0, beta2=0.5, tcm=None, k=3, detach_aux=True)
-
-        # zero out the triplet contribution by checking aux-only gradients:
-        # run full loss, subtract the base-only gradient
-        def grads_for(detach):
-            c = LossConfig(beta1=1.0, beta2=0.0, tcm=None, k=3, detach_aux=detach)
-            for p in model.named_tensors().values():
-                p.grad = None
-            tape = dm.GradTape()
-            total, _, _ = total_loss(
-                tape, dataset, batch, model.enc, model.head_ql, model.head_qb, model.block, c
-            )
-            tape.backward(total)
-            g = model.enc.projection.grad
-            return np.zeros_like(model.enc.projection.data) if g is None else g.copy()
-
-        g_detached = grads_for(True)
-        g_attached = grads_for(False)
-        # detached: encoder grad comes only from the triplet term
-        assert not np.array_equal(g_detached, g_attached)
-
     def test_shrunk_blockings_counted(self):
         dataset, batch, model, _ = self._setup()
         cfg = LossConfig(beta1=1.0, beta2=0.5, tcm=None, k=50)  # k larger than any pool
@@ -541,24 +517,6 @@ class TestBatchedRegularizer:
             params, lambda tape: _oracle_total_loss(tape, dataset, batch, model, cfg)
         )
         _assert_close(value, grads, oracle_value, oracle_grads)
-
-    def test_detach_aux_leaves_encoder_the_base_gradient(self):
-        # with detach_aux the encoder gets only the base and TCM gradient
-        dataset, batch = self._mixed_batch(0)
-        model = init_model(np.random.default_rng(0), tiny_config(dropout=0.0))
-        params = model.named_tensors()
-        on = LossConfig(beta1=1.0, beta2=0.5, k=5, detach_aux=True)
-        off = LossConfig(beta1=0.0, beta2=0.0, k=5)
-
-        def run(cfg):
-            return _value_and_grads(params, lambda tape: total_loss(
-                tape, dataset, batch, model.enc, model.head_ql, model.head_qb, model.block, cfg
-            )[0])[1]
-
-        detached, base = run(on), run(off)
-        for name in ("encoder/bucket_table", "encoder/projection"):
-            assert detached[name].tobytes() == base[name].tobytes()
-        assert detached["block/wq"] is not None and base["block/wq"] is None
 
     def test_tape_node_guard(self):
         # deterministic guard against per-text, per-pair or per-blocking

@@ -167,6 +167,11 @@ class TestAncePool:
         with pytest.raises(ValueError):
             ance_pool(np.ones((1, 2)), np.ones((1, 2)), [0], [frozenset()], pool_size=0)
 
+    def test_repeated_label_id_rejected(self):
+        labels = _unit_rows([[1, 0], [0, 1], [1, 1]])
+        with pytest.raises(ValueError, match="label id 11 is repeated"):
+            ance_pool(_unit_rows([[1, 0]]), labels, [11, 10, 11], [frozenset({11})], pool_size=2)
+
 
 class TestBuildBlockings:
     def _batch(self, negs, sims, k, pos=99):

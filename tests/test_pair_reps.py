@@ -87,11 +87,6 @@ class TestContextualize:
         g = dm.Tensor(np.random.default_rng(1).normal(size=(5, 128)))
         assert contextualize(None, block, g).shape == (5, 128)
 
-    def test_attention_rows_sum_to_one(self):
-        g = dm.Tensor(self.rng.normal(size=(4, 8)))
-        _, attn = contextualize(None, self.block, g, return_attention=True)
-        np.testing.assert_allclose(attn.data.sum(axis=1), np.ones(4), atol=1e-12)
-
     def test_identical_rows_identical_outputs(self):
         row = self.rng.normal(size=8)
         g = dm.Tensor(np.tile(row, (4, 1)))
@@ -107,13 +102,6 @@ class TestContextualize:
             out_p = contextualize(None, self.block, dm.Tensor(g[perm])).data
             np.testing.assert_array_equal(out_p, out[perm])
 
-    def test_permuted_attention_matches(self):
-        g = self.rng.normal(size=(5, 8))
-        _, attn = contextualize(None, self.block, dm.Tensor(g), return_attention=True)
-        perm = np.random.default_rng(0).permutation(5)
-        _, attn_p = contextualize(None, self.block, dm.Tensor(g[perm]), return_attention=True)
-        np.testing.assert_array_equal(attn_p.data, attn.data[perm][:, perm])
-
     def test_batch_permutation_equivariance_exact(self):
         # permuting the rows inside any group of a (G, K, 4d) batch
         # permutes that group's output rows, bit for bit
@@ -128,12 +116,11 @@ class TestContextualize:
 
     def test_batch_matches_groups_one_at_a_time(self):
         g = self.rng.normal(size=(3, 4, 8))
-        out, attn = contextualize(None, self.block, dm.Tensor(g), return_attention=True)
-        assert out.shape == (3, 4, 8) and attn.shape == (3, 4, 4)
+        out = contextualize(None, self.block, dm.Tensor(g))
+        assert out.shape == (3, 4, 8)
         for i in range(3):
-            one, one_attn = contextualize(None, self.block, dm.Tensor(g[i]), return_attention=True)
+            one = contextualize(None, self.block, dm.Tensor(g[i]))
             np.testing.assert_allclose(out.data[i], one.data, rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(attn.data[i], one_attn.data, rtol=1e-12, atol=1e-14)
 
     def test_batch_with_tied_rows_and_signed_zeros_matches_groups_bitwise(self):
         g = self.rng.normal(size=(4, 5, 8))
@@ -142,11 +129,10 @@ class TestContextualize:
         g[2, 1, 0] = -0.0  # rows equal as numbers, not as bytes
         g[2, 2:4] = np.where(self.rng.random((2, 8)) < 0.5, -0.0, 0.0)
         g[3, 4] = g[3, 2] = -g[3, 0]
-        out, attn = contextualize(None, self.block, dm.Tensor(g), return_attention=True)
+        out = contextualize(None, self.block, dm.Tensor(g))
         for i in range(4):
-            one, one_attn = contextualize(None, self.block, dm.Tensor(g[i]), return_attention=True)
+            one = contextualize(None, self.block, dm.Tensor(g[i]))
             assert out.data[i].tobytes() == one.data.tobytes()
-            assert attn.data[i].tobytes() == one_attn.data.tobytes()
 
     def test_needs_k_at_least_two(self):
         with pytest.raises(DimensionMismatch):

@@ -384,6 +384,25 @@ class TestCheckpointFormat:
             with pytest.raises(ValueError, match=f"{name} has shape .*, expected {re.escape(str(shape))}"):
                 Checkpoint.load(path)
 
+    @pytest.mark.parametrize("raw, message", [
+        (b'{"dim": 8,', "not a JSON config: Expecting"),
+        (b'{"dim": "\xff"}', "not a JSON config: 'utf-8' codec"),
+        (b"[8, 16]", "expected a JSON object, got [8, 16]"),
+        (b'"dim"', 'expected a JSON object, got "dim"'),
+        (b'{"dim": 8.0}', "'dim' must be an integer, got 8.0"),
+        (b'{"dim_hidden": "16"}', "'dim_hidden' must be an integer, got \"16\""),
+        (b'{"num_buckets": true}', "'num_buckets' must be an integer, got true"),
+        (b'{"dim": null, "dim_hidden": 16, "num_buckets": 1024}', "'dim' must be an integer, got null"),
+    ])
+    def test_malformed_sidecar_names_its_path(self, tmp_path, raw, message):
+        path = tmp_path / "c.bin"
+        Checkpoint(tensors={"w": np.ones(2)}, config={}, epoch=1).save(path)
+        sidecar = tmp_path / "c.bin.config.json"
+        sidecar.write_bytes(raw)
+        with pytest.raises(ValueError) as err:
+            Checkpoint.load(path)
+        assert str(err.value).startswith(f"{sidecar}: ") and message in str(err.value)
+
     def test_missing_sidecar_still_loads(self, tmp_path, tiny_dataset):
         ckpt, _ = train(tiny_dataset, tiny_config(epochs=1))
         path = tmp_path / "c.bin"
