@@ -51,6 +51,8 @@ class SyntheticSpec:
             raise InvalidSpec("rates must lie in [0, 1)")
         if self.num_train_queries < 1 or self.num_test_queries < 0:
             raise InvalidSpec("need at least one training query")
+        if self.seed < 0:
+            raise InvalidSpec(f"need seed >= 0, got {self.seed}")
 
 
 _BRANDS = [

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 GELU_C = math.sqrt(2.0 / math.pi)
+LAYER_NORM_EPS = 1e-5
+GRAD_CHECK_STEP, GRAD_CHECK_ZERO_FLOOR = 1e-5, 1e-7  # see grad_check
 
 
 class NonFiniteGradient(RuntimeError):
@@ -371,14 +373,14 @@ def gelu(tape, a) -> Tensor:
     return _make(tape, out, backward)
 
 
-def layer_norm(tape, a, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(tape, a, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     da, dg, db = _val(a), _val(gain), _val(bias)
     if dg.shape[-1] != da.shape[-1] or db.shape[-1] != da.shape[-1]:
         raise DimensionMismatch("layer_norm gain/bias length")
     mu = da.mean(axis=-1, keepdims=True)
     var = da.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (da - mu) * inv
     out = xhat * dg + db
 
@@ -467,16 +469,15 @@ def grad_check(
     seed: int,
     tol: float,
     max_coords: int = 256,
-    h: float = 1e-5,
-    zero_floor: float = 1e-7,
 ) -> GradCheckReport:
     """Compare analytic gradients of a scalar program to central differences.
 
     ``fn(tape)`` must rerun the forward pass and return a scalar Tensor;
     it is called with ``tape=None`` for the finite-difference probes. Up
     to ``max_coords`` coordinates per parameter tensor are sampled.
-    Relative error is |a-f| / max(|a|, |f|, 1e-8). Coordinates where both
-    sides are below ``zero_floor`` count as agreeing zeros: the central
+    The step is GRAD_CHECK_STEP. Relative error is |a-f| / max(|a|, |f|,
+    1e-8). Coordinates where both sides are below GRAD_CHECK_ZERO_FLOOR
+    count as agreeing zeros: the central
     difference of an O(1) objective carries ~1e-11 of float64 rounding
     noise, which would otherwise swamp genuinely zero gradients.
     """
@@ -497,16 +498,16 @@ def grad_check(
         coords = rng.choice(n, size=min(n, max_coords), replace=False)
         for c in coords:
             orig = flat[c]
-            flat[c] = orig + h
+            flat[c] = orig + GRAD_CHECK_STEP
             f_hi = float(fn(None).data)
-            flat[c] = orig - h
+            flat[c] = orig - GRAD_CHECK_STEP
             f_lo = float(fn(None).data)
             flat[c] = orig
-            numeric = (f_hi - f_lo) / (2.0 * h)
+            numeric = (f_hi - f_lo) / (2.0 * GRAD_CHECK_STEP)
             if not math.isfinite(numeric):
                 raise NonFiniteGradient(f"numeric gradient of {name}[{c}] is not finite")
             a = float(analytic[c])
-            if max(abs(a), abs(numeric)) < zero_floor:
+            if max(abs(a), abs(numeric)) < GRAD_CHECK_ZERO_FLOOR:
                 continue
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
             max_rel = max(max_rel, rel)

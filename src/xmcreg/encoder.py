@@ -46,7 +46,7 @@ class EncoderParams:
         return self.projection.shape[1]
 
 
-def init_encoder(rng: np.random.Generator, d: int = 32, d_in: int = 64, num_buckets: int = 4096) -> EncoderParams:
+def init_encoder(rng: np.random.Generator, d: int, d_in: int, num_buckets: int) -> EncoderParams:
     if num_buckets < 1024 or d < 2:
         raise ValueError("need num_buckets >= 1024 and d >= 2")
     table = rng.uniform(-0.05, 0.05, size=(num_buckets, d_in))

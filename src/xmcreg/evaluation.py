@@ -4,6 +4,7 @@ score-histogram reporting."""
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -162,9 +163,10 @@ def write_scores(path, preds: list[ScoredPrediction]) -> None:
 
 def read_scores(path) -> list[ScoredPrediction]:
     """Read a file written by write_scores. A row without exactly four
-    tab-separated fields, an id that is not an integer, a score that does
-    not parse or is not finite, or a correct value other than 0 or 1 is
-    rejected with ``path:line``."""
+    tab-separated fields, an id that is not an optional '-' followed by
+    ASCII digits, a score that does not parse or is not finite, or a
+    correct value other than 0 or 1 is rejected with ``path:line``; a
+    file without rows is rejected with its path."""
     preds = []
     with open(path, encoding="utf-8") as f:
         header = f.readline().rstrip("\n")
@@ -176,6 +178,10 @@ def read_scores(path) -> list[ScoredPrediction]:
                 if len(row) != 4:
                     raise ValueError(f"expected 4 tab-separated fields, got {len(row)}")
                 qid, lid, score, correct = row
+                for name, value in (("query_id", qid), ("label_id", lid)):
+                    # int() alone also takes " 2", "+2", "1_0" and non-ASCII digits
+                    if not re.fullmatch("-?[0-9]+", value):
+                        raise ValueError(f"{name}: invalid literal for int() with base 10: {value!r}")
                 score = float(score)
                 if not np.isfinite(score):
                     raise ValueError(f"score {score!r} is not finite")
@@ -184,6 +190,8 @@ def read_scores(path) -> list[ScoredPrediction]:
                 preds.append(ScoredPrediction(int(qid), int(lid), score, correct == "1"))
             except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: {e}") from None
+    if not preds:
+        raise ValueError(f"{path}: no score rows")
     return preds
 
 

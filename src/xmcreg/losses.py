@@ -53,16 +53,15 @@ class MlpHead:
     ln_bias: dm.Tensor
     w2: dm.Tensor
     b2: dm.Tensor
-    dropout_rate: float = 0.1
 
-    def forward(self, tape, x: dm.Tensor, rng: np.random.Generator | None = None, training: bool = False) -> dm.Tensor:
-        """Logits for the pair features along the last axis of x, shaped x.shape[:-1]."""
+    def forward(self, tape, x: dm.Tensor, dropout: tuple[float, np.random.Generator] | None = None) -> dm.Tensor:
+        """Logits for the pair features along the last axis of x, shaped
+        x.shape[:-1]. A (rate, rng) dropout with rate > 0 draws the mask."""
         h = dm.affine(tape, x, self.w1, self.b1)
         h = dm.layer_norm(tape, h, self.ln_gain, self.ln_bias)
-        if training and self.dropout_rate > 0.0:
-            if rng is None:
-                raise ValueError("training-mode dropout needs an rng")
-            keep = 1.0 - self.dropout_rate
+        if dropout is not None and dropout[0] > 0.0:
+            rate, rng = dropout
+            keep = 1.0 - rate
             mask = (rng.random(h.shape) < keep) / keep
             h = dm.mul(tape, h, mask)
         h = dm.gelu(tape, h)
@@ -70,7 +69,7 @@ class MlpHead:
         return dm.reshape(tape, logits, logits.shape[:-1])
 
 
-def init_head(rng: np.random.Generator, in_dim: int, dropout_rate: float = 0.1) -> MlpHead:
+def init_head(rng: np.random.Generator, in_dim: int) -> MlpHead:
     """A head whose hidden layer is as wide as its input."""
     return MlpHead(
         w1=dm.Tensor(rng.normal(0.0, 1.0 / np.sqrt(in_dim), size=(in_dim, in_dim))),
@@ -79,7 +78,6 @@ def init_head(rng: np.random.Generator, in_dim: int, dropout_rate: float = 0.1) 
         ln_bias=dm.Tensor(np.zeros(in_dim)),
         w2=dm.Tensor(rng.normal(0.0, 1.0 / np.sqrt(in_dim), size=(in_dim, 1))),
         b2=dm.Tensor(np.zeros(1)),
-        dropout_rate=dropout_rate,
     )
 
 
@@ -143,8 +141,7 @@ def aux_loss_ql(
     head: MlpHead,
     gammas: dm.Tensor,
     targets: list[np.ndarray],
-    rng: np.random.Generator | None = None,
-    training: bool = False,
+    dropout: tuple[float, np.random.Generator] | None = None,
 ) -> dm.Tensor:
     """BCE of the pair classifier on raw 4d pair features.
 
@@ -153,7 +150,7 @@ def aux_loss_ql(
     exactly one positive.
     """
     _check_blockings(gammas, targets)
-    logits = head.forward(tape, gammas, rng=rng, training=training)
+    logits = head.forward(tape, gammas, dropout)
     return _bce_mean(tape, logits, np.concatenate(targets))
 
 
@@ -163,8 +160,7 @@ def aux_loss_qb(
     block: pair_reps.BlockContextParams,
     gammas: dm.Tensor,
     targets: list[np.ndarray],
-    rng: np.random.Generator | None = None,
-    training: bool = False,
+    dropout: tuple[float, np.random.Generator] | None = None,
 ) -> dm.Tensor:
     """BCE of the pair classifier on contextualized 16d pair features.
 
@@ -185,7 +181,7 @@ def aux_loss_qb(
         raise mining.BadBlocking("contextualization needs a blocking of K >= 2 pairs")
     if len(deltas) > 1:
         deltas = [dm.concat(tape, [dm.reshape(tape, d, (-1, d.shape[-1])) for d in deltas])]
-    logits = head.forward(tape, deltas[0], rng=rng, training=training)
+    logits = head.forward(tape, deltas[0], dropout)
     return _bce_mean(tape, logits, np.concatenate([targets[i] for i in order]).reshape(logits.shape))
 
 
@@ -196,6 +192,7 @@ class LossConfig:
     tcm: TcmConfig | None = field(default_factory=TcmConfig)
     triplet_margin: float = 0.3
     k: int = 5
+    dropout: float = 0.0
 
 
 def total_loss(
@@ -208,9 +205,9 @@ def total_loss(
     block: pair_reps.BlockContextParams,
     cfg: LossConfig,
     rng: np.random.Generator | None = None,
-    training: bool = False,
 ) -> tuple[dm.Tensor, LossBreakdown, int]:
-    """Full objective for one batch.
+    """Full objective for one batch. The heads apply cfg.dropout exactly
+    when an rng is given.
 
     Returns the scalar total (on the tape), its component breakdown, and
     the number of shrunk blockings. With beta1 = beta2 = 0 and the
@@ -260,12 +257,13 @@ def total_loss(
         pair_l = dm.gather_rows(tape, emb, label_rows([lid for b in blockings for lid in b.pair_label_ids]))
         gammas = pair_reps.build_gamma(tape, pair_q, pair_l)
         targets = [np.array(b.targets) for b in blockings]
+        dropout = None if rng is None else (cfg.dropout, rng)
         if cfg.beta1 != 0.0:
-            ql = aux_loss_ql(tape, head_ql, gammas, targets, rng=rng, training=training)
+            ql = aux_loss_ql(tape, head_ql, gammas, targets, dropout)
             xe_ql_val = float(ql.data)
             total = dm.add(tape, total, dm.mul(tape, ql, cfg.beta1))
         if cfg.beta2 != 0.0 and any(len(t) >= 2 for t in targets):
-            qb = aux_loss_qb(tape, head_qb, block, gammas, targets, rng=rng, training=training)
+            qb = aux_loss_qb(tape, head_qb, block, gammas, targets, dropout)
             xe_qb_val = float(qb.data)
             total = dm.add(tape, total, dm.mul(tape, qb, cfg.beta2))
 

@@ -57,6 +57,11 @@ class TrainConfig:
             ("batch_size", self.batch_size >= 2, ">= 2"),
             ("k", self.k >= 2, ">= 2"),
             ("learning_rate", self.learning_rate > 0, "> 0"),
+            ("learning_rate", math.isfinite(self.learning_rate), "finite"),
+            ("beta1", 0 <= self.beta1 < math.inf, "finite and >= 0"),
+            ("beta2", 0 <= self.beta2 < math.inf, "finite and >= 0"),
+            ("triplet_margin", math.isfinite(self.triplet_margin), "finite"),
+            ("seed", self.seed >= 0, ">= 0"),
             ("sampler", self.sampler in ("cluster", "ance"), "'cluster' or 'ance'"),
             ("refresh_cadence", self.refresh_cadence >= 1, ">= 1"),
             ("pool_size", self.sampler != "ance" or self.pool_size >= 1, ">= 1 with the ance sampler"),
@@ -77,6 +82,7 @@ class TrainConfig:
             tcm=TcmConfig(self.m_plus, self.m_minus) if self.tcm_enabled else None,
             triplet_margin=self.triplet_margin,
             k=self.k,
+            dropout=self.dropout,
         )
 
 
@@ -96,26 +102,20 @@ class ModelParams:
         }
 
 
-def _layout() -> list[tuple[str, str, type, list[str]]]:
-    """(attribute, checkpoint prefix, class, tensor field names) of each
-    ModelParams part. Names follow field order, which fixes the order of
-    tensors in a checkpoint."""
-    layout = []
-    for attr, cls in typing.get_type_hints(ModelParams).items():
-        kinds = typing.get_type_hints(cls)
-        names = [f.name for f in fields(cls) if kinds[f.name] is dm.Tensor]
-        layout.append((attr, "encoder" if attr == "enc" else attr, cls, names))
-    return layout
-
-
-_LAYOUT = _layout()
+# (attribute, checkpoint prefix, class, field names) of each ModelParams
+# part; every field of a part is a tensor. Names follow field order, which
+# fixes the order of tensors in a checkpoint.
+_LAYOUT = [
+    (attr, "encoder" if attr == "enc" else attr, cls, [f.name for f in fields(cls)])
+    for attr, cls in typing.get_type_hints(ModelParams).items()
+]
 
 
 def init_model(rng: np.random.Generator, config: TrainConfig) -> ModelParams:
     enc = init_encoder(rng, d=config.dim, d_in=config.dim_hidden, num_buckets=config.num_buckets)
     width = 4 * config.dim
-    head_ql = init_head(rng, width, dropout_rate=config.dropout)
-    head_qb = init_head(rng, 4 * width, dropout_rate=config.dropout)
+    head_ql = init_head(rng, width)
+    head_qb = init_head(rng, 4 * width)
     block = init_block(rng, width)
     return ModelParams(enc=enc, head_ql=head_ql, head_qb=head_qb, block=block)
 
@@ -141,6 +141,8 @@ def model_from_tensors(tensors: dict[str, np.ndarray], path: str | Path | None =
 # arena slice, so a block's parameters, gradients, moments and two
 # temporaries stay in the L2 cache while its thirteen passes run.
 ADAM_BLOCK = 32768
+# update_step's b1, b2 and eps
+ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -212,8 +214,7 @@ def _collect_gradients(params: dict[str, dm.Tensor], state: AdamState) -> list[l
     return runs
 
 
-def update_step(params: dict[str, dm.Tensor], state: AdamState, lr: float,
-                b1: float = 0.9, b2: float = 0.999, eps: float = 1e-8) -> None:
+def update_step(params: dict[str, dm.Tensor], state: AdamState, lr: float) -> None:
     """Adaptive moment estimation update with bias correction, in place.
 
     A parameter whose gradient has been zero on every step so far has
@@ -245,18 +246,18 @@ def update_step(params: dict[str, dm.Tensor], state: AdamState, lr: float,
             hi = min(lo + ADAM_BLOCK, stop)
             g, mb, vb = grad[lo:hi], m[lo:hi], v[lo:hi]
             update, denom = tmp[:, : hi - lo]
-            mb *= b1
-            np.multiply(g, 1 - b1, out=update)
+            mb *= ADAM_B1
+            np.multiply(g, 1 - ADAM_B1, out=update)
             mb += update
-            vb *= b2
-            np.multiply(g, 1 - b2, out=denom)
+            vb *= ADAM_B2
+            np.multiply(g, 1 - ADAM_B2, out=denom)
             denom *= g
             vb += denom
-            np.divide(mb, 1 - b1**t, out=update)
+            np.divide(mb, 1 - ADAM_B1**t, out=update)
             update *= lr
-            np.divide(vb, 1 - b2**t, out=denom)
+            np.divide(vb, 1 - ADAM_B2**t, out=denom)
             np.sqrt(denom, out=denom)
-            denom += eps
+            denom += ADAM_EPS
             update /= denom
             data[lo:hi] -= update
 
@@ -439,8 +440,7 @@ def train(
                 p.grad = None
             tape = dm.GradTape()
             total, breakdown, _ = total_loss(
-                tape, dataset, batch, model.enc, model.head_ql, model.head_qb,
-                model.block, loss_cfg, rng=rng, training=True,
+                tape, dataset, batch, model.enc, model.head_ql, model.head_qb, model.block, loss_cfg, rng=rng
             )
             if not np.isfinite(breakdown.total):
                 raise NonFiniteLoss(f"non-finite loss at step {state.step}")

@@ -92,14 +92,18 @@ def kernel_gradchecks(seed: int, tol: float = 1e-4, max_coords: int = 64) -> Sui
     return SuiteReport(max_relative_error=errors[worst], passed=errors[worst] <= tol, worst_case=worst)
 
 
-def make_micro_objective(seed: int, d: int = 8, batch_size: int = 6, k: int = 3, num_labels: int = 20):
+# micro objective: embedding width, batch, blocking size, labels, gradcheck coordinates per tensor
+MICRO_DIM, MICRO_BATCH, MICRO_K, MICRO_LABELS, MICRO_MAX_COORDS = 8, 6, 3, 20, 8
+
+
+def make_micro_objective(seed: int):
     """A tiny end-to-end objective closure plus its parameter set.
 
-    Dropout is disabled so the objective is deterministic across calls.
+    It draws no dropout (no rng), so it is deterministic across calls.
     """
     spec = SyntheticSpec(
-        num_labels=num_labels,
-        num_train_queries=batch_size,
+        num_labels=MICRO_LABELS,
+        num_train_queries=MICRO_BATCH,
         num_test_queries=0,
         families=4,
         noise_rate=0.1,
@@ -109,8 +113,8 @@ def make_micro_objective(seed: int, d: int = 8, batch_size: int = 6, k: int = 3,
     labels, queries, _ = build_synthetic(spec)
     dataset = mining.Dataset(queries=queries, labels=labels)
     config = TrainConfig(
-        epochs=1, batch_size=batch_size, k=k,
-        dim=d, dim_hidden=2 * d, num_buckets=1024, dropout=0.0, seed=seed,
+        epochs=1, batch_size=MICRO_BATCH, k=MICRO_K,
+        dim=MICRO_DIM, dim_hidden=2 * MICRO_DIM, num_buckets=1024, seed=seed,
     )
     rng = np.random.default_rng(seed)
     model = init_model(rng, config)
@@ -122,18 +126,15 @@ def make_micro_objective(seed: int, d: int = 8, batch_size: int = 6, k: int = 3,
     loss_cfg = config.loss_config()
 
     def fn(tape):
-        return total_loss(
-            tape, dataset, batch, model.enc, model.head_ql, model.head_qb,
-            model.block, loss_cfg, training=False,
-        )[0]
+        return total_loss(tape, dataset, batch, model.enc, model.head_ql, model.head_qb, model.block, loss_cfg)[0]
 
     return fn, model.named_tensors()
 
 
-def total_loss_gradcheck(seed: int, tol: float = 1e-4, max_coords: int = 8) -> dm.GradCheckReport:
+def total_loss_gradcheck(seed: int, tol: float = 1e-4) -> dm.GradCheckReport:
     """Finite-difference check of the complete objective on a micro batch."""
     fn, params = make_micro_objective(seed)
-    return dm.grad_check(fn, params, seed=seed, tol=tol, max_coords=max_coords)
+    return dm.grad_check(fn, params, seed=seed, tol=tol, max_coords=MICRO_MAX_COORDS)
 
 
 def full_suite(seed: int, tol: float = 1e-4) -> SuiteReport:

@@ -72,6 +72,13 @@ class TestGenerate:
         assert f"{spec}: " in err and "families" in err
         assert not (tmp_path / "d").exists()
 
+    def test_negative_spec_seed_names_file(self, tmp_path, capsys):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("num_labels = 20\nfamilies = 4\nseed = -1\n")
+        assert run(["generate-data", "--out", str(tmp_path / "d"), "--spec", str(spec)]) == 2
+        assert f"error: {spec}: need seed >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_missing_size_flags_is_usage_error(self, tmp_path):
         assert run(["generate-data", "--out", str(tmp_path / "d")]) == 1
         assert not (tmp_path / "d").exists()
@@ -122,6 +129,19 @@ class TestTrain:
         assert run(["train", "--config", str(cfg), "--data", str(dataset_dir / "train"), "--out", str(out)]) == 2
         message = "invalid training configuration: m_plus must be in (m_minus, 1] with tcm_enabled, got 0.3"
         assert f"{cfg}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("seed = -1", "seed must be >= 0, got -1"),
+        ("learning_rate = inf", "learning_rate must be finite, got inf"),
+        ("beta2 = -1", "beta2 must be finite and >= 0, got -1.0"),
+    ])
+    def test_unchecked_values_rejected_before_training(self, dataset_dir, tmp_path, capsys, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_TRAIN_CFG.replace("seed = 0\n", "") + line + "\n")
+        out = tmp_path / "out"
+        assert run(["train", "--config", str(cfg), "--data", str(dataset_dir / "train"), "--out", str(out)]) == 2
+        assert f"error: {cfg}: invalid training configuration: {message}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -249,6 +269,14 @@ class TestHistogram:
         out = tmp_path / "hist.json"
         assert run(["histogram", "--scores", str(scores), "--out", str(out)]) == 2
         assert f"error: {scores}:3: score nan is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_header_only_file_fails_naming_it(self, tmp_path, capsys):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("query_id\tlabel_id\tscore\tcorrect\n")
+        out = tmp_path / "hist.json"
+        assert run(["histogram", "--scores", str(scores), "--out", str(out)]) == 2
+        assert f"error: {scores}: no score rows" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -35,6 +35,8 @@ class TestSyntheticSpec:
             SyntheticSpec(abbreviation_rate=-0.1)
         with pytest.raises(InvalidSpec):
             SyntheticSpec(num_train_queries=0)
+        with pytest.raises(InvalidSpec, match=r"^need seed >= 0, got -1$"):
+            SyntheticSpec(seed=-1)
 
 
 class TestCorruptText:

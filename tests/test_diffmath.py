@@ -94,8 +94,8 @@ class TestLayerNorm:
         np.testing.assert_allclose(out.data, np.zeros(4), atol=1e-12)
 
     def test_already_standardized(self):
-        out = dm.layer_norm(None, dm.Tensor([1.0, -1.0]), dm.Tensor(np.ones(2)), dm.Tensor(np.zeros(2)), eps=1e-14)
-        np.testing.assert_allclose(out.data, [1.0, -1.0], atol=1e-6)
+        out = dm.layer_norm(None, dm.Tensor([1.0, -1.0]), dm.Tensor(np.ones(2)), dm.Tensor(np.zeros(2)))
+        np.testing.assert_allclose(out.data, np.array([1.0, -1.0]) / math.sqrt(1 + dm.LAYER_NORM_EPS), rtol=1e-15)
 
     def test_bias_shifts_mean(self):
         out = dm.layer_norm(None, dm.Tensor([2.0, 4.0, 6.0]), dm.Tensor(np.ones(3)), dm.Tensor(np.full(3, 5.0)))

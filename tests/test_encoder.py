@@ -235,9 +235,9 @@ class TestInit:
     def test_invariants_enforced(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            init_encoder(rng, d=8, num_buckets=512)
+            init_encoder(rng, d=8, d_in=16, num_buckets=512)
         with pytest.raises(ValueError):
-            init_encoder(rng, d=1, num_buckets=2048)
+            init_encoder(rng, d=1, d_in=16, num_buckets=2048)
 
     def test_shapes(self):
         p = init_encoder(np.random.default_rng(0), d=8, d_in=16, num_buckets=1024)

@@ -1,6 +1,7 @@
 """Retrieval, precision, coverage-at-target, and histogram reporting."""
 
 import json
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -265,6 +266,7 @@ class TestHistogram:
 class TestFiles:
     def test_scores_round_trip(self, tmp_path):
         preds = _preds([0.912345678901234, -0.25, 0.0], [True, False, True])
+        preds[1].query_id, preds[1].top1_label_id = -3, -10  # a sign is kept
         path = tmp_path / "scores.tsv"
         write_scores(path, preds)
         header = path.read_text().split("\n")[0]
@@ -289,13 +291,26 @@ class TestFiles:
         ("1\t2\t-inf\t0", "score -inf is not finite"),
         ("1\t2\t0.5\t7", "correct must be 0 or 1, got '7'"),
         ("1\t2\t0.5\ttrue", "correct must be 0 or 1, got 'true'"),
+        # ids that int() takes but write_scores never writes
+        ("1_0\t2\t0.5\t1", "query_id: invalid literal for int() with base 10: '1_0'"),
+        (" 1\t2\t0.5\t1", "query_id: invalid literal for int() with base 10: ' 1'"),
+        ("+1\t2\t0.5\t1", "query_id: invalid literal for int() with base 10: '+1'"),
+        ("\u0661\t2\t0.5\t1", "query_id: invalid literal for int() with base 10: '\u0661'"),
+        ("1\t 2\t0.5\t1", "label_id: invalid literal for int() with base 10: ' 2'"),
+        ("1\t2 \t0.5\t1", "label_id: invalid literal for int() with base 10: '2 '"),
     ])
     def test_malformed_scores_row_names_path_and_line(self, tmp_path, row, message):
         path = tmp_path / "scores.tsv"
-        path.write_text(f"query_id\tlabel_id\tscore\tcorrect\n0\t1\t0.25\t0\n{row}\n0\t1\t0.25\t0\n")
+        path.write_text(f"query_id\tlabel_id\tscore\tcorrect\n0\t1\t0.25\t0\n{row}\n0\t1\t0.25\t0\n", encoding="utf-8")
         with pytest.raises(ValueError) as err:
             read_scores(path)
         assert str(err.value).startswith(f"{path}:3: ") and message in str(err.value)
+
+    def test_header_only_file_names_path(self, tmp_path):
+        path = tmp_path / "scores.tsv"
+        path.write_text("query_id\tlabel_id\tscore\tcorrect\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no score rows$"):
+            read_scores(path)
 
     def test_report_json(self, tmp_path):
         preds = _preds([0.9, 0.4], [True, False])

@@ -25,7 +25,7 @@ from xmcreg.losses import (
     triplet_base_loss,
 )
 from xmcreg.pair_reps import build_delta, build_gamma, contextualize, init_block
-from xmcreg.trainer import init_model
+from xmcreg.trainer import Checkpoint, init_model, model_from_tensors
 
 from conftest import tiny_config, tiny_spec
 
@@ -119,7 +119,7 @@ class TestTcm:
 
 def _zero_head(in_dim: int) -> MlpHead:
     """Head whose logits are identically zero (p = 0.5 everywhere)."""
-    head = init_head(np.random.default_rng(0), in_dim, dropout_rate=0.0)
+    head = init_head(np.random.default_rng(0), in_dim)
     head.w2 = dm.Tensor(np.zeros_like(head.w2.data))
     head.b2 = dm.Tensor(np.zeros(1))
     return head
@@ -171,7 +171,7 @@ class TestAuxLosses:
 
     def test_qb_pair_swap_invariance(self):
         rng = np.random.default_rng(3)
-        head = init_head(np.random.default_rng(4), 32, dropout_rate=0.0)
+        head = init_head(np.random.default_rng(4), 32)
         block = init_block(np.random.default_rng(5), width=8)
         feats = rng.normal(size=(2, 8))
         targets = np.array([mining.POSITIVE_TARGET, mining.NEGATIVE_TARGET])
@@ -179,17 +179,22 @@ class TestAuxLosses:
         b = float(aux_loss_qb(None, head, block, dm.Tensor(feats[::-1].copy()), [targets[::-1].copy()]).data)
         assert a == b  # exact, not approximate
 
-    def test_dropout_needs_rng(self):
-        head = init_head(np.random.default_rng(0), 8, dropout_rate=0.1)
-        with pytest.raises(ValueError):
-            head.forward(None, dm.Tensor(np.zeros((2, 8))), training=True)
-
     def test_dropout_off_at_eval(self):
-        head = init_head(np.random.default_rng(0), 8, dropout_rate=0.5)
+        head = init_head(np.random.default_rng(0), 8)
         x = dm.Tensor(np.random.default_rng(1).normal(size=(2, 8)))
         a = head.forward(None, x).data
         b = head.forward(None, x).data
         np.testing.assert_array_equal(a, b)
+
+    def test_dropout_draws_only_at_a_positive_rate(self):
+        head = init_head(np.random.default_rng(0), 8)
+        x = dm.Tensor(np.random.default_rng(1).normal(size=(2, 8)))
+        rng = np.random.default_rng(2)
+        state = rng.bit_generator.state
+        assert head.forward(None, x, (0.0, rng)).data.tobytes() == head.forward(None, x).data.tobytes()
+        assert rng.bit_generator.state == state
+        assert head.forward(None, x, (0.5, rng)).data.tobytes() != head.forward(None, x).data.tobytes()
+        assert rng.bit_generator.state != state
 
 
 class TestBceSuite:
@@ -240,6 +245,21 @@ class TestTotalLoss:
         negs = mining.in_batch_negatives(batch, dataset)
         batch.neg_pools = {qid: tuple(negs[qid]) for qid in qids}
         return dataset, batch, model, config
+
+    def test_rng_draws_nothing_without_dropout(self, tmp_path):
+        # a model loaded from a checkpoint holds no dropout rate of its own
+        dataset, batch, model, _ = self._setup()
+        tensors = {name: np.array(p.data) for name, p in model.named_tensors().items()}
+        Checkpoint(tensors=tensors, config={}, epoch=0).save(tmp_path / "c.bin")
+        loaded = model_from_tensors(Checkpoint.load(tmp_path / "c.bin").tensors)
+        cfg = LossConfig(beta1=1.0, beta2=0.5, tcm=TcmConfig(), k=3, dropout=0.0)
+        args = (dataset, batch, loaded.enc, loaded.head_ql, loaded.head_qb, loaded.block, cfg)
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        total, breakdown, _ = total_loss(None, *args, rng=rng)
+        assert rng.bit_generator.state == state
+        plain, plain_breakdown, _ = total_loss(None, *args)
+        assert total.data.tobytes() == plain.data.tobytes() and breakdown == plain_breakdown
 
     def test_ablation_identity_bit_exact(self):
         dataset, batch, model, config = self._setup()
@@ -351,24 +371,24 @@ class TestTotalLoss:
 # the per-pair objective, kept as the oracle of the batched regularizer
 
 
-def _oracle_aux_ql(tape, head, blockings, rng=None, training=False):
+def _oracle_aux_ql(tape, head, blockings):
     """One (K, 4d) feature matrix per blocking, concatenated for the head."""
     for _, targets in blockings:
         if int(np.sum(targets == mining.POSITIVE_TARGET)) != 1:
             raise mining.BadBlocking("blocking without a unique positive")
     features = dm.concat(tape, [g for g, _ in blockings], axis=0)
-    logits = head.forward(tape, features, rng=rng, training=training)
+    logits = head.forward(tape, features)
     return dm.mean_all(tape, dm.bce_with_logits(tape, logits, np.concatenate([t for _, t in blockings])))
 
 
-def _oracle_aux_qb(tape, head, block, blockings, rng=None, training=False):
+def _oracle_aux_qb(tape, head, block, blockings):
     """One contextualize and one build_delta per blocking."""
     deltas = []
     for gammas, _ in blockings:
         lam = contextualize(tape, block, gammas)
         deltas.append(build_delta(tape, gammas, lam))
     features = dm.concat(tape, deltas, axis=0)
-    logits = head.forward(tape, features, rng=rng, training=training)
+    logits = head.forward(tape, features)
     return dm.mean_all(tape, dm.bce_with_logits(tape, logits, np.concatenate([t for _, t in blockings])))
 
 
@@ -445,8 +465,8 @@ class TestBatchedRegularizer:
         blockings = self._blockings(seed)
         gammas = dm.Tensor(np.concatenate([g.data for g, _ in blockings]))
         targets = [t for _, t in blockings]
-        head_ql = init_head(np.random.default_rng(seed + 10), 8, dropout_rate=0.0)
-        head_qb = init_head(np.random.default_rng(seed + 20), 32, dropout_rate=0.0)
+        head_ql = init_head(np.random.default_rng(seed + 10), 8)
+        head_qb = init_head(np.random.default_rng(seed + 20), 32)
         block = init_block(np.random.default_rng(seed + 30), width=8)
         params = {f"ql/{k}": v for k, v in vars(head_ql).items() if isinstance(v, dm.Tensor)}
         params |= {f"qb/{k}": v for k, v in vars(head_qb).items() if isinstance(v, dm.Tensor)}
@@ -470,7 +490,7 @@ class TestBatchedRegularizer:
     def test_qb_leaves_out_single_pairs(self):
         # a blocking of one pair has no context: it counts for aux_loss_ql only
         rng = np.random.default_rng(5)
-        head = init_head(np.random.default_rng(6), 32, dropout_rate=0.0)
+        head = init_head(np.random.default_rng(6), 32)
         block = init_block(np.random.default_rng(7), width=8)
         single, triple = rng.normal(size=(1, 8)), rng.normal(size=(3, 8))
         targets = np.array([mining.POSITIVE_TARGET, mining.NEGATIVE_TARGET, mining.NEGATIVE_TARGET])

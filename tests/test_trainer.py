@@ -63,6 +63,11 @@ class TestTrainConfig:
         (dict(m_plus=0.3), "m_plus must be in (m_minus, 1] with tcm_enabled, got 0.3"),
         (dict(m_plus=1.5), "m_plus must be in (m_minus, 1] with tcm_enabled, got 1.5"),
         (dict(m_minus=-2.0, m_plus=0.5), "m_minus must be >= -1 with tcm_enabled, got -2.0"),
+        (dict(seed=-1), "seed must be >= 0, got -1"),
+        (dict(learning_rate=float("inf")), "learning_rate must be finite, got inf"),
+        (dict(beta1=float("nan")), "beta1 must be finite and >= 0, got nan"),
+        (dict(beta2=-1.0), "beta2 must be finite and >= 0, got -1.0"),
+        (dict(triplet_margin=float("nan")), "triplet_margin must be finite, got nan"),
     ])
     def test_rejection_names_field_and_value(self, bad, message):
         with pytest.raises(ValueError, match=re.escape(f"invalid training configuration: {message}")):
@@ -75,9 +80,9 @@ class TestTrainConfig:
         assert TrainConfig(tcm_enabled=False, m_plus=0.3).m_plus == 0.3
 
     def test_loss_config_mirrors_fields(self):
-        cfg = TrainConfig(beta1=0.25, beta2=0.75, tcm_enabled=False, k=3, triplet_margin=0.2)
+        cfg = TrainConfig(beta1=0.25, beta2=0.75, tcm_enabled=False, k=3, triplet_margin=0.2, dropout=0.3)
         lc = cfg.loss_config()
-        assert lc.beta1 == 0.25 and lc.beta2 == 0.75 and lc.tcm is None
+        assert lc.beta1 == 0.25 and lc.beta2 == 0.75 and lc.tcm is None and lc.dropout == 0.3
         assert lc.k == 3 and lc.triplet_margin == 0.2
 
 
@@ -135,7 +140,7 @@ class TestAdam:
         for t, step_grads in enumerate(grads, start=1):
             for name, p in params.items():
                 p.grad = step_grads.get(name)
-            update_step(params, state, lr=lr, b1=b1, b2=b2, eps=eps)
+            update_step(params, state, lr=lr)
             for name, g in step_grads.items():
                 g = np.zeros_like(params[name].data) if g is None else g
                 p_ref, m, v = ref[name]
@@ -215,7 +220,7 @@ class TestArena:
                 assert params[name].grad.tobytes() == g.tobytes(), name
             for name, g in assigned.items():
                 params[name].grad = g.copy()
-            update_step(params, state, lr=lr, b1=b1, b2=b2, eps=eps)
+            update_step(params, state, lr=lr)
             touched |= landed.keys() | assigned.keys()
             for name in touched:
                 g = {**landed, **assigned}.get(name, np.zeros_like(params[name].data))
@@ -621,6 +626,16 @@ class TestModelRoundTrip:
         del tensors["head_qb/b2"]
         with pytest.raises(ValueError, match=re.escape("ckpt.bin: no model tensor 'head_qb/b2'")):
             model_from_tensors(tensors, path="ckpt.bin")
+
+    def test_parts_hold_tensors_only(self):
+        config = tiny_config(dropout=0.0)
+        model = init_model(np.random.default_rng(0), config)
+        loaded = model_from_tensors({k: np.array(v.data) for k, v in model.named_tensors().items()})
+        for m in (model, loaded):
+            for part in dataclasses.fields(m):
+                obj = getattr(m, part.name)
+                for f in dataclasses.fields(obj):
+                    assert isinstance(getattr(obj, f.name), dm.Tensor), f"{part.name}.{f.name}"
 
     def test_named_tensors_rebuild(self):
         config = tiny_config()
