@@ -49,8 +49,10 @@ class SyntheticSpec:
             raise InvalidSpec("need num_labels >= families >= 2")
         if not (0.0 <= self.noise_rate < 1.0 and 0.0 <= self.abbreviation_rate < 1.0):
             raise InvalidSpec("rates must lie in [0, 1)")
-        if self.num_train_queries < 1 or self.num_test_queries < 0:
-            raise InvalidSpec("need at least one training query")
+        if self.num_train_queries < 1:
+            raise InvalidSpec(f"need num_train_queries >= 1, got {self.num_train_queries}")
+        if self.num_test_queries < 0:
+            raise InvalidSpec(f"need num_test_queries >= 0, got {self.num_test_queries}")
         if self.seed < 0:
             raise InvalidSpec(f"need seed >= 0, got {self.seed}")
 

@@ -293,7 +293,9 @@ def embedding_bag(tape, table, ids, weights) -> Tensor:
         real = np.nonzero(weights)
         np.add.at(table.grad, ids[real], g[real[1:]] * weights[real][:, None] + 0.0)
 
-    return _make(tape, (dt[ids] * weights[..., None]).sum(axis=0), backward)
+    rows = dt[ids]
+    rows *= weights[..., None]
+    return _make(tape, rows.sum(axis=0), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ globally hardest non-positive labels under the current embeddings.
 Per-query groups ("blockings") of one positive plus the K-1 hardest
 negatives feed the auxiliary classifiers.
 
-All tie-breaking is by ascending label id for reproducibility.
+Scores stay in input column order; all ties are broken by ascending label id.
 """
 
 from __future__ import annotations
@@ -133,33 +133,28 @@ def in_batch_negatives(batch: Batch, dataset: Dataset) -> dict[int, list[int]]:
 
 def score_chunks(query_embeddings: np.ndarray, label_embeddings: np.ndarray, label_ids: list[int]):
     """Scores of every query against every label, a block of query rows at
-    a time, with the label columns in ascending-id order.
+    a time, with the label columns in input column order.
 
-    Yields ``(rows, ids, scores)``: a slice of query rows, the label ids
-    in column order, and the block's scores. Blocks start at multiples of
-    SCORE_BLOCK_ROWS rows and hold about SCORE_CHUNK_ELEMENTS scores; a
-    tail of under half a block joins the block before it. No block is
-    then a one-row product, which BLAS computes another way, unless the
-    input has one row. With single-threaded OpenBLAS the scores equal the
-    same entries of the whole product bit for bit. A repeated label id
-    raises ValueError.
+    Yields ``(rows, scores)``: a slice of query rows and the block's
+    scores, whose column j belongs to ``label_ids[j]``. Blocks start at
+    multiples of SCORE_BLOCK_ROWS rows and hold about SCORE_CHUNK_ELEMENTS
+    scores; a tail of under half a block joins the block before it. No
+    block is then a one-row product, which BLAS computes another way,
+    unless the input has one row. With single-threaded OpenBLAS the scores
+    equal the same entries of the whole product bit for bit. A repeated
+    label id raises ValueError, since ties are broken by id.
     """
-    ids = np.asarray(label_ids)
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
+    sorted_ids = np.sort(label_ids)
     repeated = np.flatnonzero(sorted_ids[1:] == sorted_ids[:-1])
     if repeated.size:
         raise ValueError(f"label id {sorted_ids[repeated[0]]} is repeated")
     n = query_embeddings.shape[0]
-    step = max(1, SCORE_CHUNK_ELEMENTS // (SCORE_BLOCK_ROWS * max(1, len(ids)))) * SCORE_BLOCK_ROWS
+    step = max(1, SCORE_CHUNK_ELEMENTS // (SCORE_BLOCK_ROWS * max(1, len(label_ids)))) * SCORE_BLOCK_ROWS
     starts = list(range(0, n, step))
     if len(starts) > 1 and n - starts[-1] < step // 2:
         starts.pop()
     for start, stop in zip(starts, starts[1:] + [n]):
-        # id order is applied after the product, whose rounding can depend
-        # on the order of the columns too
-        yield slice(start, stop), sorted_ids, np.take(
-            query_embeddings[start:stop] @ label_embeddings.T, order, axis=1)
+        yield slice(start, stop), query_embeddings[start:stop] @ label_embeddings.T
 
 
 def ance_pool(
@@ -171,32 +166,34 @@ def ance_pool(
 ) -> list[list[int]]:
     """Per-query pools of the pool_size hardest non-positive labels.
 
-    Exact brute-force search over all labels; ordered by similarity
-    descending, ties by ascending label id. Positive ids that are not
-    among ``label_ids`` are ignored.
+    Exact brute-force search over all labels, reading the scores in input
+    column order; ordered by similarity descending, ties by ascending
+    label id. Positive ids that are not among ``label_ids`` are ignored.
     """
     if pool_size < 1:
         raise ValueError("pool_size must be >= 1")
+    ids = np.asarray(label_ids)
+    by_id = np.argsort(ids, kind="stable")
+    sorted_ids = ids[by_id]
     pools: list[list[int]] = []
-    for rows, ids, scores in score_chunks(query_embeddings, label_embeddings, label_ids):
+    for rows, scores in score_chunks(query_embeddings, label_embeddings, label_ids):
         positives = positives_per_query[rows]
         pos_rows = np.repeat(np.arange(len(positives)), [len(p) for p in positives])
         pos_ids = np.fromiter(itertools.chain.from_iterable(positives), dtype=ids.dtype, count=len(pos_rows))
-        # each positive's column among the unique ascending ids, if it is a label
-        u = np.searchsorted(ids, pos_ids)
+        # each positive's rank among the ascending ids, then its column, if it is a label
+        u = np.searchsorted(sorted_ids, pos_ids)
         known = u < len(ids)
-        known[known] = ids[u[known]] == pos_ids[known]
-        scores[pos_rows[known], u[known]] = -np.inf
-        # ascending negated scores, ties in ascending-id column order, as a
-        # stable sort would give; masked positives sort last
+        known[known] = sorted_ids[u[known]] == pos_ids[known]
+        scores[pos_rows[known], by_id[u[known]]] = -np.inf
+        # ascending negated scores; masked positives sort last
         np.negative(scores, out=scores)
         pools.extend(_smallest_per_row(scores, ids, pool_size))
     return pools
 
 
 def _smallest_per_row(scores: np.ndarray, ids: np.ndarray, k: int) -> list[list[int]]:
-    """Ids of each row's k smallest finite scores, ordered by (score,
-    column): the first k of a stable argsort, without sorting whole rows."""
+    """Ids of each row's k smallest finite scores, ordered by (score, id)
+    where column j holds ``ids[j]``, without sorting whole rows."""
     n, width = scores.shape
     k = min(k, width)
     if k == 0:
@@ -205,7 +202,7 @@ def _smallest_per_row(scores: np.ndarray, ids: np.ndarray, k: int) -> list[list[
     # every score at or below a row's k-th smallest, ties at the k-th included
     rows, cols = np.nonzero(scores <= kth)
     vals = scores[rows, cols]
-    order = np.lexsort((cols, vals, rows))
+    order = np.lexsort((ids[cols], vals, rows))
     rows, cols, vals = rows[order], cols[order], vals[order]
     rank = np.arange(rows.size) - np.searchsorted(rows, rows)
     keep = (rank < k) & np.isfinite(vals)

@@ -3,6 +3,7 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from xmcreg.data_io import SyntheticSpec, build_synthetic
 from xmcreg.mining import Dataset
@@ -41,6 +42,27 @@ def tiny_config(**overrides) -> TrainConfig:
 def tiny_dataset() -> Dataset:
     labels, train_q, _ = build_synthetic(tiny_spec())
     return Dataset(queries=train_q, labels=labels)
+
+
+@st.composite
+def scoring_cases(draw):
+    """(queries, labels, label ids, positives, SCORE_BLOCK_ROWS,
+    SCORE_CHUNK_ELEMENTS) for exact search. Entries are coarse and include
+    -0.0, so every score is exact in any summation order and many tie. The
+    ids ascend or are shuffled; some positives (99) are not labels, and some
+    queries have every label positive. Blocks of at least 2 rows keep BLAS
+    off its one-row path unless the input has one row."""
+    nq, nl, d = draw(st.integers(1, 9)), draw(st.integers(1, 9)), draw(st.integers(1, 3))
+    entry = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+    q = np.array(draw(st.lists(entry, min_size=nq * d, max_size=nq * d))).reshape(nq, d)
+    l = np.array(draw(st.lists(entry, min_size=nl * d, max_size=nl * d))).reshape(nl, d)
+    ids = draw(st.lists(st.integers(-20, 60), min_size=nl, max_size=nl, unique=True))
+    if draw(st.booleans()):
+        ids.sort()
+    positive_sets = st.one_of(st.frozensets(st.sampled_from(ids + [99]), max_size=3), st.just(frozenset(ids)))
+    positives = draw(st.lists(positive_sets, min_size=nq, max_size=nq))
+    block_rows, budget = draw(st.integers(2, 4)), draw(st.sampled_from([1, 7, 2**20]))
+    return q, l, ids, positives, block_rows, budget
 
 
 @contextlib.contextmanager

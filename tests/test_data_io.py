@@ -33,8 +33,10 @@ class TestSyntheticSpec:
             SyntheticSpec(noise_rate=1.0)
         with pytest.raises(InvalidSpec):
             SyntheticSpec(abbreviation_rate=-0.1)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidSpec, match=r"^need num_train_queries >= 1, got 0$"):
             SyntheticSpec(num_train_queries=0)
+        with pytest.raises(InvalidSpec, match=r"^need num_test_queries >= 0, got -1$"):
+            SyntheticSpec(num_test_queries=-1)
         with pytest.raises(InvalidSpec, match=r"^need seed >= 0, got -1$"):
             SyntheticSpec(seed=-1)
 

@@ -24,7 +24,7 @@ from xmcreg.evaluation import (
     write_scores,
 )
 
-from conftest import deadline
+from conftest import deadline, scoring_cases
 
 
 def _preds(scores, correct):
@@ -102,12 +102,39 @@ class TestRetrieveTop1:
         q[4] = l[7]
         label_ids = [int(x) for x in rng.permutation(np.arange(100, 110))]
         positives = [frozenset({label_ids[i], 999}) for i in range(9)]  # 999 is not a label
-        blocks = [rows for rows, _, _ in mining.score_chunks(q, l, label_ids)]
+        blocks = [rows for rows, _ in mining.score_chunks(q, l, label_ids)]
         assert all(rows.start % block_rows == 0 and rows.stop - rows.start >= 2 for rows in blocks)
         assert blocks[-1].stop == 9
         preds = retrieve_top1(q, l, list(range(9)), label_ids, positives)
         oracle = _double_loop_oracle(q @ l.T, label_ids, positives)
         assert [(p.top1_label_id, p.score, p.correct) for p in preds] == oracle
+
+    @settings(max_examples=300, deadline=None)
+    @given(scoring_cases())
+    def test_matches_double_loop_oracle_bytes(self, case):
+        # the scores' bytes, so picking a tied -0.0 for a lower-id 0.0 fails
+        q, l, label_ids, positives, block_rows, budget = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mining, "SCORE_BLOCK_ROWS", block_rows)
+            mp.setattr(mining, "SCORE_CHUNK_ELEMENTS", budget)
+            preds = retrieve_top1(q, l, list(range(len(q))), label_ids, positives)
+        got = [(p.top1_label_id, np.float64(p.score).tobytes(), p.correct) for p in preds]
+        oracle = [(lid, np.float64(score).tobytes(), correct)
+                  for lid, score, correct in _double_loop_oracle(q @ l.T, label_ids, positives)]
+        assert got == oracle
+
+    def test_nan_row_takes_lowest_id_nan_column(self):
+        # argmax counts a NaN as the maximum: a NaN query row takes the lowest
+        # label id, and a NaN label row wins over every finite score
+        q = np.array([[np.nan, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        l = np.array([[np.nan, 0.0], [1.0, 0.0], [0.0, 1.0], [np.nan, 1.0]])
+        label_ids = [7, 3, 9, 5]
+        positives = [frozenset({3}), frozenset({3}), frozenset({9})]
+        preds = retrieve_top1(q, l, [0, 1, 2], label_ids, positives)
+        assert [p.top1_label_id for p in preds] == [3, 5, 5]
+        assert all(np.isnan(p.score) for p in preds)
+        with deadline(10), pytest.raises(ValueError, match="^score of query 0 is NaN$"):
+            evaluate(preds, target_precision=0.85)
 
     def test_empty_label_space(self):
         with pytest.raises(EmptyLabelSpace):

@@ -19,6 +19,8 @@ from xmcreg.mining import (
     sample_positives,
 )
 
+from conftest import scoring_cases
+
 
 def _unit_rows(arr):
     arr = np.asarray(arr, dtype=float)
@@ -162,6 +164,16 @@ class TestAncePool:
         pools = ance_pool(q, labels, ids, positives, pool_size=pool_size)
         assert pools == _exhaustive_sort_oracle(q @ labels.T, ids, positives, pool_size)
         assert pools[-1] == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(scoring_cases(), st.integers(1, 12))
+    def test_matches_exhaustive_sort_across_blocks(self, case, pool_size):
+        q, labels, ids, positives, block_rows, budget = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mining, "SCORE_BLOCK_ROWS", block_rows)
+            mp.setattr(mining, "SCORE_CHUNK_ELEMENTS", budget)
+            pools = ance_pool(q, labels, ids, positives, pool_size=pool_size)
+        assert pools == _exhaustive_sort_oracle(q @ labels.T, ids, positives, pool_size)
 
     def test_invalid_pool_size(self):
         with pytest.raises(ValueError):
