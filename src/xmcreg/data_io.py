@@ -159,12 +159,20 @@ def build_synthetic(spec: SyntheticSpec) -> tuple[list[TextRecord], list[QueryRe
     return labels, make_queries(spec.num_train_queries), make_queries(spec.num_test_queries)
 
 
-def write_atomic(path: str | Path, data: bytes | str) -> None:
-    """Write ``data`` (a str as UTF-8) to ``path`` through a ``.tmp`` file
-    beside it and os.replace, so ``path`` never holds a partial file."""
+def write_atomic(path: str | Path, data: str | bytes | typing.Iterable[bytes]) -> None:
+    """Write ``data`` (a str as UTF-8, or bytes-like chunks in order) to
+    ``path`` through a ``.tmp`` file beside it and os.replace, so ``path``
+    never holds a partial file. A write that fails part way removes the ``.tmp``."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    if isinstance(data, (str, bytes)):
+        data = [data.encode("utf-8") if isinstance(data, str) else data]
+    try:
+        with open(tmp, "wb") as f:
+            f.writelines(data)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 

@@ -248,6 +248,29 @@ def stack(tape, parts) -> Tensor:
     return _make(tape, np.stack([_val(p) for p in parts]), backward)
 
 
+def _scatter_grad(t: Tensor, shape: tuple[int, ...]) -> np.ndarray:
+    """t's gradient buffer as a scatter destination: zeros if t has none yet
+    (in its arena view, for a parameter that has one), and C-contiguous."""
+    if t.grad is None:
+        # np.empty, not empty_like: a transposed operand's data is F-ordered
+        t.grad = np.empty(shape) if t.grad_view is None else t.grad_view
+        t.grad.fill(0.0)
+    elif not t.grad.flags.c_contiguous:
+        t.grad = np.ascontiguousarray(t.grad)
+    return t.grad
+
+
+def _scatter_add(dst: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
+    """np.add.at(dst, idx, vals) over the rows of a C-contiguous dst, bit for
+    bit: the same additions in the same order, but on numpy's fast path for a
+    1-D destination (a row-wise add.at runs one index at a time)."""
+    if not dst.flags.c_contiguous:  # reshape(-1) would copy and drop the adds
+        raise ValueError("scatter destination must be C-contiguous")
+    width = math.prod(dst.shape[1:])
+    flat = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+    np.add.at(dst.reshape(-1), flat, vals.reshape(-1))
+
+
 def gather_rows(tape, a, idx) -> Tensor:
     """Rows of a at the indices idx; an index array of shape S gives a
     result of shape S + a.shape[1:]."""
@@ -258,17 +281,16 @@ def gather_rows(tape, a, idx) -> Tensor:
     def backward(g):
         if not isinstance(a, Tensor):
             return
-        if a.grad is None:
-            a.grad = np.zeros_like(da)
+        grad = _scatter_grad(a, da.shape)
         # Only the gathered rows change. + 0.0 maps -0.0 to +0.0 as adding
         # g into a zero buffer did, so with unique idx this equals adding
         # a dense scatter of g bit for bit, except that a -0.0 already in
         # a row not gathered is left as it is
         g = g + 0.0
         if len(set(idx.ravel().tolist())) == idx.size:
-            a.grad[idx] += g
+            grad[idx] += g
         else:
-            np.add.at(a.grad, idx, g)
+            _scatter_add(grad, idx, g)
 
     return _make(tape, out, backward)
 
@@ -284,14 +306,12 @@ def embedding_bag(tape, table, ids, weights) -> Tensor:
     def backward(g):
         if not isinstance(table, Tensor):
             return
-        if table.grad is None:  # a parameter's gradient lands in its arena view
-            table.grad = np.empty_like(dt) if table.grad_view is None else table.grad_view
-            table.grad.fill(0.0)
+        grad = _scatter_grad(table, dt.shape)
         # real slots only, slot-major: a pad's g * 0 + 0.0 would add +0.0,
         # which leaves sums started from zeros as they are. + 0.0 maps -0.0
         # to +0.0, as adding into a zero buffer does
         real = np.nonzero(weights)
-        np.add.at(table.grad, ids[real], g[real[1:]] * weights[real][:, None] + 0.0)
+        _scatter_add(grad, ids[real], g[real[1:]] * weights[real][:, None] + 0.0)
 
     rows = dt[ids]
     rows *= weights[..., None]

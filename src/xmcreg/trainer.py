@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import typing
 from dataclasses import asdict, dataclass, field, fields
@@ -267,59 +268,64 @@ def update_step(params: dict[str, dm.Tensor], state: AdamState, lr: float) -> No
 
 
 def write_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
-    """Atomic write of the named-tensor container (magic 'ALC1')."""
-    buf = bytearray()
-    buf += CHECKPOINT_MAGIC
-    buf += struct.pack("<I", len(tensors))
-    for name, arr in tensors.items():
-        arr = np.asarray(arr, dtype=np.float64)  # keeps rank 0, unlike ascontiguousarray
-        encoded = name.encode("utf-8")
-        buf += struct.pack("<H", len(encoded))
-        buf += encoded
-        buf += struct.pack("<B", arr.ndim)
-        for d in arr.shape:
-            buf += struct.pack("<I", d)
-        buf += arr.astype("<f8").tobytes()
-    write_atomic(path, bytes(buf))
+    """Atomic write of the named-tensor container (magic 'ALC1'), one
+    header and one data chunk per tensor straight into the file."""
+
+    def chunks():
+        yield CHECKPOINT_MAGIC + struct.pack("<I", len(tensors))
+        for name, arr in tensors.items():
+            arr = np.asarray(arr, dtype=np.float64)  # keeps rank 0, unlike ascontiguousarray
+            encoded = name.encode("utf-8")
+            yield struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded, arr.ndim, *arr.shape)
+            yield np.ascontiguousarray(arr, dtype="<f8")  # no copy of a C-ordered float64 array
+
+    write_atomic(path, chunks())
 
 
 def read_tensors(path: str | Path) -> dict[str, np.ndarray]:
     """Read a container written by write_tensors. A truncated file, trailing
     bytes, a name that is not UTF-8 or repeats, or a rank or size that runs
-    past the end of the file is rejected with its byte offset."""
-    raw = Path(path).read_bytes()
-    view = memoryview(raw)
-    off = 0
+    past the end of the file is rejected with its byte offset. Each tensor
+    is read into its own (aligned) array."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        off = 0
 
-    def take(size: int, what: str) -> memoryview:
-        nonlocal off
-        if off + size > len(raw):
-            raise ValueError(f"{path}: {what} at byte {off} runs past the end of the file ({len(raw)} bytes)")
-        off += size
-        return view[off - size : off]
+        def advance(n: int, what: str) -> None:
+            nonlocal off
+            if off + n > size:
+                raise ValueError(f"{path}: {what} at byte {off} runs past the end of the file ({size} bytes)")
+            off += n
 
-    if bytes(take(4, "magic")) != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: bad checkpoint magic {raw[:4]!r} at byte 0")
-    (count,) = struct.unpack("<I", take(4, "tensor count"))
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        name_off = off
-        (nlen,) = struct.unpack("<H", take(2, "name length"))
-        try:
-            name = str(take(nlen, "name"), "utf-8")
-        except UnicodeDecodeError as err:
-            raise ValueError(f"{path}: tensor name at byte {off - nlen} is not UTF-8: {err.reason}") from None
-        if name in tensors:
-            raise ValueError(f"{path}: duplicate tensor name {name!r} at byte {name_off}")
-        (rank,) = struct.unpack("<B", take(1, "rank"))
-        dims = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of {name!r}"))
-        # a zero dimension passes the size check whatever the others are
-        if 8 * math.prod(d for d in dims if d) > np.iinfo(np.intp).max:
-            raise ValueError(f"{path}: shape {dims} of {name!r} at byte {off - 4 * rank} is too large for an array")
-        data = take(8 * math.prod(dims), f"data of {name!r}")
-        tensors[name] = np.frombuffer(data, dtype="<f8").reshape(dims).copy()
-    if off != len(raw):
-        raise ValueError(f"{path}: {len(raw) - off} trailing bytes at byte {off}")
+        def take(n: int, what: str) -> bytes:
+            advance(n, what)
+            return f.read(n)
+
+        magic = take(4, "magic")
+        if magic != CHECKPOINT_MAGIC:
+            raise ValueError(f"{path}: bad checkpoint magic {magic!r} at byte 0")
+        (count,) = struct.unpack("<I", take(4, "tensor count"))
+        tensors: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            name_off = off
+            (nlen,) = struct.unpack("<H", take(2, "name length"))
+            try:
+                name = str(take(nlen, "name"), "utf-8")
+            except UnicodeDecodeError as err:
+                raise ValueError(f"{path}: tensor name at byte {off - nlen} is not UTF-8: {err.reason}") from None
+            if name in tensors:
+                raise ValueError(f"{path}: duplicate tensor name {name!r} at byte {name_off}")
+            (rank,) = struct.unpack("<B", take(1, "rank"))
+            dims = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of {name!r}"))
+            # a zero dimension passes the size check whatever the others are
+            if 8 * math.prod(d for d in dims if d) > np.iinfo(np.intp).max:
+                raise ValueError(f"{path}: shape {dims} of {name!r} at byte {off - 4 * rank} is too large for an array")
+            advance(8 * math.prod(dims), f"data of {name!r}")
+            arr = tensors[name] = np.empty(dims, dtype="<f8")
+            if f.readinto(arr) != arr.nbytes:  # the file shrank while being read
+                raise ValueError(f"{path}: data of {name!r} at byte {off - arr.nbytes} runs past the end of the file")
+        if off != size:
+            raise ValueError(f"{path}: {size - off} trailing bytes at byte {off}")
     return tensors
 
 

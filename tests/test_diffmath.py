@@ -300,6 +300,15 @@ class TestEmbeddingBag:
         out._backward(np.array([[np.inf, 1.0], [2.0, 3.0]]))
         np.testing.assert_array_equal(t.grad, [[0.0, 0.0], [1.0, 1.5], [np.inf, 1.0]])
 
+    def test_signed_zeros_added_to_an_existing_gradient(self):
+        # a -0.0 added onto an existing -0.0 comes out +0.0; a row no bag
+        # reads keeps its -0.0
+        t = dm.Tensor(np.ones((3, 2)))
+        t.grad = np.full((3, 2), -0.0)
+        out = dm.embedding_bag(dm.GradTape(), t, [[2, 1]], [[1.0, 0.5]])
+        out._backward(np.array([[-0.0, 1.0], [-0.0, -0.0]]))
+        assert t.grad.tobytes() == np.array([[-0.0, -0.0], [0.0, 0.0], [0.0, 1.0]]).tobytes()
+
     def test_shape_mismatch(self):
         with pytest.raises(dm.DimensionMismatch):
             dm.embedding_bag(None, dm.Tensor(np.ones((3, 2))), [[0, 1]], [[1.0], [1.0]])
@@ -333,6 +342,36 @@ def test_embedding_bag_equals_numpy_bitwise(case):
     want = np.zeros_like(table)
     np.add.at(want, ids, g * weights[..., None] + 0.0)
     assert t.grad.tobytes() == want.tobytes()
+
+
+@st.composite
+def _gather_cases(draw):
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple))
+    idx_shape = st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple)
+    idx = draw(arrays(np.intp, idx_shape, elements=st.integers(0, shape[0] - 1)))
+    g = draw(arrays(np.float64, idx.shape + shape[1:], elements=_SIGNED))
+    grad = draw(st.none() | arrays(np.float64, shape, elements=_SIGNED))
+    order = draw(st.sampled_from("CF"))
+    transposed = len(shape) >= 2 and draw(st.booleans())
+    return shape, idx, g, grad, order, transposed
+
+
+@given(_gather_cases())
+def test_gather_rows_backward_equals_add_at_bitwise(case):
+    """The operand's gradient against np.add.at of g + 0.0 into zeros or its
+    existing gradient: repeated and grouped indices, rank 1 to 3, signed
+    zeros, a C- or F-ordered existing gradient, and a dm.transpose operand,
+    whose data is not C-ordered."""
+    shape, idx, g, grad, order, transposed = case
+    tape = dm.GradTape()
+    x = dm.Tensor(np.zeros(shape[:-2] + shape[-2:][::-1] if transposed else shape))
+    a = dm.transpose(tape, x) if transposed else x
+    if grad is not None:
+        a.grad = np.asarray(grad, order=order)
+    want = np.zeros(shape) if grad is None else grad.copy()
+    np.add.at(want, idx, g + 0.0)
+    dm.gather_rows(tape, a, idx)._backward(g)
+    assert a.grad.tobytes() == want.tobytes()
 
 
 class TestBatchedKernels:

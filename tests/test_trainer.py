@@ -303,6 +303,15 @@ class TestCheckpointFormat:
         for k in tensors:
             np.testing.assert_array_equal(back[k], tensors[k])
 
+    def test_failed_write_keeps_the_old_file_and_removes_its_tmp(self, tmp_path):
+        path = tmp_path / "t.bin"
+        write_tensors(path, {"a": np.ones(2)})
+        before = path.read_bytes()
+        with pytest.raises(ValueError):  # the second tensor fails after the first was written
+            write_tensors(path, {"a": np.ones(3), "b": np.array(["x"])})
+        assert path.read_bytes() == before
+        assert not (tmp_path / "t.bin.tmp").exists()
+
     def test_magic_enforced(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
