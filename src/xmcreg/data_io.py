@@ -45,16 +45,19 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.num_labels >= self.families >= 2):
-            raise InvalidSpec("need num_labels >= families >= 2")
-        if not (0.0 <= self.noise_rate < 1.0 and 0.0 <= self.abbreviation_rate < 1.0):
-            raise InvalidSpec("rates must lie in [0, 1)")
-        if self.num_train_queries < 1:
-            raise InvalidSpec(f"need num_train_queries >= 1, got {self.num_train_queries}")
-        if self.num_test_queries < 0:
-            raise InvalidSpec(f"need num_test_queries >= 0, got {self.num_test_queries}")
-        if self.seed < 0:
-            raise InvalidSpec(f"need seed >= 0, got {self.seed}")
+        # (field, holds, rule); written so that a NaN fails its rule
+        cap = len(_BRANDS) * len(_CATEGORIES)  # one family per (brand, category)
+        for name, holds, rule in (
+            ("families", 2 <= self.families <= cap, f"in [2, {cap}]"),
+            ("num_labels", self.num_labels >= self.families, f">= families ({self.families})"),
+            ("noise_rate", 0.0 <= self.noise_rate < 1.0, "in [0, 1)"),
+            ("abbreviation_rate", 0.0 <= self.abbreviation_rate < 1.0, "in [0, 1)"),
+            ("num_train_queries", self.num_train_queries >= 1, ">= 1"),
+            ("num_test_queries", self.num_test_queries >= 0, ">= 0"),
+            ("seed", self.seed >= 0, ">= 0"),
+        ):
+            if not holds:
+                raise InvalidSpec(f"need {name} {rule}, got {getattr(self, name)!r}")
 
 
 _BRANDS = [
@@ -115,8 +118,6 @@ def build_synthetic(spec: SyntheticSpec) -> tuple[list[TextRecord], list[QueryRe
     """Labels plus train/test query records, fully determined by the seed."""
     rng = np.random.default_rng(spec.seed)
     combos = [(b, c) for b in _BRANDS for c in _CATEGORIES]
-    if spec.families > len(combos):
-        raise InvalidSpec(f"at most {len(combos)} families supported")
     family_idx = rng.choice(len(combos), size=spec.families, replace=False)
     families = [combos[int(i)] for i in family_idx]
 

@@ -483,6 +483,7 @@ def bce_with_logits(tape, z, y) -> Tensor:
 class GradCheckReport:
     max_relative_error: float
     passed: bool
+    worst_case: str = ""  # the check that gave the error, where a suite names it
 
 
 def grad_check(

@@ -116,6 +116,32 @@ def cluster_batches(query_embeddings: np.ndarray, batch_size: int, seed: int) ->
     return groups
 
 
+def random_groups(n: int, batch_size: int, rng: np.random.Generator) -> list[list[int]]:
+    """Query indices in random groups of batch_size; a trailing singleton joins the group before it."""
+    order = rng.permutation(n)
+    groups = [list(map(int, order[i : i + batch_size])) for i in range(0, n, batch_size)]
+    if len(groups) > 1 and len(groups[-1]) == 1:
+        groups[-2].extend(groups.pop())
+    return groups
+
+
+def make_batch(
+    dataset: Dataset, group: list[int], sampled_pos: dict[int, int],
+    pools: list[list[int]] | None, rng: np.random.Generator,
+) -> Batch:
+    """The batch of the queries at indices ``group``: in-batch negatives, or each query's pool plus,
+    from a non-empty pool, one triplet negative drawn by ``rng.integers`` (in group order)."""
+    qids = [dataset.queries[i].id for i in group]
+    batch = Batch(query_ids=qids, pos_label_ids={qid: sampled_pos[qid] for qid in qids}, neg_pools={})
+    if pools is None:
+        negs = in_batch_negatives(batch, dataset)
+        batch.neg_pools = {qid: tuple(negs[qid]) for qid in qids}
+    else:
+        batch.neg_pools = {qid: tuple(pools[i]) for qid, i in zip(qids, group)}
+        batch.base_neg_ids = {qid: [p[rng.integers(len(p))]] if (p := pools[i]) else [] for qid, i in zip(qids, group)}
+    return batch
+
+
 def in_batch_negatives(batch: Batch, dataset: Dataset) -> dict[int, list[int]]:
     """Negatives for each query: other queries' sampled positives, minus
     anything in the query's own positive set."""

@@ -346,13 +346,17 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":
-        """Read a checkpoint and its config sidecar, if there is one. The
-        sidecar must be a JSON object whose dim, dim_hidden and num_buckets,
+        """Read a checkpoint and its config sidecar, if there is one. Its
+        meta/epoch, if present, holds one whole number >= 0. The sidecar
+        must be a JSON object whose dim, dim_hidden and num_buckets,
         where present, are integers; with all three it must agree with the
         shapes of the encoder, head and block tensors."""
         path = Path(path)
         payload = read_tensors(path)
-        epoch = int(payload.pop("meta/epoch", np.array([0.0]))[0])
+        epoch = payload.pop("meta/epoch", np.array([0.0]))
+        if epoch.shape != (1,) or not (0 <= epoch[0] < math.inf and epoch[0] % 1 == 0):
+            got = epoch[0] if epoch.shape == (1,) else f"shape {epoch.shape}"
+            raise ValueError(f"{path}: meta/epoch must be one finite whole number >= 0, got {got}")
         sidecar = path.with_name(path.name + ".config.json")
         config = {}
         if sidecar.exists():
@@ -380,19 +384,23 @@ class Checkpoint:
                     raise ValueError(
                         f"{path}: {name} has shape {payload[name].shape}, expected {shape} from {sidecar.name}"
                     )
-        return cls(tensors=payload, config=config, epoch=epoch, path=path)
+        return cls(tensors=payload, config=config, epoch=int(epoch[0]), path=path)
 
 
 # ---------------------------------------------------------------------------
 # training loop
 
 
-def _random_groups(n: int, batch_size: int, rng: np.random.Generator) -> list[list[int]]:
-    order = rng.permutation(n)
-    groups = [list(map(int, order[i : i + batch_size])) for i in range(0, n, batch_size)]
-    if len(groups) > 1 and len(groups[-1]) == 1:
-        groups[-2].extend(groups.pop())
-    return groups
+def _refresh(enc: EncoderParams, dataset: mining.Dataset, config: TrainConfig,
+             rng: np.random.Generator) -> tuple[list[list[int]], list[list[int]] | None]:
+    """An epoch's groups, and its pools (None for the cluster sampler), under the current encoder."""
+    q_embs = encode_matrix(enc, [q.text for q in dataset.queries])
+    if config.sampler == "cluster":
+        return mining.cluster_batches(q_embs, config.batch_size, seed=int(rng.integers(2**31))), None
+    l_embs = encode_matrix(enc, [l.text for l in dataset.labels])
+    positives = [q.positives for q in dataset.queries]
+    pools = mining.ance_pool(q_embs, l_embs, [l.id for l in dataset.labels], positives, config.pool_size)
+    return mining.random_groups(len(dataset.queries), config.batch_size, rng), pools
 
 
 def train(
@@ -408,40 +416,15 @@ def train(
     state = init_adam(params)
     loss_cfg = config.loss_config()
 
-    q_texts = [q.text for q in dataset.queries]
-    positives_list = [q.positives for q in dataset.queries]
-    label_ids = [l.id for l in dataset.labels]
-    label_texts = [l.text for l in dataset.labels]
-
-    groups: list[list[int]] = []
-    pools: list[list[int]] = []
     log: list[dict] = []
     for epoch in range(config.epochs):
         if epoch % config.refresh_cadence == 0:
-            q_embs = encode_matrix(model.enc, q_texts)
-            if config.sampler == "cluster":
-                groups = mining.cluster_batches(q_embs, config.batch_size, seed=int(rng.integers(2**31)))
-            else:
-                l_embs = encode_matrix(model.enc, label_texts)
-                pools = mining.ance_pool(q_embs, l_embs, label_ids, positives_list, config.pool_size)
-                groups = _random_groups(len(dataset.queries), config.batch_size, rng)
+            groups, pools = _refresh(model.enc, dataset, config, rng)
 
         sampled_pos = mining.sample_positives(dataset, rng)
         sums = {"base": 0.0, "tcm": 0.0, "xe_ql": 0.0, "xe_qb": 0.0, "total": 0.0}
         for group in groups:
-            qids = [dataset.queries[i].id for i in group]
-            pos = {qid: sampled_pos[qid] for qid in qids}
-            batch = mining.Batch(query_ids=qids, pos_label_ids=pos, neg_pools={})
-            if config.sampler == "cluster":
-                negs = mining.in_batch_negatives(batch, dataset)
-                batch.neg_pools = {qid: tuple(negs[qid]) for qid in qids}
-            else:
-                batch.neg_pools = {qid: tuple(pools[i]) for qid, i in zip(qids, group)}
-                batch.base_neg_ids = {
-                    qid: [pool[rng.integers(len(pool))]] if (pool := list(batch.neg_pools[qid])) else []
-                    for qid in qids
-                }
-
+            batch = mining.make_batch(dataset, group, sampled_pos, pools, rng)
             for p in params.values():
                 p.grad = None
             tape = dm.GradTape()
@@ -455,9 +438,7 @@ def train(
             for key, val in asdict(breakdown).items():
                 sums[key] += val
 
-        n = len(groups)
-        entry = {"epoch": epoch, **{k: v / n for k, v in sums.items()}}
-        log.append(entry)
+        log.append({"epoch": epoch, **{k: v / len(groups) for k, v in sums.items()}})
 
     if log_path is not None:
         write_atomic(log_path, "".join(json.dumps(e, sort_keys=True) + "\n" for e in log))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -13,20 +13,13 @@ from .losses import total_loss
 from .trainer import TrainConfig, init_model
 
 
-@dataclass
-class SuiteReport:
-    max_relative_error: float
-    passed: bool
-    worst_case: str
-
-
 def _square_mean(tape, t: dm.Tensor) -> dm.Tensor:
     # quadratic scalarization so every output coordinate contributes a
     # non-constant gradient
     return dm.mean_all(tape, dm.mul(tape, t, t))
 
 
-def kernel_gradchecks(seed: int, tol: float = 1e-4, max_coords: int = 64) -> SuiteReport:
+def kernel_gradchecks(seed: int, tol: float = 1e-4, max_coords: int = 64) -> dm.GradCheckReport:
     """Finite-difference check of every kernel's backward pass."""
     rng = np.random.default_rng(seed)
 
@@ -89,7 +82,7 @@ def kernel_gradchecks(seed: int, tol: float = 1e-4, max_coords: int = 64) -> Sui
     errors = {name: dm.grad_check(fn, params, seed=seed, tol=tol, max_coords=max_coords).max_relative_error
               for name, (fn, params) in checks.items()}
     worst = max(errors, key=errors.get)
-    return SuiteReport(max_relative_error=errors[worst], passed=errors[worst] <= tol, worst_case=worst)
+    return dm.GradCheckReport(max_relative_error=errors[worst], passed=errors[worst] <= tol, worst_case=worst)
 
 
 # micro objective: embedding width, batch, blocking size, labels, gradcheck coordinates per tensor
@@ -119,10 +112,7 @@ def make_micro_objective(seed: int):
     rng = np.random.default_rng(seed)
     model = init_model(rng, config)
     sampled = mining.sample_positives(dataset, rng)
-    qids = [q.id for q in dataset.queries]
-    batch = mining.Batch(query_ids=qids, pos_label_ids=sampled, neg_pools={})
-    negs = mining.in_batch_negatives(batch, dataset)
-    batch.neg_pools = {qid: tuple(negs[qid]) for qid in qids}
+    batch = mining.make_batch(dataset, list(range(len(dataset.queries))), sampled, None, rng)
     loss_cfg = config.loss_config()
 
     def fn(tape):
@@ -134,12 +124,11 @@ def make_micro_objective(seed: int):
 def total_loss_gradcheck(seed: int, tol: float = 1e-4) -> dm.GradCheckReport:
     """Finite-difference check of the complete objective on a micro batch."""
     fn, params = make_micro_objective(seed)
-    return dm.grad_check(fn, params, seed=seed, tol=tol, max_coords=MICRO_MAX_COORDS)
+    return replace(dm.grad_check(fn, params, seed=seed, tol=tol, max_coords=MICRO_MAX_COORDS), worst_case="total_loss")
 
 
-def full_suite(seed: int, tol: float = 1e-4) -> SuiteReport:
+def full_suite(seed: int, tol: float = 1e-4) -> dm.GradCheckReport:
+    """The worse of the kernel and full-objective checks; the kernels win a tie."""
     kernels = kernel_gradchecks(seed, tol=tol)
     end_to_end = total_loss_gradcheck(seed, tol=tol)
-    worst = max(kernels.max_relative_error, end_to_end.max_relative_error)
-    worst_name = kernels.worst_case if kernels.max_relative_error >= end_to_end.max_relative_error else "total_loss"
-    return SuiteReport(max_relative_error=worst, passed=worst <= tol, worst_case=worst_name)
+    return kernels if kernels.max_relative_error >= end_to_end.max_relative_error else end_to_end

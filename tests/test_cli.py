@@ -79,6 +79,13 @@ class TestGenerate:
         assert f"error: {spec}: need seed >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    def test_family_cap_names_file_field_and_value(self, tmp_path, capsys):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("families = 500\n")
+        assert run(["generate-data", "--out", str(tmp_path / "d"), "--spec", str(spec)]) == 2
+        assert f"error: {spec}: need families in [2, 384], got 500" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_missing_size_flags_is_usage_error(self, tmp_path):
         assert run(["generate-data", "--out", str(tmp_path / "d")]) == 1
         assert not (tmp_path / "d").exists()
@@ -179,6 +186,17 @@ class TestEval:
         code = run(["eval", "--checkpoint", str(path), "--data", str(dataset_dir / "test"), "--report", str(report)])
         assert code == 2
         assert f"error: {sidecar}: not a JSON config" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_fractional_epoch_fails_naming_the_checkpoint(self, trained_dir, dataset_dir, tmp_path, capsys):
+        ckpt = Checkpoint.load(trained_dir / "checkpoint.bin")
+        ckpt.epoch = 2.7
+        path = tmp_path / "c.bin"
+        ckpt.save(path)
+        report = tmp_path / "report.json"
+        code = run(["eval", "--checkpoint", str(path), "--data", str(dataset_dir / "test"), "--report", str(report)])
+        assert code == 2
+        assert f"error: {path}: meta/epoch must be one finite whole number >= 0, got 2.7" in capsys.readouterr().err
         assert not report.exists()
 
     def test_report_and_scores(self, trained_dir, dataset_dir, tmp_path):

@@ -40,6 +40,25 @@ class TestSyntheticSpec:
         with pytest.raises(InvalidSpec, match=r"^need seed >= 0, got -1$"):
             SyntheticSpec(seed=-1)
 
+    @pytest.mark.parametrize("bad, message", [
+        (dict(num_labels=3, families=5), "need num_labels >= families (5), got 3"),
+        (dict(num_labels=10, families=20), "need num_labels >= families (20), got 10"),
+        (dict(families=1), "need families in [2, 384], got 1"),
+        (dict(families=500), "need families in [2, 384], got 500"),
+        (dict(noise_rate=1.5), "need noise_rate in [0, 1), got 1.5"),
+        (dict(noise_rate=float("nan")), "need noise_rate in [0, 1), got nan"),
+        (dict(abbreviation_rate=-0.1), "need abbreviation_rate in [0, 1), got -0.1"),
+    ])
+    def test_rejection_names_field_and_value(self, bad, message):
+        with pytest.raises(InvalidSpec) as err:
+            SyntheticSpec(**bad)
+        assert str(err.value) == message
+
+    def test_largest_family_count_builds(self):
+        labels, _, _ = build_synthetic(SyntheticSpec(num_labels=384, num_train_queries=1, num_test_queries=0,
+                                                     families=384))
+        assert len(labels) == 384
+
 
 class TestCorruptText:
     def test_identity_at_zero_rates(self):

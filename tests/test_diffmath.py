@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from xmcreg import diffmath as dm
+from xmcreg import verify
 from xmcreg.verify import kernel_gradchecks
 
 
@@ -162,6 +163,22 @@ class TestGradCheck:
 def test_kernel_jvp_matches_finite_differences(seed):
     report = kernel_gradchecks(seed, tol=1e-4)
     assert report.passed, f"worst kernel {report.worst_case}: {report.max_relative_error}"
+
+
+@pytest.mark.parametrize("kernel_error, loss_error, worst", [(2e-5, 1e-5, "gelu"), (1e-5, 1e-5, "gelu"),
+                                                             (1e-5, 3e-4, "total_loss")])
+def test_full_suite_reports_the_worse_check(monkeypatch, kernel_error, loss_error, worst):
+    kernels = dm.GradCheckReport(kernel_error, kernel_error <= 1e-4, "gelu")
+    end_to_end = dm.GradCheckReport(loss_error, loss_error <= 1e-4, "total_loss")
+    monkeypatch.setattr(verify, "kernel_gradchecks", lambda seed, tol: kernels)
+    monkeypatch.setattr(verify, "total_loss_gradcheck", lambda seed, tol: end_to_end)
+    report = verify.full_suite(0)
+    assert (report.max_relative_error, report.passed, report.worst_case) == (
+        max(kernel_error, loss_error), max(kernel_error, loss_error) <= 1e-4, worst)
+
+
+def test_total_loss_gradcheck_names_itself():
+    assert verify.total_loss_gradcheck(0).worst_case == "total_loss"
 
 
 def test_every_kernel_is_gradchecked():

@@ -240,10 +240,7 @@ class TestTotalLoss:
         rng = np.random.default_rng(seed)
         model = init_model(rng, config)
         sampled = mining.sample_positives(dataset, rng)
-        qids = [q.id for q in dataset.queries]
-        batch = mining.Batch(query_ids=qids, pos_label_ids=sampled, neg_pools={})
-        negs = mining.in_batch_negatives(batch, dataset)
-        batch.neg_pools = {qid: tuple(negs[qid]) for qid in qids}
+        batch = mining.make_batch(dataset, list(range(len(dataset.queries))), sampled, None, rng)
         return dataset, batch, model, config
 
     def test_rng_draws_nothing_without_dropout(self, tmp_path):
@@ -554,11 +551,8 @@ class TestBatchedRegularizer:
             labels, queries, _ = build_synthetic(tiny_spec(num_train_queries=n))
             dataset = mining.Dataset(queries=queries, labels=labels)
             model = init_model(np.random.default_rng(0), tiny_config(batch_size=n, dropout=0.0))
-            qids = [q.id for q in queries]
-            sampled = mining.sample_positives(dataset, np.random.default_rng(0))
-            batch = mining.Batch(query_ids=qids, pos_label_ids=sampled, neg_pools={})
-            negs = mining.in_batch_negatives(batch, dataset)
-            batch.neg_pools = {qid: tuple(negs[qid]) for qid in qids}
+            rng = np.random.default_rng(0)
+            batch = mining.make_batch(dataset, list(range(n)), mining.sample_positives(dataset, rng), None, rng)
             tape = dm.GradTape()
             total_loss(tape, dataset, batch, model.enc, model.head_ql, model.head_qb, model.block, cfg)
             nodes.append(len(tape._nodes))

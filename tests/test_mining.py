@@ -16,6 +16,8 @@ from xmcreg.mining import (
     build_blockings,
     cluster_batches,
     in_batch_negatives,
+    make_batch,
+    random_groups,
     sample_positives,
 )
 
@@ -107,6 +109,66 @@ class TestInBatchNegatives:
         negs = in_batch_negatives(batch, ds)
         for q in ds.queries:
             assert not set(negs[q.id]) & q.positives
+
+
+class TestRandomGroups:
+    @pytest.mark.parametrize("n, batch_size", [(2, 2), (7, 2), (9, 4), (10, 3), (16, 4), (5, 8)])
+    def test_every_index_once_and_no_trailing_singleton(self, n, batch_size):
+        groups = random_groups(n, batch_size, np.random.default_rng(n))
+        assert sorted(i for g in groups for i in g) == list(range(n))
+        assert all(type(i) is int for g in groups for i in g)
+        assert all(len(g) <= batch_size for g in groups[:-1])
+        assert all(len(g) >= 2 for g in groups)
+
+    def test_singleton_joins_the_group_before_it(self):
+        groups = random_groups(9, 4, np.random.default_rng(0))
+        assert [len(g) for g in groups] == [4, 5]
+
+
+class TestMakeBatch:
+    def _dataset(self):
+        queries = [QueryRecord(id=10 + i, text=f"q{i}", positives=frozenset({i, i + 1})) for i in range(6)]
+        labels = [TextRecord(id=l, text=f"l{l}") for l in range(10)]
+        return Dataset(queries=queries, labels=labels)
+
+    def test_without_pools_equals_in_batch_negatives(self):
+        ds = self._dataset()
+        sampled = sample_positives(ds, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
+        batch = make_batch(ds, [4, 1, 2], sampled, None, rng)
+        assert batch.query_ids == [14, 11, 12]
+        assert batch.pos_label_ids == {qid: sampled[qid] for qid in (14, 11, 12)}
+        plain = Batch(query_ids=[14, 11, 12], pos_label_ids=batch.pos_label_ids, neg_pools={})
+        expected = in_batch_negatives(plain, ds)
+        assert batch.neg_pools == {qid: tuple(negs) for qid, negs in expected.items()}
+        assert batch.base_neg_ids is None
+        assert rng.bit_generator.state == before
+
+    def test_with_pools_one_draw_per_non_empty_pool(self):
+        ds = self._dataset()
+        sampled = sample_positives(ds, np.random.default_rng(0))
+        pools = [[5, 6, 7], [8], [], [2, 9], [], [0, 3, 4, 7]]
+        group = [3, 2, 5, 0]
+        rng, replay = np.random.default_rng(2), np.random.default_rng(2)
+        batch = make_batch(ds, group, sampled, pools, rng)
+        assert batch.query_ids == [13, 12, 15, 10]
+        assert batch.neg_pools == {13: (2, 9), 12: (), 15: (0, 3, 4, 7), 10: (5, 6, 7)}
+        # the same draws, in group order, skipping the empty pool
+        expected = {13: [[2, 9][replay.integers(2)]], 12: [], 15: [[0, 3, 4, 7][replay.integers(4)]],
+                    10: [[5, 6, 7][replay.integers(3)]]}
+        assert batch.base_neg_ids == expected
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+    def test_empty_pool_gets_no_triplet_negative(self):
+        ds = self._dataset()
+        sampled = sample_positives(ds, np.random.default_rng(0))
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        batch = make_batch(ds, [1, 4], sampled, [[], [], [], [], [], []], rng)
+        assert batch.neg_pools == {11: (), 14: ()}
+        assert batch.base_neg_ids == {11: [], 14: []}
+        assert rng.bit_generator.state == before
 
 
 class TestAncePool:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmcreg import diffmath as dm
-from xmcreg import trainer
+from xmcreg import mining, trainer
 from xmcreg.data_io import build_synthetic
 from xmcreg.losses import LossBreakdown
 from xmcreg.mining import Dataset
@@ -427,6 +427,22 @@ class TestCheckpointFormat:
         for name, arr in ckpt.tensors.items():
             assert back.tensors[name].tobytes() == arr.tobytes()
 
+    @pytest.mark.parametrize("epoch, got", [
+        (np.array(3.0), "got shape ()"),
+        (np.zeros(0), "got shape (0,)"),
+        (np.array([1.0, 2.0]), "got shape (2,)"),
+        (np.array([np.nan]), "got nan"),
+        (np.array([np.inf]), "got inf"),
+        (np.array([2.7]), "got 2.7"),
+        (np.array([-1.0]), "got -1.0"),
+    ])
+    def test_malformed_epoch_names_its_path(self, tmp_path, epoch, got):
+        path = tmp_path / "c.bin"
+        write_tensors(path, {"w": np.ones(2), "meta/epoch": epoch})
+        with pytest.raises(ValueError) as err:
+            Checkpoint.load(path)
+        assert str(err.value) == f"{path}: meta/epoch must be one finite whole number >= 0, {got}"
+
     def test_optimizer_state_round_trips(self, tmp_path, tiny_dataset):
         config = tiny_config(epochs=1)
         ckpt, _ = train(tiny_dataset, config)
@@ -553,6 +569,37 @@ class TestTrain:
         ckpt, log = train(tiny_dataset, config)
         assert len(log) == 1
         assert "encoder/bucket_table" in ckpt.tensors
+
+    @pytest.mark.parametrize("sampler", ["cluster", "ance"])
+    @pytest.mark.parametrize("cadence, refreshes", [(1, 4), (2, 2), (3, 2)])
+    def test_groups_and_pools_kept_between_refreshes(self, tiny_dataset, monkeypatch, sampler, cadence, refreshes):
+        made = {"cluster_batches": [], "random_groups": [], "ance_pool": []}  # each call's result
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                made[name].append(fn(*args, **kwargs))
+                return made[name][-1]
+            return wrapper
+
+        for name in made:
+            monkeypatch.setattr(mining, name, recording(name, getattr(mining, name)))
+        built = []  # per batch: its group and pools, and the latest groups and pools made before it
+        make_batch = mining.make_batch
+
+        def make_batch_recorded(dataset, group, sampled_pos, pools, rng):
+            groups = (made["cluster_batches"] or made["random_groups"])[-1]
+            built.append((group, pools, groups, made["ance_pool"][-1] if made["ance_pool"] else None))
+            return make_batch(dataset, group, sampled_pos, pools, rng)
+
+        monkeypatch.setattr(mining, "make_batch", make_batch_recorded)
+        train(tiny_dataset, tiny_config(epochs=4, sampler=sampler, pool_size=5, refresh_cadence=cadence))
+        ance = sampler == "ance"
+        assert {name: len(results) for name, results in made.items()} == {
+            "cluster_batches": 0 if ance else refreshes, "random_groups": refreshes if ance else 0,
+            "ance_pool": refreshes if ance else 0,
+        }
+        assert len(built) == 4 * len(made["cluster_batches" if sampler == "cluster" else "random_groups"][0])
+        assert all(any(group is g for g in groups) and pools is latest for group, pools, groups, latest in built)
 
 
 # float64 bit patterns: ±0.0, ±inf, quiet and signalling NaNs with
