@@ -238,7 +238,8 @@ def _claim_id(path: Path, lineno: int, kind: str, id_: int, seen: set[int]) -> N
 
 def load_dataset(data_dir: str | Path) -> Dataset:
     """Load and validate a labels.jsonl / queries.jsonl directory. Every
-    rejection names the file and line of the offending record."""
+    rejection names the file and line of the offending record, or only
+    the file when it holds no records."""
     data_dir = Path(data_dir)
     labels = []
     label_ids: set[int] = set()
@@ -246,6 +247,8 @@ def load_dataset(data_dir: str | Path) -> Dataset:
     for lineno, (lid, text) in _records(path, {"id": int, "text": str}):
         _claim_id(path, lineno, "label", lid, label_ids)
         labels.append(TextRecord(id=lid, text=text))
+    if not labels:
+        raise ValidationError(f"{path}: no label records")
 
     queries = []
     query_ids: set[int] = set()
@@ -258,6 +261,8 @@ def load_dataset(data_dir: str | Path) -> Dataset:
             if lid not in label_ids:
                 raise ValidationError(f"{path}:{lineno}: query {qid} references missing label id {lid}")
         queries.append(QueryRecord(id=qid, text=text, positives=frozenset(pos)))
+    if not queries:
+        raise ValidationError(f"{path}: no query records")
 
     return Dataset(queries=queries, labels=labels)
 
@@ -276,13 +281,14 @@ def _parse_value(kind: type, value: str):
 def load_key_values(path: str | Path, cls: type):
     """Parse a config file into an instance of the dataclass ``cls``.
 
-    Values are converted by each field's type. Unknown keys and
-    unconvertible values are rejected with ``path:line``, values that
-    fail the dataclass's own checks with ``path``.
+    Values are converted by each field's type. Unknown keys, keys set
+    twice and unconvertible values are rejected with ``path:line``, values
+    that fail the dataclass's own checks with ``path``.
     """
     kinds = typing.get_type_hints(cls)
     names = {f.name for f in dataclasses.fields(cls)}
     overrides: dict = {}
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -293,6 +299,9 @@ def load_key_values(path: str | Path, cls: type):
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in names:
                 raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in first_line:
+                raise ParseError(f"{path}:{lineno}: duplicate key {key!r} (first set on line {first_line[key]})")
+            first_line[key] = lineno
             try:
                 overrides[key] = _parse_value(kinds[key], value)
             except ValueError as e:

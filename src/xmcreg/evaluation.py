@@ -57,17 +57,11 @@ def retrieve_top1(
     id, and a row with a NaN score takes its lowest-id NaN column."""
     if label_embeddings.shape[0] == 0:
         raise EmptyLabelSpace("no labels to retrieve from")
-    ids = np.asarray(label_ids)
-    # each column's place in ascending-id order, needed only when the ids do not ascend
-    rank = None if np.all(ids[1:] > ids[:-1]) else np.argsort(np.argsort(ids, kind="stable"))
+    ids = np.sort(label_ids)  # the labels of score_chunks' columns
     preds = []
     for rows, scores in score_chunks(query_embeddings, label_embeddings, label_ids):
-        # input column order; the first max (a NaN counts as the max) is the lowest id if ids ascend
+        # the columns ascend by id: the first max (a NaN counts as the max) is the lowest id
         best = scores.argmax(axis=1)
-        if rank is not None:
-            top = scores[np.arange(len(best)), best][:, None]
-            tied = (scores == top) | (np.isnan(scores) & np.isnan(top))
-            best = np.where(tied, rank, len(ids)).argmin(axis=1)
         top = scores[np.arange(len(best)), best]
         for qid, lid, score, pos in zip(query_ids[rows], ids[best].tolist(), top.tolist(), positives[rows]):
             preds.append(ScoredPrediction(query_id=qid, top1_label_id=lid, score=score, correct=lid in pos))

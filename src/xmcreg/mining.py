@@ -7,7 +7,7 @@ globally hardest non-positive labels under the current embeddings.
 Per-query groups ("blockings") of one positive plus the K-1 hardest
 negatives feed the auxiliary classifiers.
 
-Scores stay in input column order; all ties are broken by ascending label id.
+Score columns ascend by label id, whatever the input order; all ties go to the lower id.
 """
 
 from __future__ import annotations
@@ -159,21 +159,26 @@ def in_batch_negatives(batch: Batch, dataset: Dataset) -> dict[int, list[int]]:
 
 def score_chunks(query_embeddings: np.ndarray, label_embeddings: np.ndarray, label_ids: list[int]):
     """Scores of every query against every label, a block of query rows at
-    a time, with the label columns in input column order.
+    a time, with the label columns in ascending-id order.
 
     Yields ``(rows, scores)``: a slice of query rows and the block's
-    scores, whose column j belongs to ``label_ids[j]``. Blocks start at
-    multiples of SCORE_BLOCK_ROWS rows and hold about SCORE_CHUNK_ELEMENTS
-    scores; a tail of under half a block joins the block before it. No
-    block is then a one-row product, which BLAS computes another way,
-    unless the input has one row. With single-threaded OpenBLAS the scores
-    equal the same entries of the whole product bit for bit. A repeated
-    label id raises ValueError, since ties are broken by id.
+    scores, whose column j belongs to the j-th smallest of ``label_ids``
+    (label rows are copied into that order unless the ids ascend), so no
+    score depends on the input order. Blocks start at multiples of
+    SCORE_BLOCK_ROWS rows and hold about SCORE_CHUNK_ELEMENTS scores; a
+    tail of under half a block joins the block before it. No block is then
+    a one-row product, which BLAS computes another way, unless the input
+    has one row. With single-threaded OpenBLAS the scores equal the same
+    entries of the whole product bit for bit. A repeated label id raises
+    ValueError, since ties are broken by id.
     """
-    sorted_ids = np.sort(label_ids)
-    repeated = np.flatnonzero(sorted_ids[1:] == sorted_ids[:-1])
+    order = np.argsort(label_ids)
+    ids = np.asarray(label_ids)[order]
+    repeated = np.flatnonzero(ids[1:] == ids[:-1])
     if repeated.size:
-        raise ValueError(f"label id {sorted_ids[repeated[0]]} is repeated")
+        raise ValueError(f"label id {ids[repeated[0]]} is repeated")
+    if np.any(order[1:] < order[:-1]):
+        label_embeddings = label_embeddings[order]
     n = query_embeddings.shape[0]
     step = max(1, SCORE_CHUNK_ELEMENTS // (SCORE_BLOCK_ROWS * max(1, len(label_ids)))) * SCORE_BLOCK_ROWS
     starts = list(range(0, n, step))
@@ -192,25 +197,23 @@ def ance_pool(
 ) -> list[list[int]]:
     """Per-query pools of the pool_size hardest non-positive labels.
 
-    Exact brute-force search over all labels, reading the scores in input
-    column order; ordered by similarity descending, ties by ascending
-    label id. Positive ids that are not among ``label_ids`` are ignored.
+    Exact brute-force search over all labels, ordered by similarity
+    descending, ties by ascending label id. Positive ids that are not
+    among ``label_ids`` are ignored.
     """
     if pool_size < 1:
         raise ValueError("pool_size must be >= 1")
-    ids = np.asarray(label_ids)
-    by_id = np.argsort(ids, kind="stable")
-    sorted_ids = ids[by_id]
+    ids = np.sort(label_ids)  # the labels of score_chunks' columns
     pools: list[list[int]] = []
     for rows, scores in score_chunks(query_embeddings, label_embeddings, label_ids):
         positives = positives_per_query[rows]
         pos_rows = np.repeat(np.arange(len(positives)), [len(p) for p in positives])
         pos_ids = np.fromiter(itertools.chain.from_iterable(positives), dtype=ids.dtype, count=len(pos_rows))
-        # each positive's rank among the ascending ids, then its column, if it is a label
-        u = np.searchsorted(sorted_ids, pos_ids)
-        known = u < len(ids)
-        known[known] = sorted_ids[u[known]] == pos_ids[known]
-        scores[pos_rows[known], by_id[u[known]]] = -np.inf
+        # each positive's column, if it is a label
+        cols = np.searchsorted(ids, pos_ids)
+        known = cols < len(ids)
+        known[known] = ids[cols[known]] == pos_ids[known]
+        scores[pos_rows[known], cols[known]] = -np.inf
         # ascending negated scores; masked positives sort last
         np.negative(scores, out=scores)
         pools.extend(_smallest_per_row(scores, ids, pool_size))
@@ -219,7 +222,7 @@ def ance_pool(
 
 def _smallest_per_row(scores: np.ndarray, ids: np.ndarray, k: int) -> list[list[int]]:
     """Ids of each row's k smallest finite scores, ordered by (score, id)
-    where column j holds ``ids[j]``, without sorting whole rows."""
+    where column j holds ``ids[j]`` (ascending), without sorting whole rows."""
     n, width = scores.shape
     k = min(k, width)
     if k == 0:
@@ -228,7 +231,8 @@ def _smallest_per_row(scores: np.ndarray, ids: np.ndarray, k: int) -> list[list[
     # every score at or below a row's k-th smallest, ties at the k-th included
     rows, cols = np.nonzero(scores <= kth)
     vals = scores[rows, cols]
-    order = np.lexsort((ids[cols], vals, rows))
+    # stable, and columns ascend within a row: ties keep the lower id first
+    order = np.lexsort((vals, rows))
     rows, cols, vals = rows[order], cols[order], vals[order]
     rank = np.arange(rows.size) - np.searchsorted(rows, rows)
     keep = (rank < k) & np.isfinite(vals)

@@ -329,6 +329,14 @@ def read_tensors(path: str | Path) -> dict[str, np.ndarray]:
     return tensors
 
 
+def _whole_epoch(path: Path, epoch: np.ndarray) -> int:
+    """The epoch a meta/epoch array holds: one finite whole number >= 0, else ValueError naming ``path``."""
+    if epoch.shape != (1,) or not (0 <= epoch[0] < math.inf and epoch[0] % 1 == 0):
+        got = epoch[0] if epoch.shape == (1,) else f"shape {epoch.shape}"
+        raise ValueError(f"{path}: meta/epoch must be one finite whole number >= 0, got {got}")
+    return int(epoch[0])
+
+
 @dataclass
 class Checkpoint:
     tensors: dict[str, np.ndarray]
@@ -340,6 +348,7 @@ class Checkpoint:
         path = Path(path)
         payload = dict(self.tensors)
         payload["meta/epoch"] = np.array([float(self.epoch)])
+        _whole_epoch(path, payload["meta/epoch"])  # write nothing that load rejects
         write_tensors(path, payload)
         sidecar = path.with_name(path.name + ".config.json")
         write_atomic(sidecar, json.dumps(self.config, sort_keys=True, indent=2) + "\n")
@@ -353,10 +362,7 @@ class Checkpoint:
         shapes of the encoder, head and block tensors."""
         path = Path(path)
         payload = read_tensors(path)
-        epoch = payload.pop("meta/epoch", np.array([0.0]))
-        if epoch.shape != (1,) or not (0 <= epoch[0] < math.inf and epoch[0] % 1 == 0):
-            got = epoch[0] if epoch.shape == (1,) else f"shape {epoch.shape}"
-            raise ValueError(f"{path}: meta/epoch must be one finite whole number >= 0, got {got}")
+        epoch = _whole_epoch(path, payload.pop("meta/epoch", np.array([0.0])))
         sidecar = path.with_name(path.name + ".config.json")
         config = {}
         if sidecar.exists():
@@ -384,7 +390,7 @@ class Checkpoint:
                     raise ValueError(
                         f"{path}: {name} has shape {payload[name].shape}, expected {shape} from {sidecar.name}"
                     )
-        return cls(tensors=payload, config=config, epoch=int(epoch[0]), path=path)
+        return cls(tensors=payload, config=config, epoch=epoch, path=path)
 
 
 # ---------------------------------------------------------------------------

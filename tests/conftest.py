@@ -65,6 +65,23 @@ def scoring_cases(draw):
     return q, l, ids, positives, block_rows, budget
 
 
+def shuffled_label_case(seed: int):
+    """(queries, labels, label ids, positives, permutation) drawn from
+    ``seed``: 50-200 queries over 200-700 labels with d = 32 random float
+    entries, where half the label rows repeat others, so tied scores are
+    common and OpenBLAS rounds some of them differently by column position.
+    The ids are distinct and not ascending; ``permutation`` reorders the
+    label rows together with their ids."""
+    rng = np.random.default_rng(seed)
+    nl, nq = int(rng.integers(200, 701)), int(rng.integers(50, 201))
+    q = rng.normal(size=(nq, 32))
+    l = rng.normal(size=(nl, 32))
+    l[rng.permutation(nl)[: nl // 2]] = l[rng.integers(nl, size=nl // 2)]
+    ids = rng.choice(4 * nl, size=nl, replace=False)
+    positives = [frozenset(rng.choice(ids, size=int(rng.integers(1, 4)), replace=False).tolist()) for _ in range(nq)]
+    return q, l, ids, positives, rng.permutation(nl)
+
+
 @contextlib.contextmanager
 def deadline(seconds: int):
     """Raise TimeoutError in a block still running after ``seconds``, so a

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import random
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from xmcreg.cli import run
-from xmcreg.trainer import Checkpoint
+from xmcreg.trainer import Checkpoint, write_tensors
 
 from conftest import deadline
 
@@ -86,6 +88,13 @@ class TestGenerate:
         assert f"error: {spec}: need families in [2, 384], got 500" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    def test_duplicate_spec_key_names_both_lines(self, tmp_path, capsys):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("num_labels = 20\nfamilies = 4\nnum_labels = 30\n")
+        assert run(["generate-data", "--out", str(tmp_path / "d"), "--spec", str(spec)]) == 2
+        assert f"error: {spec}:3: duplicate key 'num_labels' (first set on line 1)" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_missing_size_flags_is_usage_error(self, tmp_path):
         assert run(["generate-data", "--out", str(tmp_path / "d")]) == 1
         assert not (tmp_path / "d").exists()
@@ -151,6 +160,14 @@ class TestTrain:
         assert f"error: {cfg}: invalid training configuration: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_duplicate_config_key_names_both_lines(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs = 1\n" + TINY_TRAIN_CFG.replace("epochs = 2", "# two epochs\nepochs = 2"))
+        out = tmp_path / "out"
+        assert run(["train", "--config", str(cfg), "--data", str(dataset_dir / "train"), "--out", str(out)]) == 2
+        assert f"error: {cfg}:3: duplicate key 'epochs' (first set on line 1)" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def test_checkpoint_without_model_tensor_names_file_and_tensor(self, trained_dir, dataset_dir, tmp_path, capsys):
@@ -190,14 +207,65 @@ class TestEval:
 
     def test_fractional_epoch_fails_naming_the_checkpoint(self, trained_dir, dataset_dir, tmp_path, capsys):
         ckpt = Checkpoint.load(trained_dir / "checkpoint.bin")
-        ckpt.epoch = 2.7
         path = tmp_path / "c.bin"
-        ckpt.save(path)
+        write_tensors(path, {**ckpt.tensors, "meta/epoch": np.array([2.7])})
         report = tmp_path / "report.json"
         code = run(["eval", "--checkpoint", str(path), "--data", str(dataset_dir / "test"), "--report", str(report)])
         assert code == 2
         assert f"error: {path}: meta/epoch must be one finite whole number >= 0, got 2.7" in capsys.readouterr().err
         assert not report.exists()
+
+    @pytest.fixture
+    def split_without_queries(self, tmp_path):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("num_labels = 20\nnum_train_queries = 10\nnum_test_queries = 0\nfamilies = 4\n")
+        assert run(["generate-data", "--out", str(tmp_path / "d"), "--spec", str(spec)]) == 0
+        return tmp_path / "d" / "test"
+
+    def test_split_without_queries_fails_naming_the_file(self, trained_dir, split_without_queries, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        code = run(["eval", "--checkpoint", str(trained_dir / "checkpoint.bin"), "--data", str(split_without_queries),
+                    "--report", str(report)])
+        assert code == 2
+        assert f"error: {split_without_queries / 'queries.jsonl'}: no query records" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_calibration_split_without_queries_fails_naming_the_file(
+        self, trained_dir, dataset_dir, split_without_queries, tmp_path, capsys,
+    ):
+        report = tmp_path / "report.json"
+        code = run(["eval", "--checkpoint", str(trained_dir / "checkpoint.bin"), "--data", str(dataset_dir / "test"),
+                    "--calibration-split", str(split_without_queries), "--report", str(report)])
+        assert code == 2
+        assert f"error: {split_without_queries / 'queries.jsonl'}: no query records" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_split_without_labels_fails_naming_the_file(self, trained_dir, dataset_dir, tmp_path, capsys):
+        split = tmp_path / "split"
+        shutil.copytree(dataset_dir / "test", split)
+        (split / "labels.jsonl").write_text("\n")
+        report = tmp_path / "report.json"
+        code = run(["eval", "--checkpoint", str(trained_dir / "checkpoint.bin"), "--data", str(split),
+                    "--report", str(report)])
+        assert code == 2
+        assert f"error: {split / 'labels.jsonl'}: no label records" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_label_file_order_changes_no_output(self, trained_dir, tmp_path):
+        # at 500 labels, scoring in file order rounds some scores differently: OpenBLAS rounds by column position
+        data = tmp_path / "data"
+        assert run(["generate-data", "--out", str(data), "--num-labels", "500", "--num-queries", "200"]) == 0
+        shutil.copytree(data / "test", data / "shuffled")
+        rows = (data / "shuffled" / "labels.jsonl").read_text().splitlines(keepends=True)
+        random.Random(0).shuffle(rows)
+        (data / "shuffled" / "labels.jsonl").write_text("".join(rows))
+        outputs = []
+        for split in ("test", "shuffled"):
+            report, scores = tmp_path / f"{split}.json", tmp_path / f"{split}.tsv"
+            assert run(["eval", "--checkpoint", str(trained_dir / "checkpoint.bin"), "--data", str(data / split),
+                        "--report", str(report), "--scores", str(scores)]) == 0
+            outputs.append((report.read_bytes(), scores.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_report_and_scores(self, trained_dir, dataset_dir, tmp_path):
         report = tmp_path / "report.json"

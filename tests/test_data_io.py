@@ -399,7 +399,9 @@ class TestKeyValueParser:
     )
     def test_malformed_line_reported_at_its_line(self, tmp_path, target, before, bad):
         cls, key = target
-        lines = [f"{key} = 3"] * before + [bad.format(key=key)] + [f"{key} = 4"]
+        # valid lines first, each setting another field to its default
+        others = [f for f in dataclasses.fields(cls) if f.name != key][:before]
+        lines = [f"{f.name} = {_format(f.default)}" for f in others] + [bad.format(key=key), f"{key} = 4"]
         path = tmp_path / "fields.cfg"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=f"fields.cfg:{before + 1}: "):

@@ -24,7 +24,7 @@ from xmcreg.evaluation import (
     write_scores,
 )
 
-from conftest import deadline, scoring_cases
+from conftest import deadline, scoring_cases, shuffled_label_case
 
 
 def _preds(scores, correct):
@@ -122,6 +122,16 @@ class TestRetrieveTop1:
         oracle = [(lid, np.float64(score).tobytes(), correct)
                   for lid, score, correct in _double_loop_oracle(q @ l.T, label_ids, positives)]
         assert got == oracle
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_label_order_changes_no_id_or_score_bytes(self, seed):
+        q, l, ids, positives, perm = shuffled_label_case(seed)
+        qids = list(range(len(q)))
+        runs = [retrieve_top1(q, l, qids, ids.tolist(), positives),
+                retrieve_top1(q, l[perm], qids, ids[perm].tolist(), positives)]
+        a, b = ([(p.top1_label_id, np.float64(p.score).tobytes(), p.correct) for p in run] for run in runs)
+        assert a == b
 
     def test_nan_row_takes_lowest_id_nan_column(self):
         # argmax counts a NaN as the maximum: a NaN query row takes the lowest

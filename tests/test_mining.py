@@ -21,7 +21,7 @@ from xmcreg.mining import (
     sample_positives,
 )
 
-from conftest import scoring_cases
+from conftest import scoring_cases, shuffled_label_case
 
 
 def _unit_rows(arr):
@@ -236,6 +236,13 @@ class TestAncePool:
             mp.setattr(mining, "SCORE_CHUNK_ELEMENTS", budget)
             pools = ance_pool(q, labels, ids, positives, pool_size=pool_size)
         assert pools == _exhaustive_sort_oracle(q @ labels.T, ids, positives, pool_size)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+    def test_label_order_changes_no_pool(self, seed, pool_size):
+        q, labels, ids, positives, perm = shuffled_label_case(seed)
+        assert ance_pool(q, labels, ids.tolist(), positives, pool_size) == \
+            ance_pool(q, labels[perm], ids[perm].tolist(), positives, pool_size)
 
     def test_invalid_pool_size(self):
         with pytest.raises(ValueError):

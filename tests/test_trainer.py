@@ -443,6 +443,16 @@ class TestCheckpointFormat:
             Checkpoint.load(path)
         assert str(err.value) == f"{path}: meta/epoch must be one finite whole number >= 0, {got}"
 
+    @pytest.mark.parametrize("epoch, got", [
+        (2.7, "got 2.7"), (-1, "got -1.0"), (math.nan, "got nan"), (math.inf, "got inf"),
+    ])
+    def test_save_rejects_an_epoch_load_rejects(self, tmp_path, epoch, got):
+        path = tmp_path / "c.bin"
+        with pytest.raises(ValueError) as err:
+            Checkpoint(tensors={"w": np.ones(2)}, config={}, epoch=epoch).save(path)
+        assert str(err.value) == f"{path}: meta/epoch must be one finite whole number >= 0, {got}"
+        assert list(tmp_path.iterdir()) == []
+
     def test_optimizer_state_round_trips(self, tmp_path, tiny_dataset):
         config = tiny_config(epochs=1)
         ckpt, _ = train(tiny_dataset, config)
