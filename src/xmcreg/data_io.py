@@ -10,6 +10,7 @@ of one of their positive labels.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 import typing
@@ -36,6 +37,16 @@ class ValidationError(ValueError):
 
 @dataclass
 class SyntheticSpec:
+    """Size, noise and seed of a synthetic catalogue (see build_synthetic).
+
+    Each family offers len(_VARIANTS) * len(_SIZES) * len(_UNITS) = 512
+    distinct titles, so ``num_labels`` may not exceed 512 * ``families``.
+    Below that cap a title can still repeat by bad luck, since a label
+    gives up after 100 draws: 1,000 labels over 2 families hold 999
+    distinct titles at seed 0. ``num_test_queries = 0`` builds (the
+    gradient check's micro-objective needs no test split), but
+    ``generate`` refuses to write an empty test split."""
+
     num_labels: int = 200
     num_train_queries: int = 2000
     num_test_queries: int = 500
@@ -47,9 +58,12 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         # (field, holds, rule); written so that a NaN fails its rule
         cap = len(_BRANDS) * len(_CATEGORIES)  # one family per (brand, category)
+        titles = len(_VARIANTS) * len(_SIZES) * len(_UNITS)  # distinct titles per family
         for name, holds, rule in (
             ("families", 2 <= self.families <= cap, f"in [2, {cap}]"),
             ("num_labels", self.num_labels >= self.families, f">= families ({self.families})"),
+            ("num_labels", self.num_labels <= titles * self.families,
+             f"<= {titles * self.families} ({titles} titles x {self.families} families)"),
             ("noise_rate", 0.0 <= self.noise_rate < 1.0, "in [0, 1)"),
             ("abbreviation_rate", 0.0 <= self.abbreviation_rate < 1.0, "in [0, 1)"),
             ("num_train_queries", self.num_train_queries >= 1, ">= 1"),
@@ -81,36 +95,39 @@ _VARIANTS = [
 _SIZES = ["7.76", "9.5", "13", "14.3", "17", "19.1", "24", "32"]
 _UNITS = ["oz", "ct", "pk", "g"]
 
-_VOWELS = set("aeiou")
+_ELIDE_VOWELS = str.maketrans("", "", "aeiou")
 
 
 def _abbreviate_word(word: str) -> str:
+    if any(map(str.isdigit, word)):
+        # size token: drop the unit suffix instead of eliding vowels
+        return "".join(ch for ch in word if ch.isdigit() or ch == ".")
     if len(word) <= 2:
         return word
-    head, rest = word[0], word[1:]
-    stripped = "".join(ch for ch in rest if ch not in _VOWELS)
-    return head + stripped if stripped else word[:2]
+    stripped = word[1:].translate(_ELIDE_VOWELS)
+    return word[0] + stripped if stripped else word[:2]
 
 
 def corrupt_text(text: str, rng: np.random.Generator, noise_rate: float, abbreviation_rate: float) -> str:
     """Query-style rendering: vowel-elided words, dropped characters,
-    mangled size units. Identity when both rates are zero."""
+    mangled size units. Identity when both rates are zero.
+
+    Draws one uniform per space-separated word when ``abbreviation_rate``
+    is non-zero, then one per character of the abbreviated text when
+    ``noise_rate`` is non-zero, each set as one ``rng.random(n)`` call:
+    the same doubles, and the same generator state after, as n single
+    ``rng.random()`` calls (a uniform double leaves the generator's
+    buffered 32-bit half alone)."""
     if noise_rate == 0.0 and abbreviation_rate == 0.0:
         return text
     words = text.split(" ")
-    out_words = []
-    for w in words:
-        if abbreviation_rate > 0.0 and rng.random() < abbreviation_rate:
-            if any(ch.isdigit() for ch in w):
-                # size token: drop the unit suffix instead of eliding vowels
-                w = "".join(ch for ch in w if ch.isdigit() or ch == ".")
-            else:
-                w = _abbreviate_word(w)
-        out_words.append(w)
-    corrupted = " ".join(out_words)
+    if abbreviation_rate > 0.0:
+        hits = (rng.random(len(words)) < abbreviation_rate).tolist()
+        words = [_abbreviate_word(w) if hit else w for w, hit in zip(words, hits)]
+    corrupted = " ".join(words)
     if noise_rate > 0.0:
-        kept = [ch for ch in corrupted if rng.random() >= noise_rate]
-        corrupted = "".join(kept) if kept else corrupted[:1]
+        kept = "".join(itertools.compress(corrupted, (rng.random(len(corrupted)) >= noise_rate).tolist()))
+        corrupted = kept or corrupted[:1]
     return corrupted
 
 
@@ -122,11 +139,9 @@ def build_synthetic(spec: SyntheticSpec) -> tuple[list[TextRecord], list[QueryRe
     families = [combos[int(i)] for i in family_idx]
 
     labels: list[TextRecord] = []
-    family_of_label: list[int] = []
     seen = set()
     for lid in range(spec.num_labels):
-        fam = lid % spec.families
-        brand, category = families[fam]
+        brand, category = families[lid % spec.families]
         for _ in range(100):
             variant = _VARIANTS[rng.integers(len(_VARIANTS))]
             size = _SIZES[rng.integers(len(_SIZES))]
@@ -136,23 +151,21 @@ def build_synthetic(spec: SyntheticSpec) -> tuple[list[TextRecord], list[QueryRe
                 break
         seen.add(text)
         labels.append(TextRecord(id=lid, text=text))
-        family_of_label.append(fam)
-
-    by_family: dict[int, list[int]] = {}
-    for lid, fam in enumerate(family_of_label):
-        by_family.setdefault(fam, []).append(lid)
 
     def make_queries(n: int) -> list[QueryRecord]:
         out = []
         for qid in range(n):
             src = int(rng.integers(spec.num_labels))
-            fam_labels = by_family[family_of_label[src]]
+            # label lid is in family lid % families, so src sits at index
+            # src // families of its family's ascending ids
+            fam_labels = range(src % spec.families, spec.num_labels, spec.families)
             extra = int(rng.integers(3))  # 0-2 extra same-family positives
-            others = [l for l in fam_labels if l != src]
+            others = len(fam_labels) - 1
             chosen = {src}
             if others and extra:
-                picks = rng.choice(len(others), size=min(extra, len(others)), replace=False)
-                chosen.update(others[int(i)] for i in picks)
+                at = src // spec.families
+                picks = rng.choice(others, size=min(extra, others), replace=False).tolist()
+                chosen.update(fam_labels[i + (i >= at)] for i in picks)
             text = corrupt_text(labels[src].text, rng, spec.noise_rate, spec.abbreviation_rate)
             out.append(QueryRecord(id=qid, text=text, positives=frozenset(chosen)))
         return out
@@ -177,23 +190,27 @@ def write_atomic(path: str | Path, data: str | bytes | typing.Iterable[bytes]) -
     os.replace(tmp, path)
 
 
-def _write_jsonl(path: Path, rows: list[dict]) -> None:
-    write_atomic(path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _jsonl(rows: typing.Iterable[dict]) -> bytes:
+    return "".join([_ROW_ENCODER.encode(row) + "\n" for row in rows]).encode("utf-8")
 
 
 def generate(spec: SyntheticSpec, out_dir: str | Path) -> None:
-    """Write train/ and test/ dataset directories (shared label space)."""
+    """Write train/ and test/ dataset directories (shared label space).
+    Refuses, before writing anything, a spec with no test queries."""
+    if spec.num_test_queries < 1:
+        raise InvalidSpec(f"need num_test_queries >= 1 to write a test split, got {spec.num_test_queries!r}")
     out_dir = Path(out_dir)
     labels, train_q, test_q = build_synthetic(spec)
-    label_rows = [{"id": l.id, "text": l.text} for l in labels]
+    label_lines = _jsonl({"id": l.id, "text": l.text} for l in labels)
     for split, queries in (("train", train_q), ("test", test_q)):
         split_dir = out_dir / split
         split_dir.mkdir(parents=True, exist_ok=True)
-        _write_jsonl(split_dir / "labels.jsonl", label_rows)
-        _write_jsonl(
-            split_dir / "queries.jsonl",
-            [{"id": q.id, "text": q.text, "labels": sorted(q.positives)} for q in queries],
-        )
+        write_atomic(split_dir / "labels.jsonl", label_lines)
+        write_atomic(split_dir / "queries.jsonl",
+                     _jsonl({"id": q.id, "text": q.text, "labels": sorted(q.positives)} for q in queries))
 
 
 # what each field type of a record file reads as in an error message

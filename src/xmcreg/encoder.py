@@ -15,10 +15,13 @@ import numpy as np
 from . import diffmath as dm
 
 MAX_CHARS = 128
-# texts featurized and embedded per pass of encode_matrix. 64 keeps each
-# hashing temporary near 64 kB (8k trigrams at MAX_CHARS); at 512 texts
-# per pass the peak RSS of a 24k-text eval rose by about 1 MB
-FEATURIZE_CHUNK = 64
+# texts featurized and embedded per pass of encode_matrix, which takes
+# them in length order. On eval-scaled's 24k texts (one CPU) sorting took
+# about 10% off encode_matrix at 256 texts per pass, and 256 texts per
+# pass took about 20% less than 64. 256 keeps each hashing temporary near
+# 256 kB (32k trigrams at MAX_CHARS); 512 texts per pass raised the peak
+# RSS of that eval by about 1 MB over 64
+FEATURIZE_CHUNK = 256
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
@@ -111,9 +114,13 @@ def encode(params: EncoderParams, text: str, tape: dm.GradTape | None = None) ->
 
 
 def encode_matrix(params: EncoderParams, texts: list[str]) -> np.ndarray:
-    """Stacked embeddings for frozen-parameter inference (no tape)."""
+    """Stacked embeddings for frozen-parameter inference (no tape), one
+    row per text in input order. Texts are embedded in chunks of similar
+    length (a stable sort by length), so a chunk carries few pad slots; a
+    row's bits do not depend on its chunk."""
     out = np.empty((len(texts), params.dim))
+    order = sorted(range(len(texts)), key=lambda i: len(texts[i]))
     for start in range(0, len(texts), FEATURIZE_CHUNK):
-        chunk = texts[start : start + FEATURIZE_CHUNK]
-        out[start : start + len(chunk)] = embed(params, featurize(chunk, params.num_buckets)).data
+        rows = order[start : start + FEATURIZE_CHUNK]
+        out[rows] = embed(params, featurize([texts[i] for i in rows], params.num_buckets)).data
     return out

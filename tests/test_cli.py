@@ -95,6 +95,27 @@ class TestGenerate:
         assert f"error: {spec}:3: duplicate key 'num_labels' (first set on line 1)" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    def test_empty_test_split_refused_naming_file(self, tmp_path, capsys):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("num_labels = 20\nnum_train_queries = 10\nnum_test_queries = 0\nfamilies = 4\n")
+        assert run(["generate-data", "--out", str(tmp_path / "d"), "--spec", str(spec)]) == 2
+        assert f"error: {spec}: need num_test_queries >= 1 to write a test split, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_labels_past_the_title_cap_name_file_and_both_numbers(self, tmp_path, capsys):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("num_labels = 1025\nfamilies = 2\n")
+        assert run(["generate-data", "--out", str(tmp_path / "d"), "--spec", str(spec)]) == 2
+        assert (f"error: {spec}: need num_labels <= 1024 (512 titles x 2 families), got 1025"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "d").exists()
+
+    def test_num_labels_flag_past_the_title_cap_fails(self, tmp_path, capsys):
+        code = run(["generate-data", "--out", str(tmp_path / "d"), "--num-labels", "12000", "--num-queries", "8"])
+        assert code == 2
+        assert "error: need num_labels <= 10240 (512 titles x 20 families), got 12000" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_missing_size_flags_is_usage_error(self, tmp_path):
         assert run(["generate-data", "--out", str(tmp_path / "d")]) == 1
         assert not (tmp_path / "d").exists()
@@ -217,9 +238,11 @@ class TestEval:
 
     @pytest.fixture
     def split_without_queries(self, tmp_path):
+        # generate-data refuses to write an empty split, so empty a generated one
         spec = tmp_path / "spec.cfg"
-        spec.write_text("num_labels = 20\nnum_train_queries = 10\nnum_test_queries = 0\nfamilies = 4\n")
+        spec.write_text("num_labels = 20\nnum_train_queries = 10\nnum_test_queries = 1\nfamilies = 4\n")
         assert run(["generate-data", "--out", str(tmp_path / "d"), "--spec", str(spec)]) == 0
+        (tmp_path / "d" / "test" / "queries.jsonl").write_bytes(b"")
         return tmp_path / "d" / "test"
 
     def test_split_without_queries_fails_naming_the_file(self, trained_dir, split_without_queries, tmp_path, capsys):

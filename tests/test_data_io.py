@@ -3,12 +3,14 @@
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from xmcreg import data_io
 from xmcreg.data_io import (
     InvalidSpec,
     ParseError,
@@ -20,9 +22,84 @@ from xmcreg.data_io import (
     load_dataset,
     load_key_values,
 )
+from xmcreg.encoder import TextRecord
+from xmcreg.mining import QueryRecord
 from xmcreg.trainer import TrainConfig
 
 from conftest import tiny_spec
+
+
+# The generator with one draw per call and one json.dumps per row, kept as
+# the oracle of the bulk draws and the shared serializer: generate must
+# write its bytes and leave the generator where it leaves it.
+
+def corrupt_text_oracle(text, rng, noise_rate, abbreviation_rate):
+    if noise_rate == 0.0 and abbreviation_rate == 0.0:
+        return text
+    out_words = []
+    for w in text.split(" "):
+        if abbreviation_rate > 0.0 and rng.random() < abbreviation_rate:
+            if any(ch.isdigit() for ch in w):
+                w = "".join(ch for ch in w if ch.isdigit() or ch == ".")
+            elif len(w) > 2:
+                stripped = "".join(ch for ch in w[1:] if ch not in "aeiou")
+                w = w[0] + stripped if stripped else w[:2]
+        out_words.append(w)
+    corrupted = " ".join(out_words)
+    if noise_rate > 0.0:
+        kept = [ch for ch in corrupted if rng.random() >= noise_rate]
+        corrupted = "".join(kept) if kept else corrupted[:1]
+    return corrupted
+
+
+def build_synthetic_oracle(spec):
+    rng = np.random.default_rng(spec.seed)
+    combos = [(b, c) for b in data_io._BRANDS for c in data_io._CATEGORIES]
+    families = [combos[int(i)] for i in rng.choice(len(combos), size=spec.families, replace=False)]
+    labels, family_of_label, seen = [], [], set()
+    for lid in range(spec.num_labels):
+        fam = lid % spec.families
+        brand, category = families[fam]
+        for _ in range(100):
+            variant = data_io._VARIANTS[rng.integers(len(data_io._VARIANTS))]
+            size = data_io._SIZES[rng.integers(len(data_io._SIZES))]
+            unit = data_io._UNITS[rng.integers(len(data_io._UNITS))]
+            text = f"{brand} {variant} {category} {size}{unit}"
+            if text not in seen:
+                break
+        seen.add(text)
+        labels.append(TextRecord(id=lid, text=text))
+        family_of_label.append(fam)
+    by_family = {}
+    for lid, fam in enumerate(family_of_label):
+        by_family.setdefault(fam, []).append(lid)
+
+    def make_queries(n):
+        out = []
+        for qid in range(n):
+            src = int(rng.integers(spec.num_labels))
+            extra = int(rng.integers(3))
+            others = [l for l in by_family[family_of_label[src]] if l != src]
+            chosen = {src}
+            if others and extra:
+                picks = rng.choice(len(others), size=min(extra, len(others)), replace=False)
+                chosen.update(others[int(i)] for i in picks)
+            text = corrupt_text_oracle(labels[src].text, rng, spec.noise_rate, spec.abbreviation_rate)
+            out.append(QueryRecord(id=qid, text=text, positives=frozenset(chosen)))
+        return out
+
+    return labels, make_queries(spec.num_train_queries), make_queries(spec.num_test_queries)
+
+
+def generate_oracle(spec, out_dir):
+    labels, train_q, test_q = build_synthetic_oracle(spec)
+    for split, queries in (("train", train_q), ("test", test_q)):
+        split_dir = Path(out_dir) / split
+        split_dir.mkdir(parents=True)
+        for name, rows in (("labels.jsonl", [{"id": l.id, "text": l.text} for l in labels]),
+                           ("queries.jsonl", [{"id": q.id, "text": q.text, "labels": sorted(q.positives)}
+                                              for q in queries])):
+            (split_dir / name).write_bytes("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows).encode())
 
 
 class TestSyntheticSpec:
@@ -48,6 +125,8 @@ class TestSyntheticSpec:
         (dict(noise_rate=1.5), "need noise_rate in [0, 1), got 1.5"),
         (dict(noise_rate=float("nan")), "need noise_rate in [0, 1), got nan"),
         (dict(abbreviation_rate=-0.1), "need abbreviation_rate in [0, 1), got -0.1"),
+        (dict(num_labels=1025, families=2), "need num_labels <= 1024 (512 titles x 2 families), got 1025"),
+        (dict(num_labels=12000), "need num_labels <= 10240 (512 titles x 20 families), got 12000"),
     ])
     def test_rejection_names_field_and_value(self, bad, message):
         with pytest.raises(InvalidSpec) as err:
@@ -59,8 +138,35 @@ class TestSyntheticSpec:
                                                      families=384))
         assert len(labels) == 384
 
+    def test_generate_refuses_an_empty_test_split_before_writing(self, tmp_path):
+        with pytest.raises(InvalidSpec, match=r"^need num_test_queries >= 1 to write a test split, got 0$"):
+            generate(tiny_spec(num_test_queries=0), tmp_path / "d")
+        assert not (tmp_path / "d").exists()
+
+
+# words with digits, dots, vowels, non-ASCII letters and empty words
+# (repeated, leading or trailing spaces)
+_CORRUPTIBLE = st.text(alphabet=st.sampled_from("aeioubcdxyz0179.oz éİß中 "), max_size=60)
+
 
 class TestCorruptText:
+    @settings(max_examples=300)
+    @given(_CORRUPTIBLE, st.sampled_from([0.0, 0.18, 0.5, 0.95]), st.sampled_from([0.0, 0.3, 0.7, 0.999]),
+           st.integers(0, 2**32), st.integers(0, 3))
+    def test_matches_per_call_oracle_and_leaves_the_same_state(self, text, noise_rate, abbreviation_rate, seed,
+                                                                ints_before):
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
+        for rng in rngs:
+            for _ in range(ints_before):
+                rng.integers(7)
+        # an odd number of small integer draws leaves a buffered 32-bit half
+        assert rngs[0].bit_generator.state["has_uint32"] == ints_before % 2
+        out = corrupt_text(text, rngs[0], noise_rate, abbreviation_rate)
+        assert out == corrupt_text_oracle(text, rngs[1], noise_rate, abbreviation_rate)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        assert rngs[0].integers(2**20) == rngs[1].integers(2**20)
+        assert rngs[0].random() == rngs[1].random()
+
     def test_identity_at_zero_rates(self):
         rng = np.random.default_rng(0)
         text = "oreo double stuf creme sandwich cookies 14.3oz"
@@ -112,6 +218,22 @@ class TestBuildSynthetic:
 
 
 class TestGenerateAndLoad:
+    @pytest.mark.parametrize("fields", [
+        dict(),
+        dict(num_labels=1024, families=2, num_train_queries=200, num_test_queries=40, seed=3),  # at the title cap
+        dict(num_labels=7, families=7, seed=1),  # one label per family: no extra positive to pick
+        dict(num_labels=100, families=3, noise_rate=0.0, seed=2),
+        dict(num_labels=50, families=4, abbreviation_rate=0.0, seed=5),
+        dict(noise_rate=0.0, abbreviation_rate=0.0),
+    ])
+    def test_writes_the_per_call_oracles_bytes(self, tmp_path, fields):
+        spec = tiny_spec(**fields)
+        generate(spec, tmp_path / "a")
+        generate_oracle(spec, tmp_path / "b")
+        for split in ("train", "test"):
+            for name in ("labels.jsonl", "queries.jsonl"):
+                assert (tmp_path / "a" / split / name).read_bytes() == (tmp_path / "b" / split / name).read_bytes()
+
     def test_round_trip(self, tmp_path):
         spec = tiny_spec()
         generate(spec, tmp_path)

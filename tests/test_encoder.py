@@ -131,7 +131,14 @@ def test_featurize_matches_oracle(texts, num_buckets):
     assert_features_identical(featurize(texts, num_buckets), [featurize_oracle(t, num_buckets) for t in texts])
 
 
-@given(st.lists(_TEXT, max_size=8), st.integers(1, 4))
+# texts from empty to far past MAX_CHARS, drawn in any order, so length-sorted
+# chunks reorder them
+_VARIED_TEXTS = st.lists(
+    st.one_of(_TEXT, st.builds(lambda t, n: t * n, _TEXT, st.integers(2, 60))), max_size=10,
+).flatmap(st.permutations)
+
+
+@given(_VARIED_TEXTS, st.integers(1, 4))
 def test_encode_matrix_rows_equal_encode_across_chunks(texts, chunk):
     params = init_encoder(np.random.default_rng(0), d=8, d_in=16, num_buckets=1024)
     with mock.patch.object(encoder, "FEATURIZE_CHUNK", chunk):
