@@ -43,9 +43,7 @@ class SyntheticSpec:
     distinct titles, so ``num_labels`` may not exceed 512 * ``families``.
     Below that cap a title can still repeat by bad luck, since a label
     gives up after 100 draws: 1,000 labels over 2 families hold 999
-    distinct titles at seed 0. ``num_test_queries = 0`` builds (the
-    gradient check's micro-objective needs no test split), but
-    ``generate`` refuses to write an empty test split."""
+    distinct titles at seed 0."""
 
     num_labels: int = 200
     num_train_queries: int = 2000
@@ -67,7 +65,7 @@ class SyntheticSpec:
             ("noise_rate", 0.0 <= self.noise_rate < 1.0, "in [0, 1)"),
             ("abbreviation_rate", 0.0 <= self.abbreviation_rate < 1.0, "in [0, 1)"),
             ("num_train_queries", self.num_train_queries >= 1, ">= 1"),
-            ("num_test_queries", self.num_test_queries >= 0, ">= 0"),
+            ("num_test_queries", self.num_test_queries >= 1, ">= 1"),
             ("seed", self.seed >= 0, ">= 0"),
         ):
             if not holds:
@@ -198,10 +196,7 @@ def _jsonl(rows: typing.Iterable[dict]) -> bytes:
 
 
 def generate(spec: SyntheticSpec, out_dir: str | Path) -> None:
-    """Write train/ and test/ dataset directories (shared label space).
-    Refuses, before writing anything, a spec with no test queries."""
-    if spec.num_test_queries < 1:
-        raise InvalidSpec(f"need num_test_queries >= 1 to write a test split, got {spec.num_test_queries!r}")
+    """Write train/ and test/ dataset directories (shared label space)."""
     out_dir = Path(out_dir)
     labels, train_q, test_q = build_synthetic(spec)
     label_lines = _jsonl({"id": l.id, "text": l.text} for l in labels)

@@ -27,19 +27,13 @@ class DimensionMismatch(ValueError):
 
 
 class Tensor:
-    """Rank-0 to rank-3 float64 array with an optional gradient buffer.
+    """Rank-0 to rank-3 float64 array with an optional gradient buffer."""
 
-    A parameter may own ``grad_view``, a buffer of its shape (a view of the
-    optimizer's gradient arena) that its first gradient is written into
-    instead of a new array.
-    """
-
-    __slots__ = ("data", "grad", "grad_view", "_backward")
+    __slots__ = ("data", "grad", "_backward")
 
     def __init__(self, data) -> None:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self.grad_view: np.ndarray | None = None
         self._backward = None
 
     @property
@@ -93,11 +87,7 @@ def _accum(t, g: np.ndarray) -> None:
     if t.grad is None:
         # copy: g may alias a downstream node's gradient buffer. A copy, not
         # an add into zeros, so a -0.0 in g stays -0.0
-        if t.grad_view is not None and t.grad_view.shape == np.shape(g):
-            np.copyto(t.grad_view, g)
-            t.grad = t.grad_view
-        else:
-            t.grad = np.array(g, dtype=np.float64)
+        t.grad = np.array(g, dtype=np.float64)
     else:
         t.grad += g
 
@@ -249,12 +239,11 @@ def stack(tape, parts) -> Tensor:
 
 
 def _scatter_grad(t: Tensor, shape: tuple[int, ...]) -> np.ndarray:
-    """t's gradient buffer as a scatter destination: zeros if t has none yet
-    (in its arena view, for a parameter that has one), and C-contiguous."""
+    """t's gradient buffer as a scatter destination: zeros if t has none yet,
+    and C-contiguous."""
     if t.grad is None:
-        # np.empty, not empty_like: a transposed operand's data is F-ordered
-        t.grad = np.empty(shape) if t.grad_view is None else t.grad_view
-        t.grad.fill(0.0)
+        # np.zeros, not zeros_like: a transposed operand's data is F-ordered
+        t.grad = np.zeros(shape)
     elif not t.grad.flags.c_contiguous:
         t.grad = np.ascontiguousarray(t.grad)
     return t.grad

@@ -57,9 +57,9 @@ def retrieve_top1(
     id, and a row with a NaN score takes its lowest-id NaN column."""
     if label_embeddings.shape[0] == 0:
         raise EmptyLabelSpace("no labels to retrieve from")
-    ids = np.sort(label_ids)  # the labels of score_chunks' columns
+    ids, blocks = score_chunks(query_embeddings, label_embeddings, label_ids)
     preds = []
-    for rows, scores in score_chunks(query_embeddings, label_embeddings, label_ids):
+    for rows, scores in blocks:
         # the columns ascend by id: the first max (a NaN counts as the max) is the lowest id
         best = scores.argmax(axis=1)
         top = scores[np.arange(len(best)), best]

@@ -161,16 +161,17 @@ def score_chunks(query_embeddings: np.ndarray, label_embeddings: np.ndarray, lab
     """Scores of every query against every label, a block of query rows at
     a time, with the label columns in ascending-id order.
 
-    Yields ``(rows, scores)``: a slice of query rows and the block's
-    scores, whose column j belongs to the j-th smallest of ``label_ids``
-    (label rows are copied into that order unless the ids ascend), so no
-    score depends on the input order. Blocks start at multiples of
-    SCORE_BLOCK_ROWS rows and hold about SCORE_CHUNK_ELEMENTS scores; a
-    tail of under half a block joins the block before it. No block is then
-    a one-row product, which BLAS computes another way, unless the input
-    has one row. With single-threaded OpenBLAS the scores equal the same
-    entries of the whole product bit for bit. A repeated label id raises
-    ValueError, since ties are broken by id.
+    Returns ``(ids, blocks)``: ``label_ids`` in ascending order, and an
+    iterator of ``(rows, scores)``, a slice of query rows and the block's
+    scores, whose column j belongs to ``ids[j]`` (label rows are copied
+    into that order unless the ids ascend), so no score depends on the
+    input order. Blocks start at multiples of SCORE_BLOCK_ROWS rows and
+    hold about SCORE_CHUNK_ELEMENTS scores; a tail of under half a block
+    joins the block before it. No block is then a one-row product, which
+    BLAS computes another way, unless the input has one row. With
+    single-threaded OpenBLAS the scores equal the same entries of the whole
+    product bit for bit. A repeated label id raises ValueError, since ties
+    are broken by id.
     """
     order = np.argsort(label_ids)
     ids = np.asarray(label_ids)[order]
@@ -184,8 +185,8 @@ def score_chunks(query_embeddings: np.ndarray, label_embeddings: np.ndarray, lab
     starts = list(range(0, n, step))
     if len(starts) > 1 and n - starts[-1] < step // 2:
         starts.pop()
-    for start, stop in zip(starts, starts[1:] + [n]):
-        yield slice(start, stop), query_embeddings[start:stop] @ label_embeddings.T
+    return ids, ((slice(start, stop), query_embeddings[start:stop] @ label_embeddings.T)
+                 for start, stop in zip(starts, starts[1:] + [n]))
 
 
 def ance_pool(
@@ -203,9 +204,9 @@ def ance_pool(
     """
     if pool_size < 1:
         raise ValueError("pool_size must be >= 1")
-    ids = np.sort(label_ids)  # the labels of score_chunks' columns
+    ids, blocks = score_chunks(query_embeddings, label_embeddings, label_ids)
     pools: list[list[int]] = []
-    for rows, scores in score_chunks(query_embeddings, label_embeddings, label_ids):
+    for rows, scores in blocks:
         positives = positives_per_query[rows]
         pos_rows = np.repeat(np.arange(len(positives)), [len(p) for p in positives])
         pos_ids = np.fromiter(itertools.chain.from_iterable(positives), dtype=ids.dtype, count=len(pos_rows))

@@ -139,8 +139,8 @@ def model_from_tensors(tensors: dict[str, np.ndarray], path: str | Path | None =
 
 
 # Elements per block of the Adam update: 32k float64 values are 256 KB per
-# arena slice, so a block's parameters, gradients, moments and two
-# temporaries stay in the L2 cache while its thirteen passes run.
+# array, so a block's slice of a parameter, its gradient, its moments and
+# two temporaries stay in the L2 cache while its thirteen passes run.
 ADAM_BLOCK = 32768
 # update_step's b1, b2 and eps
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -148,17 +148,10 @@ ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    """Adam's moments and the flat float64 arenas behind them.
+    """Adam's first and second moments by checkpoint name, and its step
+    count. ``touched`` names every tensor that had a gradient at some step:
+    only those are read or written."""
 
-    ``arena`` rows hold the parameters, gradients, m and v, tensor after
-    tensor in checkpoint order; ``spans`` gives each tensor's [start, stop)
-    there. Each tensor's data and grad_view, m[name] and v[name] are views
-    of its span. ``touched`` names every tensor that had a gradient at some
-    step: only their spans are read or written.
-    """
-
-    arena: np.ndarray
-    spans: dict[str, tuple[int, int]]
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
@@ -166,93 +159,60 @@ class AdamState:
 
 
 def init_adam(params: dict[str, dm.Tensor]) -> AdamState:
-    """Move every parameter into the arenas; its data becomes a view there,
-    so the caller's arrays (a loaded checkpoint's, say) are never written."""
-    arena = np.zeros((4, sum(p.data.size for p in params.values())))
-    data, grad, m, v = arena
-    state = AdamState(arena=arena, spans={}, m={}, v={})
-    start = 0
-    for name, p in params.items():
-        stop = start + p.data.size
-        view = data[start:stop].reshape(p.data.shape)
-        view[...] = p.data
-        p.data = view
-        p.grad_view = grad[start:stop].reshape(p.data.shape)
-        state.m[name] = m[start:stop].reshape(p.data.shape)
-        state.v[name] = v[start:stop].reshape(p.data.shape)
-        state.spans[name] = (start, stop)
-        start = stop
-    return state
-
-
-def _collect_gradients(params: dict[str, dm.Tensor], state: AdamState) -> list[list[int]]:
-    """Bring this step's gradients into the gradient arena; return the runs
-    of adjacent touched tensors as merged arena spans.
-
-    A .grad assigned directly is copied into the tensor's view. A touched
-    tensor without a gradient this step gets a zero one there, as Adam
-    reads it. A tensor never touched is left out, arena pages included.
-    """
-    runs: list[list[int]] = []
-    for name, p in params.items():
-        view = p.grad_view
-        if p.grad is None:
-            if name not in state.touched:
-                continue
-            view.fill(0.0)
-            p.grad = view
-        elif p.grad is not view:
-            if np.shape(p.grad) != view.shape:
-                raise ShapeMismatch(f"{name}: grad {np.shape(p.grad)} vs param {p.data.shape}")
-            np.copyto(view, p.grad)
-            p.grad = view
-        state.touched.add(name)
-        start, stop = state.spans[name]
-        if runs and runs[-1][1] == start:
-            runs[-1][1] = stop
-        else:
-            runs.append([start, stop])
-    return runs
+    """Zero moments for every parameter. Each parameter's data becomes its
+    own C-ordered copy, which the update writes through a flat view, so the
+    caller's arrays (a loaded checkpoint's, say) are never written."""
+    for p in params.values():
+        p.data = np.array(p.data, order="C")
+    return AdamState(m={name: np.zeros(p.data.shape) for name, p in params.items()},
+                     v={name: np.zeros(p.data.shape) for name, p in params.items()})
 
 
 def update_step(params: dict[str, dm.Tensor], state: AdamState, lr: float) -> None:
     """Adaptive moment estimation update with bias correction, in place.
 
     A parameter whose gradient has been zero on every step so far has
-    zero moments and a mathematically zero update, so it is skipped. The
-    others are updated over the arena in blocks of ADAM_BLOCK elements,
+    zero moments and a mathematically zero update, so it is skipped. A
+    touched parameter without a gradient this step gets a zero one. The
+    others are updated tensor by tensor in blocks of ADAM_BLOCK elements,
     each element by the operations, in the order, of
     m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
     p = p - lr*(m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps),
     so the result does not depend on the block size. Gradients are left
     in place for the caller to read.
 
-    A NaN or infinite gradient raises NonFiniteGradient, naming the first
-    such tensor in checkpoint order, before any parameter or moment is
-    written.
+    Every gradient is checked first, in checkpoint order: a wrong shape
+    raises ShapeMismatch, a NaN or infinite value NonFiniteGradient naming
+    the tensor. Either leaves every parameter and moment unwritten and the
+    step uncounted.
     """
-    runs = _collect_gradients(params, state)
-    data, grad, m, v = state.arena
-    for start, stop in runs:
-        finite = np.isfinite(grad[start:stop])
-        if not finite.all():
-            offset = start + int(np.argmin(finite))
-            bad = next(name for name, (lo, hi) in state.spans.items() if lo <= offset < hi)
-            raise dm.NonFiniteGradient(f"non-finite gradient of {bad} at step {state.step}")
+    grads = {}
+    for name, p in params.items():
+        if p.grad is None:
+            if name not in state.touched:
+                continue
+            p.grad = np.zeros(p.data.shape)
+        elif np.shape(p.grad) != p.data.shape:
+            raise ShapeMismatch(f"{name}: grad {np.shape(p.grad)} vs param {p.data.shape}")
+        elif not np.isfinite(p.grad).all():
+            raise dm.NonFiniteGradient(f"non-finite gradient of {name} at step {state.step}")
+        grads[name] = p.grad
+    state.touched |= grads.keys()
     state.step += 1
     t = state.step
     tmp = np.empty((2, ADAM_BLOCK))
-    for start, stop in runs:
-        for lo in range(start, stop, ADAM_BLOCK):
-            hi = min(lo + ADAM_BLOCK, stop)
-            g, mb, vb = grad[lo:hi], m[lo:hi], v[lo:hi]
+    for name, g in grads.items():
+        g, data, m, v = (np.ravel(a) for a in (g, params[name].data, state.m[name], state.v[name]))
+        for lo in range(0, g.size, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, g.size)
+            gb, mb, vb = g[lo:hi], m[lo:hi], v[lo:hi]
             update, denom = tmp[:, : hi - lo]
             mb *= ADAM_B1
-            np.multiply(g, 1 - ADAM_B1, out=update)
+            np.multiply(gb, 1 - ADAM_B1, out=update)
             mb += update
             vb *= ADAM_B2
-            np.multiply(g, 1 - ADAM_B2, out=denom)
-            denom *= g
+            np.multiply(gb, 1 - ADAM_B2, out=denom)
+            denom *= gb
             vb += denom
             np.divide(mb, 1 - ADAM_B1**t, out=update)
             update *= lr
@@ -449,10 +409,10 @@ def train(
     if log_path is not None:
         write_atomic(log_path, "".join(json.dumps(e, sort_keys=True) + "\n" for e in log))
 
-    tensors = {name: np.array(p.data) for name, p in params.items()}
+    tensors = {name: p.data for name, p in params.items()}
     for name in params:
-        tensors[f"opt/m/{name}"] = np.array(state.m[name])
-        tensors[f"opt/v/{name}"] = np.array(state.v[name])
+        tensors[f"opt/m/{name}"] = state.m[name]
+        tensors[f"opt/v/{name}"] = state.v[name]
     tensors["opt/step"] = np.array([float(state.step)])
     ckpt = Checkpoint(tensors=tensors, config=asdict(config), epoch=config.epochs)
     return ckpt, log

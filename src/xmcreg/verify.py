@@ -97,7 +97,7 @@ def make_micro_objective(seed: int):
     spec = SyntheticSpec(
         num_labels=MICRO_LABELS,
         num_train_queries=MICRO_BATCH,
-        num_test_queries=0,
+        num_test_queries=1,
         families=4,
         noise_rate=0.1,
         abbreviation_rate=0.3,

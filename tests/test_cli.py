@@ -99,7 +99,7 @@ class TestGenerate:
         spec = tmp_path / "spec.cfg"
         spec.write_text("num_labels = 20\nnum_train_queries = 10\nnum_test_queries = 0\nfamilies = 4\n")
         assert run(["generate-data", "--out", str(tmp_path / "d"), "--spec", str(spec)]) == 2
-        assert f"error: {spec}: need num_test_queries >= 1 to write a test split, got 0" in capsys.readouterr().err
+        assert f"error: {spec}: need num_test_queries >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
     def test_labels_past_the_title_cap_name_file_and_both_numbers(self, tmp_path, capsys):

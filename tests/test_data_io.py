@@ -112,8 +112,10 @@ class TestSyntheticSpec:
             SyntheticSpec(abbreviation_rate=-0.1)
         with pytest.raises(InvalidSpec, match=r"^need num_train_queries >= 1, got 0$"):
             SyntheticSpec(num_train_queries=0)
-        with pytest.raises(InvalidSpec, match=r"^need num_test_queries >= 0, got -1$"):
+        with pytest.raises(InvalidSpec, match=r"^need num_test_queries >= 1, got -1$"):
             SyntheticSpec(num_test_queries=-1)
+        with pytest.raises(InvalidSpec, match=r"^need num_test_queries >= 1, got 0$"):
+            SyntheticSpec(num_test_queries=0)
         with pytest.raises(InvalidSpec, match=r"^need seed >= 0, got -1$"):
             SyntheticSpec(seed=-1)
 
@@ -134,12 +136,12 @@ class TestSyntheticSpec:
         assert str(err.value) == message
 
     def test_largest_family_count_builds(self):
-        labels, _, _ = build_synthetic(SyntheticSpec(num_labels=384, num_train_queries=1, num_test_queries=0,
+        labels, _, _ = build_synthetic(SyntheticSpec(num_labels=384, num_train_queries=1, num_test_queries=1,
                                                      families=384))
         assert len(labels) == 384
 
     def test_generate_refuses_an_empty_test_split_before_writing(self, tmp_path):
-        with pytest.raises(InvalidSpec, match=r"^need num_test_queries >= 1 to write a test split, got 0$"):
+        with pytest.raises(InvalidSpec, match=r"^need num_test_queries >= 1, got 0$"):
             generate(tiny_spec(num_test_queries=0), tmp_path / "d")
         assert not (tmp_path / "d").exists()
 

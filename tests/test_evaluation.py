@@ -102,7 +102,7 @@ class TestRetrieveTop1:
         q[4] = l[7]
         label_ids = [int(x) for x in rng.permutation(np.arange(100, 110))]
         positives = [frozenset({label_ids[i], 999}) for i in range(9)]  # 999 is not a label
-        blocks = [rows for rows, _ in mining.score_chunks(q, l, label_ids)]
+        blocks = [rows for rows, _ in mining.score_chunks(q, l, label_ids)[1]]
         assert all(rows.start % block_rows == 0 and rows.stop - rows.start >= 2 for rows in blocks)
         assert blocks[-1].stop == 9
         preds = retrieve_top1(q, l, list(range(9)), label_ids, positives)

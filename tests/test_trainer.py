@@ -174,15 +174,25 @@ class TestAdam:
         p = dm.Tensor(np.zeros(4))
         params = {"p": p}
         state = init_adam(params)
+        p.grad = np.ones(4)
+        update_step(params, state, lr=0.1)
+        kept = _adam_bytes(params, state)
         p.grad = np.zeros(5)
         with pytest.raises(ShapeMismatch):
             update_step(params, state, lr=0.1)
+        assert _adam_bytes(params, state) == kept
+        assert state.step == 1
 
 
 def _land(p: dm.Tensor, g: np.ndarray) -> None:
     """Backward of <p, g> on a tape: p's first gradient is exactly g, -0.0 included."""
     tape = dm.GradTape()
     tape.backward(dm.dot(tape, dm.reshape(tape, p, (-1,)), np.ravel(g)))
+
+
+def _adam_bytes(params: dict[str, dm.Tensor], state: AdamState) -> bytes:
+    """The bytes of every parameter and both its moments, in checkpoint order."""
+    return b"".join(a.tobytes() for name, p in params.items() for a in (p.data, state.m[name], state.v[name]))
 
 
 class TestArena:
@@ -197,7 +207,6 @@ class TestArena:
         state = init_adam(params)
         # never read or written: "gap" sits between touched tensors
         gap = params["gap"]
-        gap.grad_view[...] = np.nan
         gap_data = gap.data.copy()
         ref = {name: [p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)] for name, p in params.items()}
         signed_zeros = rng.normal(size=(2, 3))
@@ -233,11 +242,47 @@ class TestArena:
                 for got, want in zip((p.data, state.m[name], state.v[name]), ref[name]):
                     assert got.tobytes() == want.tobytes(), (name, t)
         assert state.touched == touched == {"a", "b", "c", "late"}
-        assert gap.data.tobytes() == gap_data.tobytes()
-        assert np.isnan(gap.grad_view).all()
+        assert gap.data.tobytes() == gap_data.tobytes() and gap.grad is None
         assert not state.m["gap"].any() and not state.v["gap"].any()
 
-    def test_parameters_and_moments_are_arena_views_after_train(self, tiny_dataset, monkeypatch):
+    def test_nonfinite_gradient_names_first_bad_tensor(self):
+        params = {name: dm.Tensor(np.zeros(shape)) for name, shape in self.SHAPES}
+        state = init_adam(params)
+        for name in ("a", "b", "c"):
+            _land(params[name], np.ones(params[name].shape))
+        update_step(params, state, lr=0.1)
+        kept = _adam_bytes(params, state)
+        params["c"].grad = np.array(np.nan)
+        params["b"].grad = np.zeros((2, 3))
+        params["b"].grad[0, 0] = np.inf  # b comes before c in checkpoint order
+        with pytest.raises(dm.NonFiniteGradient, match="^non-finite gradient of b at step 1$"):
+            update_step(params, state, lr=0.1)
+        params["b"].grad = None
+        with pytest.raises(dm.NonFiniteGradient, match="^non-finite gradient of c at step 1$"):
+            update_step(params, state, lr=0.1)
+        # parameters and moments keep their bytes, and the step does not count
+        assert _adam_bytes(params, state) == kept
+        assert state.step == 1
+
+    @pytest.mark.parametrize("view", ["transposed", "sliced"])
+    def test_non_contiguous_parameter_updated_in_its_own_copy(self, view):
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
+        base = np.arange(12.0).reshape(3, 4)
+        arr = base.T if view == "transposed" else base[:, ::2]
+        kept = base.copy()
+        params = {"p": dm.Tensor(arr)}
+        assert np.shares_memory(params["p"].data, base) and not params["p"].data.flags.c_contiguous
+        state = init_adam(params)
+        g = np.linspace(-1.0, 1.0, arr.size).reshape(arr.shape)
+        params["p"].grad = g
+        update_step(params, state, lr=lr)
+        m, v = (1 - b1) * g, (1 - b2) * g * g
+        want = arr - lr * (m / (1 - b1)) / (np.sqrt(v / (1 - b2)) + eps)
+        assert params["p"].data.tobytes() == want.tobytes()
+        assert state.m["p"].tobytes() == m.tobytes() and state.v["p"].tobytes() == v.tobytes()
+        assert base.tobytes() == kept.tobytes()
+
+    def test_checkpoint_holds_the_trained_arrays(self, tiny_dataset, monkeypatch):
         seen = {}
 
         def spy(params):
@@ -247,45 +292,10 @@ class TestArena:
         monkeypatch.setattr(trainer, "init_adam", spy)
         ckpt, _ = train(tiny_dataset, tiny_config(epochs=1))
         params, state = seen["params"], seen["state"]
-        assert state.arena.shape == (4, sum(p.data.size for p in params.values()))
-        rows = dict(zip(("data", "grad", "m", "v"), state.arena))
         for name, p in params.items():
-            start, stop = state.spans[name]
-            for row, arr in ((rows["data"], p.data), (rows["grad"], p.grad_view),
-                             (rows["m"], state.m[name]), (rows["v"], state.v[name])):
-                assert arr.ctypes.data == row[start:].ctypes.data and arr.size == stop - start, name
-            assert p.data.tobytes() == ckpt.tensors[name].tobytes(), name
-
-    def test_nonfinite_gradient_names_first_bad_tensor(self):
-        params = {name: dm.Tensor(np.zeros(shape)) for name, shape in self.SHAPES}
-        state = init_adam(params)
-        for name in ("a", "b", "c"):
-            _land(params[name], np.ones(params[name].shape))
-        update_step(params, state, lr=0.1)
-        kept = state.arena[[0, 2, 3]].tobytes()
-        params["c"].grad = np.array(np.nan)
-        params["b"].grad = np.zeros((2, 3))
-        params["b"].grad[0, 0] = np.inf  # the first element of b's span, right after gap's
-        with pytest.raises(dm.NonFiniteGradient, match="^non-finite gradient of b at step 1$"):
-            update_step(params, state, lr=0.1)
-        params["b"].grad = None
-        with pytest.raises(dm.NonFiniteGradient, match="^non-finite gradient of c at step 1$"):
-            update_step(params, state, lr=0.1)
-        # parameters and moments keep their bytes, and the step does not count
-        assert state.arena[[0, 2, 3]].tobytes() == kept
-        assert state.step == 1
-
-    def test_gathered_rows_land_in_a_zeroed_view(self):
-        p = dm.Tensor(np.arange(12.0).reshape(4, 3))
-        params = {"p": p}
-        init_adam(params)
-        p.grad_view[...] = np.nan  # a previous step's gradient
-        tape = dm.GradTape()
-        # rows 1, 3 and 1 again, in three bags of one row
-        bags = dm.embedding_bag(tape, p, [[1, 3, 1]], np.ones((1, 3)))
-        tape.backward(dm.mean_all(tape, bags))
-        assert p.grad is p.grad_view
-        np.testing.assert_array_equal(p.grad, np.array([0, 2, 0, 1])[:, None] * np.full((4, 3), 1 / 9))
+            assert ckpt.tensors[name] is p.data, name
+            assert ckpt.tensors[f"opt/m/{name}"] is state.m[name] and ckpt.tensors[f"opt/v/{name}"] is state.v[name]
+        assert ckpt.tensors["opt/step"].tolist() == [float(state.step)]
 
 
 class TestCheckpointFormat:
@@ -563,11 +573,11 @@ class TestTrain:
         written = []
 
         def checked(params, state, *args, **kwargs):
-            before = state.arena[[0, 2, 3]].tobytes(), state.step
+            before = _adam_bytes(params, state), state.step
             try:
                 update_step(params, state, *args, **kwargs)
             finally:
-                written.append((state.arena[[0, 2, 3]].tobytes(), state.step) != before)
+                written.append((_adam_bytes(params, state), state.step) != before)
 
         monkeypatch.setattr(trainer, "update_step", checked)
         with pytest.raises(dm.NonFiniteGradient, match="encoder/projection at step 2"):
