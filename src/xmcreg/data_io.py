@@ -216,8 +216,8 @@ def _records(path: Path, fields: dict[str, type]):
     """Yield (line number, values of ``fields`` in order) for every
     non-blank line of a JSONL file. Each line must be a UTF-8 JSON object
     holding each field with exactly its JSON type: an int is not a bool
-    or a float, and a list holds ints. Anything else raises ParseError
-    at ``path:line``. Other keys are ignored."""
+    or a float, a list holds ints, and a string encodes as UTF-8. Anything
+    else raises ParseError at ``path:line``. Other keys are ignored."""
     with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
@@ -236,6 +236,12 @@ def _records(path: Path, fields: dict[str, type]):
                 # type(), not isinstance(): True must not pass as the int 1
                 if type(value) is not kind or (kind is list and any(type(x) is not int for x in value)):
                     raise ParseError(f"{path}:{lineno}: {name!r} must be {_KIND_NAMES[kind]}, got {json.dumps(value)}")
+                if kind is str:
+                    try:  # an escape such as \ud800 decodes to a lone surrogate, which UTF-8 cannot encode
+                        value.encode("utf-8")
+                    except UnicodeEncodeError as e:
+                        raise ParseError(
+                            f"{path}:{lineno}: {name!r} is not UTF-8 text: {e.reason} at character {e.start}") from None
                 values.append(value)
             yield lineno, values
 

@@ -167,9 +167,9 @@ def write_scores(path, preds: list[ScoredPrediction]) -> None:
 def read_scores(path) -> list[ScoredPrediction]:
     """Read a file written by write_scores. A row without exactly four
     tab-separated fields, an id that is not an optional '-' followed by
-    ASCII digits, a score that does not parse or is not finite, or a
-    correct value other than 0 or 1 is rejected with ``path:line``; a
-    file without rows is rejected with its path."""
+    ASCII digits, a score that is not finite or not written as repr(float)
+    writes it, or a correct value other than 0 or 1 is rejected with
+    ``path:line``; a file without rows is rejected with its path."""
     preds = []
     with open(path, encoding="utf-8") as f:
         header = f.readline().rstrip("\n")
@@ -181,16 +181,18 @@ def read_scores(path) -> list[ScoredPrediction]:
                 if len(row) != 4:
                     raise ValueError(f"expected 4 tab-separated fields, got {len(row)}")
                 qid, lid, score, correct = row
+                # int() and float() alone also take " 2", "+2", "1_0" and non-ASCII digits
                 for name, value in (("query_id", qid), ("label_id", lid)):
-                    # int() alone also takes " 2", "+2", "1_0" and non-ASCII digits
                     if not re.fullmatch("-?[0-9]+", value):
                         raise ValueError(f"{name}: invalid literal for int() with base 10: {value!r}")
-                score = float(score)
-                if not np.isfinite(score):
-                    raise ValueError(f"score {score!r} is not finite")
+                number = float(score)
+                if not np.isfinite(number):
+                    raise ValueError(f"score {number!r} is not finite")
+                if not re.fullmatch(r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?", score):
+                    raise ValueError(f"score {score!r} is not written as repr(float) writes it")
                 if correct not in ("0", "1"):
                     raise ValueError(f"correct must be 0 or 1, got {correct!r}")
-                preds.append(ScoredPrediction(int(qid), int(lid), score, correct == "1"))
+                preds.append(ScoredPrediction(int(qid), int(lid), number, correct == "1"))
             except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: {e}") from None
     if not preds:

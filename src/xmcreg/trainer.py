@@ -410,9 +410,5 @@ def train(
         write_atomic(log_path, "".join(json.dumps(e, sort_keys=True) + "\n" for e in log))
 
     tensors = {name: p.data for name, p in params.items()}
-    for name in params:
-        tensors[f"opt/m/{name}"] = state.m[name]
-        tensors[f"opt/v/{name}"] = state.v[name]
-    tensors["opt/step"] = np.array([float(state.step)])
     ckpt = Checkpoint(tensors=tensors, config=asdict(config), epoch=config.epochs)
     return ckpt, log

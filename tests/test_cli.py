@@ -181,6 +181,19 @@ class TestTrain:
         assert f"error: {cfg}: invalid training configuration: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_lone_surrogate_in_a_text_names_file_line_and_field(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "labels.jsonl").write_text('{"id": 1, "text": "a"}\n{"id": 0, "text": "ab\\ud800c"}\n')
+        (data / "queries.jsonl").write_text('{"id": 0, "text": "q", "labels": [0]}\n')
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("batch_size = 2\n")
+        out = tmp_path / "out"
+        assert run(["train", "--config", str(cfg), "--data", str(data), "--out", str(out)]) == 2
+        message = f"error: {data / 'labels.jsonl'}:2: 'text' is not UTF-8 text: surrogates not allowed at character 2"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_duplicate_config_key_names_both_lines(self, dataset_dir, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epochs = 1\n" + TINY_TRAIN_CFG.replace("epochs = 2", "# two epochs\nepochs = 2"))
@@ -235,6 +248,28 @@ class TestEval:
         assert code == 2
         assert f"error: {path}: meta/epoch must be one finite whole number >= 0, got 2.7" in capsys.readouterr().err
         assert not report.exists()
+
+    def test_checkpoint_with_optimizer_tensors_evaluates_to_the_same_bytes(self, trained_dir, dataset_dir, tmp_path):
+        # checkpoints written before they held the model only also carry Adam's moments and step
+        ckpt = Checkpoint.load(trained_dir / "checkpoint.bin")
+        assert not any(name.startswith("opt/") for name in ckpt.tensors)
+        rng = np.random.default_rng(0)
+        tensors = dict(ckpt.tensors)
+        for name, arr in ckpt.tensors.items():
+            tensors[f"opt/m/{name}"] = rng.normal(size=arr.shape)
+            tensors[f"opt/v/{name}"] = rng.random(arr.shape)
+        tensors["opt/step"] = np.array([12.0])
+        tensors["meta/epoch"] = np.array([float(ckpt.epoch)])
+        old = tmp_path / "old.bin"
+        write_tensors(old, tensors)
+        shutil.copy(trained_dir / "checkpoint.bin.config.json", tmp_path / "old.bin.config.json")
+        outputs = []
+        for path in (trained_dir / "checkpoint.bin", old):
+            report, scores = tmp_path / f"{path.stem}.json", tmp_path / f"{path.stem}.tsv"
+            assert run(["eval", "--checkpoint", str(path), "--data", str(dataset_dir / "test"),
+                        "--report", str(report), "--scores", str(scores)]) == 0
+            outputs.append((report.read_bytes(), scores.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     @pytest.fixture
     def split_without_queries(self, tmp_path):

@@ -332,7 +332,7 @@ _WRONG_TYPE = {
     "text": [None, True, 3, 1.5, ["a"], {"text": "a"}],
     "labels": [None, True, 1, 1.5, "12", {"0": 0}, [True], [1.0], ["1"], [None], [[1]], [{}]],
 }
-_PARSE = ("wrong_type", "missing_field", "not_an_object", "not_json")
+_PARSE = ("wrong_type", "missing_field", "not_an_object", "not_json", "lone_surrogate")
 _VALIDATION = ("negative_id", "repeated_id", "empty_labels", "dangling_label")
 
 
@@ -395,6 +395,9 @@ class TestRecordFuzz:
             bad[field] = data.draw(st.sampled_from(_WRONG_TYPE[field]))
         elif kind == "missing_field":
             del bad[data.draw(st.sampled_from(sorted(bad)))]
+        elif kind == "lone_surrogate":  # written as a \ud800-style escape, which JSON decodes
+            at = data.draw(st.integers(0, len(bad["text"])))
+            bad["text"] = bad["text"][:at] + chr(data.draw(st.integers(0xD800, 0xDFFF))) + bad["text"][at:]
         elif kind == "negative_id":
             bad["id"] = -data.draw(st.integers(1, 2**40))
         elif kind == "repeated_id":
@@ -430,6 +433,10 @@ class TestRecordFuzz:
         ("labels.jsonl", '{"id": 1.7, "text": "a"}', "'id' must be an integer, got 1.7"),
         ("labels.jsonl", '{"id": true, "text": "a"}', "'id' must be an integer, got true"),
         ("labels.jsonl", '{"id": 1}', "missing field 'text'"),
+        ("labels.jsonl", '{"id": 1, "text": "ab\\ud800c"}',
+         "'text' is not UTF-8 text: surrogates not allowed at character 2"),
+        ("queries.jsonl", '{"id": 1, "text": "\\udfff", "labels": [0]}',
+         "'text' is not UTF-8 text: surrogates not allowed at character 0"),
     ])
     def test_no_value_is_coerced(self, tmp_path, name, line, message):
         (tmp_path / "labels.jsonl").write_text('{"id": 0, "text": "a"}\n')

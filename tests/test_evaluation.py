@@ -2,11 +2,13 @@
 
 import json
 import re
+import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xmcreg import mining
@@ -335,6 +337,9 @@ class TestFiles:
         ("\u0661\t2\t0.5\t1", "query_id: invalid literal for int() with base 10: '\u0661'"),
         ("1\t 2\t0.5\t1", "label_id: invalid literal for int() with base 10: ' 2'"),
         ("1\t2 \t0.5\t1", "label_id: invalid literal for int() with base 10: '2 '"),
+        # scores that float() takes but write_scores never writes
+        *[(f"1\t2\t{score}\t1", f"score {score!r} is not written as repr(float) writes it")
+          for score in (" 0.5", "0.5 ", "+0.5", "1_0", "\u0661.\u0665", ".5", "5.", "1e16", "1E+16")],
     ])
     def test_malformed_scores_row_names_path_and_line(self, tmp_path, row, message):
         path = tmp_path / "scores.tsv"
@@ -342,6 +347,15 @@ class TestFiles:
         with pytest.raises(ValueError) as err:
             read_scores(path)
         assert str(err.value).startswith(f"{path}:3: ") and message in str(err.value)
+
+    @example([5e-324, 1e16, -0.0])
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
+    def test_finite_scores_round_trip_bitwise(self, scores):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scores.tsv"
+            write_scores(path, _preds(scores, [i % 2 == 0 for i in range(len(scores))]))
+            back = read_scores(path)
+        assert np.array([p.score for p in back]).tobytes() == np.array(scores).tobytes()
 
     def test_header_only_file_names_path(self, tmp_path):
         path = tmp_path / "scores.tsv"

@@ -286,16 +286,16 @@ class TestArena:
         seen = {}
 
         def spy(params):
-            seen["params"], seen["state"] = params, init_adam(params)
-            return seen["state"]
+            seen["params"] = params
+            return init_adam(params)
 
         monkeypatch.setattr(trainer, "init_adam", spy)
         ckpt, _ = train(tiny_dataset, tiny_config(epochs=1))
-        params, state = seen["params"], seen["state"]
+        params = seen["params"]  # the model's named_tensors()
+        # the model's tensors only, in checkpoint order: no optimizer state
+        assert list(ckpt.tensors) == list(params)
         for name, p in params.items():
             assert ckpt.tensors[name] is p.data, name
-            assert ckpt.tensors[f"opt/m/{name}"] is state.m[name] and ckpt.tensors[f"opt/v/{name}"] is state.v[name]
-        assert ckpt.tensors["opt/step"].tolist() == [float(state.step)]
 
 
 class TestCheckpointFormat:
@@ -463,16 +463,17 @@ class TestCheckpointFormat:
         assert str(err.value) == f"{path}: meta/epoch must be one finite whole number >= 0, {got}"
         assert list(tmp_path.iterdir()) == []
 
-    def test_optimizer_state_round_trips(self, tmp_path, tiny_dataset):
+    def test_trained_checkpoint_file_holds_the_model_and_epoch_only(self, tmp_path, tiny_dataset):
         config = tiny_config(epochs=1)
         ckpt, _ = train(tiny_dataset, config)
         path = tmp_path / "c.bin"
         ckpt.save(path)
+        names = list(init_model(np.random.default_rng(0), config).named_tensors())
+        assert list(read_tensors(path)) == names + ["meta/epoch"]
         back = Checkpoint.load(path)
-        opt_keys = [k for k in ckpt.tensors if k.startswith("opt/")]
-        assert opt_keys
-        for k in opt_keys:
-            np.testing.assert_array_equal(back.tensors[k], ckpt.tensors[k])
+        assert list(back.tensors) == names and back.epoch == 1
+        for name in names:
+            assert back.tensors[name].tobytes() == ckpt.tensors[name].tobytes(), name
 
 
 class TestTrain:
