@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -20,6 +21,23 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{message}\n{self.format_usage()}")
+
+
+def _flag(kind, ok, rule: str):
+    """An argparse type: kind(text), refused as a usage error naming the
+    flag unless ok holds for the value."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
+_BINS = _flag(int, lambda v: v >= 1, "must be >= 1")
 
 
 def _build_parser() -> _Parser:
@@ -41,19 +59,21 @@ def _build_parser() -> _Parser:
     ev = sub.add_parser("eval", help="evaluate a checkpoint")
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--data", required=True)
-    ev.add_argument("--target-precision", type=float, default=0.85)
+    ev.add_argument("--target-precision", type=_flag(float, lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"),
+                    default=0.85)
     ev.add_argument("--report", required=True)
     ev.add_argument("--scores")
-    ev.add_argument("--bins", type=int, default=50)
+    ev.add_argument("--bins", type=_BINS, default=50)
     ev.add_argument("--calibration-split", help="pick the threshold on this split instead of the evaluated set")
 
     gc = sub.add_parser("gradcheck", help="verify gradients against finite differences")
-    gc.add_argument("--seed", type=int, default=0)
-    gc.add_argument("--tol", type=float, default=1e-4)
+    gc.add_argument("--seed", type=_flag(int, lambda v: v >= 0, "must be >= 0"), default=0)
+    gc.add_argument("--tol", type=_flag(float, lambda v: math.isfinite(v) and v > 0.0, "must be finite and > 0"),
+                    default=1e-4)
 
     hist = sub.add_parser("histogram", help="bin a scores file by correctness")
     hist.add_argument("--scores", required=True)
-    hist.add_argument("--bins", type=int, default=50)
+    hist.add_argument("--bins", type=_BINS, default=50)
     hist.add_argument("--out", required=True)
 
     return parser

@@ -311,6 +311,11 @@ def embedding_bag(tape, table, ids, weights) -> Tensor:
 # reductions
 
 
+# mean_all, mean_rows and layer_norm divide np.add.reduce by the count: the
+# sum and division np.mean and np.var run, bit for bit, without their Python
+# wrappers.
+
+
 def mean_all(tape, a) -> Tensor:
     da = _val(a)
     n = da.size
@@ -318,7 +323,7 @@ def mean_all(tape, a) -> Tensor:
     def backward(g):
         _accum(a, np.full_like(da, float(g) / n))
 
-    return _make(tape, da.mean(), backward)
+    return _make(tape, np.add.reduce(da, axis=None) / n, backward)
 
 
 def mean_rows(tape, a, lengths) -> Tensor:
@@ -332,7 +337,7 @@ def mean_rows(tape, a, lengths) -> Tensor:
     def backward(g):
         _accum(a, np.where(mask, (g / lengths)[:, None], 0.0))
 
-    return _make(tape, np.mean(da, axis=1, where=mask), backward)
+    return _make(tape, np.add.reduce(da, axis=1, where=mask) / lengths, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +394,11 @@ def layer_norm(tape, a, gain, bias) -> Tensor:
     da, dg, db = _val(a), _val(gain), _val(bias)
     if dg.shape[-1] != da.shape[-1] or db.shape[-1] != da.shape[-1]:
         raise DimensionMismatch("layer_norm gain/bias length")
-    mu = da.mean(axis=-1, keepdims=True)
-    var = da.var(axis=-1, keepdims=True)
+    n = da.shape[-1]
+    centred = da - np.add.reduce(da, axis=-1, keepdims=True) / n
+    var = np.add.reduce(np.square(centred), axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (da - mu) * inv
+    xhat = centred * inv
     out = xhat * dg + db
 
     def backward(g):
@@ -401,8 +407,8 @@ def layer_norm(tape, a, gain, bias) -> Tensor:
         dxhat = g * dg
         dx = inv * (
             dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            - np.add.reduce(dxhat, axis=-1, keepdims=True) / n
+            - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n)
         )
         _accum(a, dx)
 

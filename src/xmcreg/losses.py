@@ -130,7 +130,8 @@ def _bce_mean(tape, logits: dm.Tensor, targets: np.ndarray) -> dm.Tensor:
 
 
 def _check_blockings(gammas: dm.Tensor, targets: list[np.ndarray]) -> None:
-    if any(int(np.sum(t == mining.POSITIVE_TARGET)) != 1 for t in targets):
+    # a list count: one np.sum per blocking costs ~10x as much
+    if any(t.tolist().count(mining.POSITIVE_TARGET) != 1 for t in targets):
         raise mining.BadBlocking("blocking without a unique positive")
     if sum(map(len, targets)) != gammas.shape[0]:
         raise dm.DimensionMismatch(f"{gammas.shape[0]} pair features for {sum(map(len, targets))} targets")
@@ -195,10 +196,63 @@ class LossConfig:
     dropout: float = 0.0
 
 
-def total_loss(
+@dataclass(frozen=True)
+class BatchPlan:
+    """What the objective reads of one batch that no parameter moves: the
+    texts to embed, and the embedding rows each score and term reads.
+
+    The embedding rows are the queries, then the labels in ascending id
+    order. Row i of the (Q, W) negative scores holds cols[i]: query i's
+    base negatives (the triplet term's), then the rest of its pool if TCM
+    or the blockings read it, then pads that score the positive again and
+    are never read.
+    """
+
+    batch: Batch
+    cols: list[list[int]]
+    label_ids: np.ndarray  # ascending
+    features: tuple[np.ndarray, np.ndarray]  # featurize of the queries' texts, then the labels'
+    pos_rows: np.ndarray  # each query's positive
+    grid: np.ndarray  # (Q, W) the negative scores' labels
+    q_grid: np.ndarray  # (Q, W) the negative scores' queries
+    counts: list[int]  # each query's base negatives
+    pool: list[int] | None  # with TCM: the pool negatives' flat score indices, query by query in pool order
+
+
+def _label_rows(num_queries: int, label_ids: np.ndarray, lids) -> np.ndarray:
+    return num_queries + np.searchsorted(label_ids, lids)
+
+
+def plan_batch(dataset: Dataset, batch: Batch, cfg: LossConfig, num_buckets: int) -> BatchPlan:
+    """The plan of the objective under cfg for one batch, its texts
+    featurized into num_buckets buckets (the encoder's)."""
+    qids = batch.query_ids
+    base_negs = batch.base_neg_ids or {qid: batch.neg_pools[qid] for qid in qids}
+    whole_pool = cfg.tcm is not None or cfg.beta1 != 0.0 or cfg.beta2 != 0.0
+    cols = [[*base_negs[q], *(l for l in batch.neg_pools[q] if whole_pool and l not in base_negs[q])] for q in qids]
+    pos_ids = [batch.pos_label_ids[q] for q in qids]
+    label_ids = np.array(sorted(set(pos_ids).union(*cols)))
+    texts = [dataset.query_by_id[q].text for q in qids] + [dataset.label_by_id[l].text for l in label_ids.tolist()]
+    width = max([1, *map(len, cols)])
+    pool = None
+    if cfg.tcm is not None:
+        pool = [i * width + cols[i].index(l) for i, q in enumerate(qids) for l in batch.neg_pools[q]]
+    return BatchPlan(
+        batch=batch,
+        cols=cols,
+        label_ids=label_ids,
+        features=featurize(texts, num_buckets),
+        pos_rows=_label_rows(len(qids), label_ids, pos_ids),
+        grid=_label_rows(len(qids), label_ids, [c + [p] * (width - len(c)) for c, p in zip(cols, pos_ids)]),
+        q_grid=np.repeat(np.arange(len(qids))[:, None], width, axis=1),
+        counts=[len(base_negs[q]) for q in qids],
+        pool=pool,
+    )
+
+
+def objective(
     tape,
-    dataset: Dataset,
-    batch: Batch,
+    plan: BatchPlan,
     enc: EncoderParams,
     head_ql: MlpHead,
     head_qb: MlpHead,
@@ -206,55 +260,37 @@ def total_loss(
     cfg: LossConfig,
     rng: np.random.Generator | None = None,
 ) -> tuple[dm.Tensor, LossBreakdown, int]:
-    """Full objective for one batch. The heads apply cfg.dropout exactly
-    when an rng is given.
+    """Full objective on a batch planned under the same cfg. The heads
+    apply cfg.dropout exactly when an rng is given.
 
     Returns the scalar total (on the tape), its component breakdown, and
     the number of shrunk blockings. With beta1 = beta2 = 0 and the
     regularizer disabled, the total is bit-identical to the base loss.
     """
-    qids = batch.query_ids
-    base_negs = batch.base_neg_ids or {qid: batch.neg_pools[qid] for qid in qids}
-    # row i of the (Q, W) negative scores: query i's base negatives (the
-    # triplet term's), the rest of its pool if TCM or the blockings read
-    # it, then pads that score the positive again and are never read
-    whole_pool = cfg.tcm is not None or cfg.beta1 != 0.0 or cfg.beta2 != 0.0
-    cols = [[*base_negs[q], *(l for l in batch.neg_pools[q] if whole_pool and l not in base_negs[q])] for q in qids]
-    pos_ids = [batch.pos_label_ids[q] for q in qids]
-    label_ids = np.array(sorted(set(pos_ids).union(*cols)))
-    texts = [dataset.query_by_id[q].text for q in qids] + [dataset.label_by_id[l].text for l in label_ids.tolist()]
-    # the embedding rows: the queries, then the labels in ascending id order
-    emb = embed(enc, featurize(texts, enc.num_buckets), tape)
-
-    def label_rows(lids):
-        return len(qids) + np.searchsorted(label_ids, lids)
-
+    batch, qids = plan.batch, plan.batch.query_ids
+    emb = embed(enc, plan.features, tape)
     q_rows = np.arange(len(qids))
-    s_pos = dm.dot(tape, dm.gather_rows(tape, emb, q_rows), dm.gather_rows(tape, emb, label_rows(pos_ids)))
-    width = max([1, *map(len, cols)])
-    grid = label_rows([c + [p] * (width - len(c)) for c, p in zip(cols, pos_ids)])
-    q_grid = np.repeat(q_rows[:, None], width, axis=1)
-    s_neg = dm.dot(tape, dm.gather_rows(tape, emb, q_grid), dm.gather_rows(tape, emb, grid))
+    s_pos = dm.dot(tape, dm.gather_rows(tape, emb, q_rows), dm.gather_rows(tape, emb, plan.pos_rows))
+    s_neg = dm.dot(tape, dm.gather_rows(tape, emb, plan.q_grid), dm.gather_rows(tape, emb, plan.grid))
 
-    counts = [len(base_negs[q]) for q in qids]
+    counts = plan.counts
     base = triplet_base_loss(tape, s_pos, s_neg, cfg.triplet_margin, counts) if any(counts) else dm.Tensor(0.0)
     total = base
     tcm_val = xe_ql_val = xe_qb_val = 0.0
     shrunk = 0
     if cfg.tcm is not None:
-        # the pool negatives, query by query in pool order
-        pool = [i * width + cols[i].index(l) for i, q in enumerate(qids) for l in batch.neg_pools[q]]
-        tcm_term = tcm_loss(tape, s_pos, dm.gather_rows(tape, dm.reshape(tape, s_neg, (-1,)), pool), cfg.tcm)
+        tcm_term = tcm_loss(tape, s_pos, dm.gather_rows(tape, dm.reshape(tape, s_neg, (-1,)), plan.pool), cfg.tcm)
         tcm_val = float(tcm_term.data)
         total = dm.add(tape, total, tcm_term)
 
     if cfg.beta1 != 0.0 or cfg.beta2 != 0.0:
-        sims = {q: dict(zip(c, row)) for q, c, row in zip(qids, cols, s_neg.data.tolist())}
+        sims = {q: dict(zip(c, row)) for q, c, row in zip(qids, plan.cols, s_neg.data.tolist())}
         blockings, shrunk = mining.build_blockings(batch, batch.neg_pools, sims, cfg.k)
         # every pair's 4d feature in one pass, from its query's and its
         # label's embedding rows; blocking i is query i's
         pair_q = dm.gather_rows(tape, emb, np.repeat(q_rows, [len(b.pair_label_ids) for b in blockings]))
-        pair_l = dm.gather_rows(tape, emb, label_rows([lid for b in blockings for lid in b.pair_label_ids]))
+        pair_lids = [lid for b in blockings for lid in b.pair_label_ids]
+        pair_l = dm.gather_rows(tape, emb, _label_rows(len(qids), plan.label_ids, pair_lids))
         gammas = pair_reps.build_gamma(tape, pair_q, pair_l)
         targets = [np.array(b.targets) for b in blockings]
         dropout = None if rng is None else (cfg.dropout, rng)
@@ -269,3 +305,19 @@ def total_loss(
 
     breakdown = LossBreakdown(float(base.data), tcm_val, xe_ql_val, xe_qb_val, float(total.data))
     return total, breakdown, shrunk
+
+
+def total_loss(
+    tape,
+    dataset: Dataset,
+    batch: Batch,
+    enc: EncoderParams,
+    head_ql: MlpHead,
+    head_qb: MlpHead,
+    block: pair_reps.BlockContextParams,
+    cfg: LossConfig,
+    rng: np.random.Generator | None = None,
+) -> tuple[dm.Tensor, LossBreakdown, int]:
+    """The objective on one batch, planned afresh: see objective."""
+    plan = plan_batch(dataset, batch, cfg, enc.num_buckets)
+    return objective(tape, plan, enc, head_ql, head_qb, block, cfg, rng)

@@ -9,7 +9,7 @@ import numpy as np
 from . import diffmath as dm
 from . import mining
 from .data_io import SyntheticSpec, build_synthetic
-from .losses import total_loss
+from .losses import objective, plan_batch
 from .trainer import TrainConfig, init_model
 
 
@@ -114,9 +114,11 @@ def make_micro_objective(seed: int):
     sampled = mining.sample_positives(dataset, rng)
     batch = mining.make_batch(dataset, list(range(len(dataset.queries))), sampled, None, rng)
     loss_cfg = config.loss_config()
+    # planned once: the probes rerun only what the parameters move
+    plan = plan_batch(dataset, batch, loss_cfg, model.enc.num_buckets)
 
     def fn(tape):
-        return total_loss(tape, dataset, batch, model.enc, model.head_ql, model.head_qb, model.block, loss_cfg)[0]
+        return objective(tape, plan, model.enc, model.head_ql, model.head_qb, model.block, loss_cfg)[0]
 
     return fn, model.named_tensors()
 

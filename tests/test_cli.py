@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from xmcreg import verify
 from xmcreg.cli import run
 from xmcreg.trainer import Checkpoint, write_tensors
 
@@ -388,6 +389,38 @@ class TestGradcheck:
         assert "max relative error" in out
         assert "PASS" in out
 
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--seed", "-1", "must be >= 0"),
+        ("--tol", "nan", "must be finite and > 0"),
+        ("--tol", "inf", "must be finite and > 0"),
+        ("--tol", "0", "must be finite and > 0"),
+        ("--tol", "-1", "must be finite and > 0"),
+    ])
+    def test_bad_flag_is_usage_error_before_any_check(self, monkeypatch, capsys, flag, value, rule):
+        def fail(*args, **kwargs):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(verify, "full_suite", fail)
+        assert run(["gradcheck", flag, value]) == 1
+        assert f"argument {flag}: {rule}, got {value}" in capsys.readouterr().err
+
+
+class TestEvalFlags:
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--target-precision", "0", "must be in (0, 1]"),
+        ("--target-precision", "1.5", "must be in (0, 1]"),
+        ("--target-precision", "nan", "must be in (0, 1]"),
+        ("--bins", "0", "must be >= 1"),
+    ])
+    def test_bad_flag_is_usage_error_before_loading(self, tmp_path, capsys, flag, value, rule):
+        # neither path exists: loading either would be a runtime error (exit 2)
+        report = tmp_path / "r.json"
+        argv = ["eval", "--checkpoint", str(tmp_path / "no.bin"), "--data", str(tmp_path / "no"),
+                "--report", str(report), flag, value]
+        assert run(argv) == 1
+        assert f"argument {flag}: {rule}, got {value}" in capsys.readouterr().err
+        assert not report.exists()
+
 
 class TestHistogram:
     def test_bins_scores_file(self, trained_dir, dataset_dir, tmp_path):
@@ -406,6 +439,12 @@ class TestHistogram:
         obj = json.loads(out.read_text())
         assert set(obj) == {"edges", "correct_counts", "incorrect_counts", "overlap"}
         assert len(obj["edges"]) == 11
+
+    def test_zero_bins_is_usage_error_before_reading(self, tmp_path, capsys):
+        out = tmp_path / "hist.json"
+        assert run(["histogram", "--scores", str(tmp_path / "no.tsv"), "--bins", "0", "--out", str(out)]) == 1
+        assert "argument --bins: must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nan_score_fails_naming_path_and_line(self, tmp_path, capsys):
         scores = tmp_path / "scores.tsv"

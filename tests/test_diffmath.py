@@ -391,6 +391,69 @@ def test_gather_rows_backward_equals_add_at_bitwise(case):
     assert a.grad.tobytes() == want.tobytes()
 
 
+# signed zeros, moderate values, and values near 1e150, whose squares stay
+# finite but whose mean and variance carry large rounding
+_REDUCED = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-100.0, 100.0),
+                     st.floats(1e149, 1e151), st.floats(-1e151, -1e149))
+
+
+@st.composite
+def _layer_norm_cases(draw):
+    width = draw(st.integers(1, 6))
+    shape = tuple(draw(st.lists(st.integers(1, 3), max_size=2))) + (width,)
+    x = draw(arrays(np.float64, shape, elements=_REDUCED))
+    if draw(st.booleans()):
+        x.reshape(-1, width)[0] = -0.0
+    gain, bias = (draw(arrays(np.float64, (width,), elements=_SIGNED)) for _ in range(2))
+    g = draw(arrays(np.float64, shape, elements=_SIGNED))
+    return x, gain, bias, g
+
+
+def _sum_leading(a):
+    while a.ndim > 1:
+        a = a.sum(axis=0)
+    return a
+
+
+@given(_layer_norm_cases())
+def test_layer_norm_equals_mean_var_formulation_bitwise(case):
+    """Forward and every gradient against layer norm written with np.mean
+    and np.var: ranks 1 to 3, a width of 1, rows of -0.0, values near 1e150."""
+    x, gain, bias, g = case
+    mu = x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + dm.LAYER_NORM_EPS)
+    xhat = (x - mu) * inv
+    dxhat = g * gain
+    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    tx, tg, tb = dm.Tensor(x), dm.Tensor(gain), dm.Tensor(bias)
+    out = dm.layer_norm(dm.GradTape(), tx, tg, tb)
+    assert out.data.tobytes() == (xhat * gain + bias).tobytes()
+    out._backward(g)
+    assert tx.grad.tobytes() == dx.tobytes()
+    assert tg.grad.tobytes() == _sum_leading(g * xhat).tobytes()
+    assert tb.grad.tobytes() == _sum_leading(g).tobytes()
+
+
+@given(arrays(np.float64, st.lists(st.integers(1, 4), max_size=3).map(tuple), elements=_REDUCED))
+def test_mean_all_equals_np_mean_bitwise(x):
+    assert dm.mean_all(None, dm.Tensor(x)).data.tobytes() == np.asarray(x.mean()).tobytes()
+
+
+@st.composite
+def _mean_rows_cases(draw):
+    rows, width = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    x = draw(arrays(np.float64, (rows, width), elements=_REDUCED))
+    lengths = draw(arrays(np.int64, (rows,), elements=st.integers(1, width)))
+    return x, lengths
+
+
+@given(_mean_rows_cases())
+def test_mean_rows_equals_masked_np_mean_bitwise(case):
+    x, lengths = case
+    mask = np.arange(x.shape[1]) < lengths[:, None]
+    assert dm.mean_rows(None, dm.Tensor(x), lengths).data.tobytes() == np.mean(x, axis=1, where=mask).tobytes()
+
+
 class TestBatchedKernels:
     def test_rank3_matmul_is_per_slice_product(self):
         rng = np.random.default_rng(0)

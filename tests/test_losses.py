@@ -2,6 +2,7 @@
 auxiliary BCE losses, and the weighted total."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -20,12 +21,14 @@ from xmcreg.losses import (
     aux_loss_qb,
     aux_loss_ql,
     init_head,
+    objective,
+    plan_batch,
     tcm_loss,
     total_loss,
     triplet_base_loss,
 )
 from xmcreg.pair_reps import build_delta, build_gamma, contextualize, init_block
-from xmcreg.trainer import Checkpoint, init_model, model_from_tensors
+from xmcreg.trainer import Checkpoint, ModelParams, init_model, model_from_tensors
 
 from conftest import tiny_config, tiny_spec
 
@@ -362,6 +365,62 @@ class TestTotalLoss:
         expected_tcm = tcm_loss(None, s_pos, pool_negs, cfg.tcm).data
         assert breakdown.base == float(expected_base) and breakdown.tcm == float(expected_tcm)
         assert total.data == dm.add(None, expected_base, expected_tcm).data
+
+
+def _assert_plan_reads_no_parameter(dataset, plan, model, cfg):
+    """Moves each tensor's coordinate of largest gradient after planning;
+    the objective on the old plan must equal a fresh total_loss bit for bit."""
+    args = (model.enc, model.head_ql, model.head_qb, model.block, cfg)
+    params = model.named_tensors()
+    for p in params.values():
+        p.grad = None
+    tape = dm.GradTape()
+    before = objective(tape, plan, *args)[0]
+    tape.backward(before)
+    for name, p in params.items():
+        flat = p.data.reshape(-1)
+        c = int(np.argmax(np.abs(p.grad)))
+        orig = flat[c]
+        flat[c] = orig + 0.5
+        total, breakdown, shrunk = objective(None, plan, *args)
+        fresh, fresh_breakdown, fresh_shrunk = total_loss(None, dataset, plan.batch, *args)
+        flat[c] = orig
+        # block/bk's gradient is zero up to rounding: softmax ignores a
+        # shift shared by all keys
+        assert total.data != before.data or np.max(np.abs(p.grad)) < 1e-12, name
+        assert total.data.tobytes() == fresh.data.tobytes(), name
+        assert np.array(astuple(breakdown)).tobytes() == np.array(astuple(fresh_breakdown)).tobytes(), name
+        assert shrunk == fresh_shrunk, name
+
+
+class TestPlanIndependence:
+    def test_micro_objective(self, monkeypatch):
+        seen = {}
+        for name in ("plan_batch", "objective"):
+            def spy(*args, _name=name, _fn=getattr(losses, name)):
+                seen[_name] = args
+                return _fn(*args)
+            monkeypatch.setattr(verify, name, spy)
+        fn, _ = verify.make_micro_objective(0)
+        fn(None)
+        dataset = seen["plan_batch"][0]
+        _, plan, enc, head_ql, head_qb, block, cfg = seen["objective"]
+        model = ModelParams(enc=enc, head_ql=head_ql, head_qb=head_qb, block=block)
+        _assert_plan_reads_no_parameter(dataset, plan, model, cfg)
+
+    def test_pool_sampler_batch_with_tcm(self):
+        dataset, batch, model, _ = TestTotalLoss()._setup()
+        rng = np.random.default_rng(5)
+        label_ids = [l.id for l in dataset.labels]
+        pools, base = {}, {}
+        for qid in batch.query_ids:
+            own = dataset.query_by_id[qid].positives
+            pools[qid] = tuple([l for l in rng.permutation(label_ids).tolist() if l not in own][:8])
+            base[qid] = [pools[qid][j] for j in rng.permutation(8)[:3]]
+        b = mining.Batch(query_ids=batch.query_ids, pos_label_ids=batch.pos_label_ids,
+                         neg_pools=pools, base_neg_ids=base)
+        cfg = LossConfig(beta1=1.0, beta2=0.5, tcm=TcmConfig(), k=3)
+        _assert_plan_reads_no_parameter(dataset, plan_batch(dataset, b, cfg, model.enc.num_buckets), model, cfg)
 
 
 # ---------------------------------------------------------------------------
