@@ -38,6 +38,8 @@ def _flag(kind, ok, rule: str):
 
 
 _BINS = _flag(int, lambda v: v >= 1, "must be >= 1")
+# the generate-data flag that sets each SyntheticSpec field
+_SPEC_FLAGS = {"num_labels": "--num-labels", "num_train_queries": "--num-queries", "seed": "--seed"}
 
 
 def _build_parser() -> _Parser:
@@ -85,12 +87,17 @@ def _cmd_generate(args) -> int:
     else:
         if args.num_labels is None or args.num_queries is None:
             raise UsageError("generate-data needs --spec or both --num-labels and --num-queries")
-        spec = data_io.SyntheticSpec(
-            num_labels=args.num_labels,
-            num_train_queries=args.num_queries,
-            num_test_queries=max(1, args.num_queries // 4),
-            seed=args.seed,
-        )
+        try:
+            spec = data_io.SyntheticSpec(
+                num_labels=args.num_labels,
+                num_train_queries=args.num_queries,
+                num_test_queries=max(1, args.num_queries // 4),
+                seed=args.seed,
+            )
+        except data_io.InvalidSpec as e:
+            if e.field not in _SPEC_FLAGS:  # the title cap stays a runtime error
+                raise
+            raise UsageError(f"argument {_SPEC_FLAGS[e.field]}: {e}") from None
     data_io.generate(spec, args.out)
     print(f"wrote dataset under {args.out}")
     return 0

@@ -24,7 +24,12 @@ from .mining import Dataset, QueryRecord
 
 
 class InvalidSpec(ValueError):
-    """Synthetic-data spec violates its invariants."""
+    """Synthetic-data spec violates its invariants. ``field`` names the field
+    whose rule failed; None for the title cap, a limit of the generator."""
+
+    def __init__(self, message: str, field: str | None = None) -> None:
+        super().__init__(message)
+        self.field = field
 
 
 class ParseError(ValueError):
@@ -60,8 +65,6 @@ class SyntheticSpec:
         for name, holds, rule in (
             ("families", 2 <= self.families <= cap, f"in [2, {cap}]"),
             ("num_labels", self.num_labels >= self.families, f">= families ({self.families})"),
-            ("num_labels", self.num_labels <= titles * self.families,
-             f"<= {titles * self.families} ({titles} titles x {self.families} families)"),
             ("noise_rate", 0.0 <= self.noise_rate < 1.0, "in [0, 1)"),
             ("abbreviation_rate", 0.0 <= self.abbreviation_rate < 1.0, "in [0, 1)"),
             ("num_train_queries", self.num_train_queries >= 1, ">= 1"),
@@ -69,7 +72,10 @@ class SyntheticSpec:
             ("seed", self.seed >= 0, ">= 0"),
         ):
             if not holds:
-                raise InvalidSpec(f"need {name} {rule}, got {getattr(self, name)!r}")
+                raise InvalidSpec(f"need {name} {rule}, got {getattr(self, name)!r}", name)
+        if not self.num_labels <= titles * self.families:
+            raise InvalidSpec(f"need num_labels <= {titles * self.families} ({titles} titles x "
+                              f"{self.families} families), got {self.num_labels!r}")
 
 
 _BRANDS = [

@@ -238,26 +238,23 @@ def stack(tape, parts) -> Tensor:
     return _make(tape, np.stack([_val(p) for p in parts]), backward)
 
 
-def _scatter_grad(t: Tensor, shape: tuple[int, ...]) -> np.ndarray:
-    """t's gradient buffer as a scatter destination: zeros if t has none yet,
-    and C-contiguous."""
+def _scatter_rows(t, idx: np.ndarray, vals: np.ndarray) -> None:
+    """np.add.at(t.grad, idx, vals + 0.0) over the rows of t's gradient, bit
+    for bit: the same additions in the same order, but on numpy's fast path
+    for a 1-D destination (a row-wise add.at runs one index at a time).
+    t.grad becomes zeros if t has none yet, and C-contiguous, so that its
+    flat view aliases it. + 0.0 maps -0.0 to +0.0, as adding into a zero
+    buffer does. A constant t gets nothing."""
+    if not isinstance(t, Tensor):
+        return
     if t.grad is None:
         # np.zeros, not zeros_like: a transposed operand's data is F-ordered
-        t.grad = np.zeros(shape)
+        t.grad = np.zeros(t.shape)
     elif not t.grad.flags.c_contiguous:
         t.grad = np.ascontiguousarray(t.grad)
-    return t.grad
-
-
-def _scatter_add(dst: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
-    """np.add.at(dst, idx, vals) over the rows of a C-contiguous dst, bit for
-    bit: the same additions in the same order, but on numpy's fast path for a
-    1-D destination (a row-wise add.at runs one index at a time)."""
-    if not dst.flags.c_contiguous:  # reshape(-1) would copy and drop the adds
-        raise ValueError("scatter destination must be C-contiguous")
-    width = math.prod(dst.shape[1:])
+    width = math.prod(t.shape[1:])
     flat = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
-    np.add.at(dst.reshape(-1), flat, vals.reshape(-1))
+    np.add.at(t.grad.reshape(-1), flat, (vals + 0.0).reshape(-1))
 
 
 def gather_rows(tape, a, idx) -> Tensor:
@@ -268,18 +265,7 @@ def gather_rows(tape, a, idx) -> Tensor:
     out = da[idx]
 
     def backward(g):
-        if not isinstance(a, Tensor):
-            return
-        grad = _scatter_grad(a, da.shape)
-        # Only the gathered rows change. + 0.0 maps -0.0 to +0.0 as adding
-        # g into a zero buffer did, so with unique idx this equals adding
-        # a dense scatter of g bit for bit, except that a -0.0 already in
-        # a row not gathered is left as it is
-        g = g + 0.0
-        if len(set(idx.ravel().tolist())) == idx.size:
-            grad[idx] += g
-        else:
-            _scatter_add(grad, idx, g)
+        _scatter_rows(a, idx, g)
 
     return _make(tape, out, backward)
 
@@ -293,14 +279,10 @@ def embedding_bag(tape, table, ids, weights) -> Tensor:
         raise DimensionMismatch(f"embedding_bag of {dt.shape} over ids {ids.shape}, weights {weights.shape}")
 
     def backward(g):
-        if not isinstance(table, Tensor):
-            return
-        grad = _scatter_grad(table, dt.shape)
         # real slots only, slot-major: a pad's g * 0 + 0.0 would add +0.0,
-        # which leaves sums started from zeros as they are. + 0.0 maps -0.0
-        # to +0.0, as adding into a zero buffer does
+        # which leaves sums started from zeros as they are
         real = np.nonzero(weights)
-        _scatter_add(grad, ids[real], g[real[1:]] * weights[real][:, None] + 0.0)
+        _scatter_rows(table, ids[real], g[real[1:]] * weights[real][:, None])
 
     rows = dt[ids]
     rows *= weights[..., None]

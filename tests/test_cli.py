@@ -121,6 +121,30 @@ class TestGenerate:
         assert run(["generate-data", "--out", str(tmp_path / "d")]) == 1
         assert not (tmp_path / "d").exists()
 
+    # (flag, the SyntheticSpec field it sets, a value the field refuses, message)
+    BAD_VALUES = [
+        ("--seed", "seed", "-1", "need seed >= 0, got -1"),
+        ("--num-labels", "num_labels", "-4", "need num_labels >= families (20), got -4"),
+        ("--num-queries", "num_train_queries", "0", "need num_train_queries >= 1, got 0"),
+    ]
+
+    @pytest.mark.parametrize("flag, field, value, message", BAD_VALUES, ids=[case[0] for case in BAD_VALUES])
+    def test_bad_flag_is_usage_error_naming_it_before_writing(self, tmp_path, capsys, flag, field, value, message):
+        flags = {"--num-labels": "40", "--num-queries": "10", flag: value}
+        argv = ["generate-data", "--out", str(tmp_path / "d"), *(t for pair in flags.items() for t in pair)]
+        assert run(argv) == 1
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("flag, field, value, message", BAD_VALUES, ids=[case[0] for case in BAD_VALUES])
+    def test_same_value_in_a_spec_file_names_the_file(self, tmp_path, capsys, flag, field, value, message):
+        spec = tmp_path / "spec.cfg"
+        lines = {"num_labels": "40", "num_train_queries": "10", field: value}
+        spec.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        assert run(["generate-data", "--out", str(tmp_path / "d"), "--spec", str(spec)]) == 2
+        assert f"error: {spec}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
 
 class TestTrain:
     def test_outputs(self, trained_dir):

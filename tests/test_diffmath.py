@@ -241,9 +241,10 @@ def test_finite_outputs_on_finite_inputs():
 
 
 class TestGatherRowsBackward:
-    """The backward adds into the gathered rows only. For unique indices
-    that is bit-identical to accumulating a dense zero buffer that the
-    gradient rows were scattered into."""
+    """The backward adds each gradient row into its gathered row in index
+    order and leaves every other row alone, one path for every index set.
+    Where no row is gathered twice, that is bit-identical to accumulating a
+    dense zero buffer that the gradient rows were scattered into."""
 
     @staticmethod
     def _dense_reference(grad, shape, idx, g):
@@ -344,20 +345,26 @@ def _bag_cases(draw):
     ids = draw(arrays(np.intp, (slots, bags), elements=st.integers(0, rows - 1)))
     weights = draw(arrays(np.float64, (slots, bags), elements=_SIGNED))
     g = draw(arrays(np.float64, (bags, width), elements=_SIGNED))
-    return table, ids, weights, g
+    grad = draw(st.none() | arrays(np.float64, (rows, width), elements=_SIGNED))
+    order = draw(st.sampled_from("CF"))
+    return table, ids, weights, g, grad, order
 
 
 @given(_bag_cases())
 def test_embedding_bag_equals_numpy_bitwise(case):
     """Forward and table gradient against plain numpy: repeated rows, pads
-    (weight 0) and signed zeros in the gradient."""
-    table, ids, weights, g = case
+    (weight 0), signed zeros in the gradient, and a fresh or an existing
+    C- or F-ordered table gradient."""
+    table, ids, weights, g, grad, order = case
     t = dm.Tensor(table.copy())
+    if grad is not None:
+        t.grad = np.array(grad, order=order)
     out = dm.embedding_bag(dm.GradTape(), t, ids, weights)
     assert out.data.tobytes() == (table[ids] * weights[..., None]).sum(0).tobytes()
     out._backward(g)
-    want = np.zeros_like(table)
-    np.add.at(want, ids, g * weights[..., None] + 0.0)
+    want = np.zeros_like(table) if grad is None else grad.copy()
+    real = weights != 0  # a pad adds nothing, not even +0.0 onto an existing -0.0
+    np.add.at(want, ids[real], (g * weights[..., None])[real] + 0.0)
     assert t.grad.tobytes() == want.tobytes()
 
 
