@@ -469,24 +469,34 @@ def grad_check(
     seed: int,
     tol: float,
     max_coords: int = 256,
+    probes=None,
 ) -> GradCheckReport:
     """Compare analytic gradients of a scalar program to central differences.
 
     ``fn(tape)`` must rerun the forward pass and return a scalar Tensor;
     it is called with ``tape=None`` for the finite-difference probes. Up
-    to ``max_coords`` coordinates per parameter tensor are sampled.
+    to ``max_coords`` (at least 1) coordinates per parameter tensor are
+    sampled. ``probes()``, if given, is called once after the analytic
+    pass, with every parameter at its value. It returns a dict that may
+    map a parameter's name to a function of no arguments that returns
+    what ``fn(None)`` would while that parameter alone moves; that
+    parameter's probes call it instead of ``fn(None)``. A probed
+    coordinate is restored even if a probe raises.
     The step is GRAD_CHECK_STEP. Relative error is |a-f| / max(|a|, |f|,
     1e-8). Coordinates where both sides are below GRAD_CHECK_ZERO_FLOOR
     count as agreeing zeros: the central
     difference of an O(1) objective carries ~1e-11 of float64 rounding
     noise, which would otherwise swamp genuinely zero gradients.
     """
+    if max_coords < 1:
+        raise ValueError(f"need max_coords >= 1, got {max_coords}")
     for p in params.values():
         p.grad = None
     tape = GradTape()
     out = fn(tape)
     tape.backward(out)
 
+    staged = {} if probes is None else probes()
     rng = np.random.default_rng(seed)
     max_rel = 0.0
     for name, p in params.items():
@@ -494,15 +504,18 @@ def grad_check(
         analytic = (p.grad if p.grad is not None else np.zeros_like(p.data)).reshape(-1)
         if not np.all(np.isfinite(analytic)):
             raise NonFiniteGradient(f"analytic gradient of {name} is not finite")
+        probe = staged.get(name, lambda: fn(None))
         n = flat.size
         coords = rng.choice(n, size=min(n, max_coords), replace=False)
         for c in coords:
             orig = flat[c]
-            flat[c] = orig + GRAD_CHECK_STEP
-            f_hi = float(fn(None).data)
-            flat[c] = orig - GRAD_CHECK_STEP
-            f_lo = float(fn(None).data)
-            flat[c] = orig
+            try:
+                flat[c] = orig + GRAD_CHECK_STEP
+                f_hi = float(probe().data)
+                flat[c] = orig - GRAD_CHECK_STEP
+                f_lo = float(probe().data)
+            finally:
+                flat[c] = orig
             numeric = (f_hi - f_lo) / (2.0 * GRAD_CHECK_STEP)
             if not math.isfinite(numeric):
                 raise NonFiniteGradient(f"numeric gradient of {name}[{c}] is not finite")

@@ -88,11 +88,13 @@ def featurize(texts: list[str], num_buckets: int) -> tuple[np.ndarray, np.ndarra
     # one key per (text, bucket): sorted by text, then by bucket
     keys, counts = np.unique(tri_text * num_buckets + bucket, return_counts=True)
     text = keys // num_buckets
-    slot = np.arange(keys.size) - np.searchsorted(keys, text * num_buckets)
+    # a key's slot is its offset from its text's first key
+    slot = np.arange(keys.size) - np.searchsorted(keys, np.arange(len(texts)) * num_buckets)[text]
     ids = np.zeros((int(slot.max(initial=0)) + 1, len(texts)), dtype=np.intp)
     weights = np.zeros(ids.shape)
-    ids[slot, text] = keys % num_buckets
-    weights[slot, text] = counts / tri_counts[text]
+    at = slot * len(texts) + text  # flat index into the (slots, texts) arrays
+    np.put(ids, at, keys - text * num_buckets)
+    np.put(weights, at, counts / tri_counts[text])
     weights[0, tri_counts == 0] = 1.0  # empty text: "##" has no trigram
     return ids, weights
 

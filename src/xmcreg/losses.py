@@ -250,23 +250,23 @@ def plan_batch(dataset: Dataset, batch: Batch, cfg: LossConfig, num_buckets: int
     )
 
 
-def objective(
-    tape,
-    plan: BatchPlan,
-    enc: EncoderParams,
-    head_ql: MlpHead,
-    head_qb: MlpHead,
-    block: pair_reps.BlockContextParams,
-    cfg: LossConfig,
-    rng: np.random.Generator | None = None,
-) -> tuple[dm.Tensor, LossBreakdown, int]:
-    """Full objective on a batch planned under the same cfg. The heads
-    apply cfg.dropout exactly when an rng is given.
+@dataclass
+class PairStage:
+    """What objective computes before the auxiliary heads. Only the
+    encoder's parameters reach it."""
 
-    Returns the scalar total (on the tape), its component breakdown, and
-    the number of shrunk blockings. With beta1 = beta2 = 0 and the
-    regularizer disabled, the total is bit-identical to the base loss.
-    """
+    total: dm.Tensor  # the triplet base loss plus the TCM term
+    base: float
+    tcm: float
+    shrunk: int  # blockings shrunk for want of negatives
+    gammas: dm.Tensor | None  # (P, 4d) pair features of every blocking; None with beta1 = beta2 = 0
+    targets: list[np.ndarray] | None  # each blocking's targets
+
+
+def pair_stage(tape, plan: BatchPlan, enc: EncoderParams, cfg: LossConfig) -> PairStage:
+    """The encoder's part of the objective on a batch planned under the
+    same cfg: embeddings, scores, the triplet and TCM terms, and, when an
+    auxiliary weight is on, the blockings with their pair features."""
     batch, qids = plan.batch, plan.batch.query_ids
     emb = embed(enc, plan.features, tape)
     q_rows = np.arange(len(qids))
@@ -276,13 +276,14 @@ def objective(
     counts = plan.counts
     base = triplet_base_loss(tape, s_pos, s_neg, cfg.triplet_margin, counts) if any(counts) else dm.Tensor(0.0)
     total = base
-    tcm_val = xe_ql_val = xe_qb_val = 0.0
-    shrunk = 0
+    tcm_val = 0.0
     if cfg.tcm is not None:
         tcm_term = tcm_loss(tape, s_pos, dm.gather_rows(tape, dm.reshape(tape, s_neg, (-1,)), plan.pool), cfg.tcm)
         tcm_val = float(tcm_term.data)
         total = dm.add(tape, total, tcm_term)
 
+    gammas = targets = None
+    shrunk = 0
     if cfg.beta1 != 0.0 or cfg.beta2 != 0.0:
         sims = {q: dict(zip(c, row)) for q, c, row in zip(qids, plan.cols, s_neg.data.tolist())}
         blockings, shrunk = mining.build_blockings(batch, batch.neg_pools, sims, cfg.k)
@@ -293,18 +294,66 @@ def objective(
         pair_l = dm.gather_rows(tape, emb, _label_rows(len(qids), plan.label_ids, pair_lids))
         gammas = pair_reps.build_gamma(tape, pair_q, pair_l)
         targets = [np.array(b.targets) for b in blockings]
-        dropout = None if rng is None else (cfg.dropout, rng)
-        if cfg.beta1 != 0.0:
-            ql = aux_loss_ql(tape, head_ql, gammas, targets, dropout)
-            xe_ql_val = float(ql.data)
-            total = dm.add(tape, total, dm.mul(tape, ql, cfg.beta1))
-        if cfg.beta2 != 0.0 and any(len(t) >= 2 for t in targets):
-            qb = aux_loss_qb(tape, head_qb, block, gammas, targets, dropout)
-            xe_qb_val = float(qb.data)
-            total = dm.add(tape, total, dm.mul(tape, qb, cfg.beta2))
+    return PairStage(total, float(base.data), tcm_val, shrunk, gammas, targets)
 
-    breakdown = LossBreakdown(float(base.data), tcm_val, xe_ql_val, xe_qb_val, float(total.data))
-    return total, breakdown, shrunk
+
+def head_terms(
+    tape,
+    stage: PairStage,
+    head_ql: MlpHead,
+    head_qb: MlpHead,
+    block: pair_reps.BlockContextParams,
+    cfg: LossConfig,
+    rng: np.random.Generator | None = None,
+    reuse: dict[str, dm.Tensor] | None = None,
+) -> tuple[dm.Tensor, dict[str, dm.Tensor]]:
+    """The objective's total: the stage's total, plus beta1 times
+    aux_loss_ql, then plus beta2 times aux_loss_qb, each term left out
+    where cfg leaves it out. The heads apply cfg.dropout exactly when an
+    rng is given, head_ql's mask drawn first.
+
+    Returns the total and the unweighted terms it added, under "ql" and
+    "qb". A term in reuse is added as it is, not recomputed, and draws no
+    mask: with every other term reused, only the parameters of the one
+    recomputed move the total.
+    """
+    total, terms, reuse = stage.total, {}, reuse or {}
+    if stage.gammas is None:
+        return total, terms
+    gammas, targets = stage.gammas, stage.targets
+    dropout = None if rng is None else (cfg.dropout, rng)
+    if cfg.beta1 != 0.0:
+        terms["ql"] = reuse["ql"] if "ql" in reuse else aux_loss_ql(tape, head_ql, gammas, targets, dropout)
+        total = dm.add(tape, total, dm.mul(tape, terms["ql"], cfg.beta1))
+    if cfg.beta2 != 0.0 and any(len(t) >= 2 for t in targets):
+        terms["qb"] = reuse["qb"] if "qb" in reuse else aux_loss_qb(tape, head_qb, block, gammas, targets, dropout)
+        total = dm.add(tape, total, dm.mul(tape, terms["qb"], cfg.beta2))
+    return total, terms
+
+
+def objective(
+    tape,
+    plan: BatchPlan,
+    enc: EncoderParams,
+    head_ql: MlpHead,
+    head_qb: MlpHead,
+    block: pair_reps.BlockContextParams,
+    cfg: LossConfig,
+    rng: np.random.Generator | None = None,
+) -> tuple[dm.Tensor, LossBreakdown, int]:
+    """Full objective on a batch planned under the same cfg: pair_stage,
+    then head_terms on it. The heads apply cfg.dropout exactly when an
+    rng is given.
+
+    Returns the scalar total (on the tape), its component breakdown, and
+    the number of shrunk blockings. With beta1 = beta2 = 0 and the
+    regularizer disabled, the total is bit-identical to the base loss.
+    """
+    stage = pair_stage(tape, plan, enc, cfg)
+    total, terms = head_terms(tape, stage, head_ql, head_qb, block, cfg, rng)
+    xe = {name: float(term.data) for name, term in terms.items()}
+    breakdown = LossBreakdown(stage.base, stage.tcm, xe.get("ql", 0.0), xe.get("qb", 0.0), float(total.data))
+    return total, breakdown, stage.shrunk
 
 
 def total_loss(

@@ -9,7 +9,7 @@ import numpy as np
 from . import diffmath as dm
 from . import mining
 from .data_io import SyntheticSpec, build_synthetic
-from .losses import objective, plan_batch
+from .losses import head_terms, objective, pair_stage, plan_batch
 from .trainer import TrainConfig, init_model
 
 
@@ -89,10 +89,18 @@ def kernel_gradchecks(seed: int, tol: float = 1e-4, max_coords: int = 64) -> dm.
 MICRO_DIM, MICRO_BATCH, MICRO_K, MICRO_LABELS, MICRO_MAX_COORDS = 8, 6, 3, 20, 8
 
 
+# the one head term each part of the model reaches; the encoder reaches them all
+_HEAD_TERM = {"head_ql": "ql", "head_qb": "qb", "block": "qb"}
+
+
 def make_micro_objective(seed: int):
-    """A tiny end-to-end objective closure plus its parameter set.
+    """A tiny end-to-end objective closure, its parameter set, and its
+    staged probes for dm.grad_check.
 
     It draws no dropout (no rng), so it is deterministic across calls.
+    An encoder tensor's probe reruns the whole objective; a head's or the
+    contextualizer's reruns only the head term it reaches, on the pair
+    stage and the other term as computed at the unperturbed parameters.
     """
     spec = SyntheticSpec(
         num_labels=MICRO_LABELS,
@@ -116,17 +124,30 @@ def make_micro_objective(seed: int):
     loss_cfg = config.loss_config()
     # planned once: the probes rerun only what the parameters move
     plan = plan_batch(dataset, batch, loss_cfg, model.enc.num_buckets)
+    params = model.named_tensors()
+    heads = (model.head_ql, model.head_qb, model.block)
 
     def fn(tape):
-        return objective(tape, plan, model.enc, model.head_ql, model.head_qb, model.block, loss_cfg)[0]
+        return objective(tape, plan, model.enc, *heads, loss_cfg)[0]
 
-    return fn, model.named_tensors()
+    def probes():
+        stage = pair_stage(None, plan, model.enc, loss_cfg)
+        _, terms = head_terms(None, stage, *heads, loss_cfg)
+
+        def rerun(term):
+            others = {name: t for name, t in terms.items() if name != term}
+            return lambda: head_terms(None, stage, *heads, loss_cfg, reuse=others)[0]
+
+        return {name: rerun(_HEAD_TERM[part]) for name in params if (part := name.split("/")[0]) in _HEAD_TERM}
+
+    return fn, params, probes
 
 
 def total_loss_gradcheck(seed: int, tol: float = 1e-4) -> dm.GradCheckReport:
     """Finite-difference check of the complete objective on a micro batch."""
-    fn, params = make_micro_objective(seed)
-    return replace(dm.grad_check(fn, params, seed=seed, tol=tol, max_coords=MICRO_MAX_COORDS), worst_case="total_loss")
+    fn, params, probes = make_micro_objective(seed)
+    report = dm.grad_check(fn, params, seed=seed, tol=tol, max_coords=MICRO_MAX_COORDS, probes=probes)
+    return replace(report, worst_case="total_loss")
 
 
 def full_suite(seed: int, tol: float = 1e-4) -> dm.GradCheckReport:

@@ -158,6 +158,47 @@ class TestGradCheck:
         with pytest.raises(dm.NonFiniteGradient):
             dm.grad_check(fn, {"p": p}, seed=0, tol=1e-4)
 
+    def test_probe_that_raises_restores_the_parameter(self):
+        p = dm.Tensor([1.0, 2.0])
+
+        def fn(tape):
+            if tape is None:
+                raise RuntimeError("probe failed")
+            return dm.mean_all(tape, dm.mul(tape, p, p))
+
+        with pytest.raises(RuntimeError, match="probe failed"):
+            dm.grad_check(fn, {"p": p}, seed=0, tol=1e-4)
+        assert p.data.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("max_coords", [0, -1])
+    def test_max_coords_below_one_is_refused(self, max_coords):
+        p = dm.Tensor([1.0, 2.0])
+        with pytest.raises(ValueError, match="max_coords >= 1"):
+            dm.grad_check(lambda tape: dm.mean_all(tape, dm.mul(tape, p, p)), {"p": p}, seed=0, tol=1e-4,
+                          max_coords=max_coords)
+
+    @pytest.mark.parametrize("offset, passed", [(0.0, True), (1.0, False)])
+    def test_staged_probe_replaces_fn_for_its_tensor(self, offset, passed):
+        # q's probe reuses p's term, computed once after the analytic pass;
+        # an offset there shows the probe, not fn, is what q's probes read
+        p, q = dm.Tensor(np.arange(1.0, 4.0)), dm.Tensor(np.arange(2.0, 6.0))
+        calls = []
+
+        def square(tape, t):
+            return dm.mean_all(tape, dm.mul(tape, t, t))
+
+        def fn(tape):
+            return dm.add(tape, square(tape, p), square(tape, q))
+
+        def probes():
+            calls.append(p.grad is not None and q.grad is not None)
+            p_term = square(None, p).data
+            return {"q": lambda: dm.add(None, p_term, dm.mul(None, square(None, q), 1.0 + offset))}
+
+        report = dm.grad_check(fn, {"p": p, "q": q}, seed=0, tol=1e-7, probes=probes)
+        assert calls == [True]
+        assert report.passed is passed
+
 
 @pytest.mark.parametrize("seed", range(12))
 def test_kernel_jvp_matches_finite_differences(seed):

@@ -401,7 +401,7 @@ class TestPlanIndependence:
                 seen[_name] = args
                 return _fn(*args)
             monkeypatch.setattr(verify, name, spy)
-        fn, _ = verify.make_micro_objective(0)
+        fn, _, _ = verify.make_micro_objective(0)
         fn(None)
         dataset = seen["plan_batch"][0]
         _, plan, enc, head_ql, head_qb, block, cfg = seen["objective"]
@@ -421,6 +421,56 @@ class TestPlanIndependence:
                          neg_pools=pools, base_neg_ids=base)
         cfg = LossConfig(beta1=1.0, beta2=0.5, tcm=TcmConfig(), k=3)
         _assert_plan_reads_no_parameter(dataset, plan_batch(dataset, b, cfg, model.enc.num_buckets), model, cfg)
+
+
+# total_loss_gradcheck(seed).max_relative_error, bit for bit, from before
+# the probes were staged
+_MICRO_GRADCHECK_ERRORS = ["0x1.4557de5c69526p-22", "0x1.9bc649bef1589p-23", "0x1.c317d143b87c9p-16",
+                           "0x1.050be5442d018p-21", "0x1.8af0691f05a36p-21"]
+
+
+class TestStages:
+    def test_pair_stage_then_head_terms_is_the_objective(self):
+        dataset, batch, model, _ = TestTotalLoss()._setup()
+        cfg = LossConfig(beta1=1.0, beta2=0.5, tcm=TcmConfig(), k=3, dropout=0.3)
+        plan = plan_batch(dataset, batch, cfg, model.enc.num_buckets)
+        heads = (model.head_ql, model.head_qb, model.block)
+        total, breakdown, shrunk = objective(None, plan, model.enc, *heads, cfg, np.random.default_rng(3))
+        stage = losses.pair_stage(None, plan, model.enc, cfg)
+        staged, terms = losses.head_terms(None, stage, *heads, cfg, np.random.default_rng(3))
+        assert total.data.tobytes() == staged.data.tobytes()
+        assert (breakdown.base, breakdown.tcm, shrunk) == (stage.base, stage.tcm, stage.shrunk)
+        assert (breakdown.xe_ql, breakdown.xe_qb) == (float(terms["ql"].data), float(terms["qb"].data))
+        # every term reused: nothing is recomputed and no mask is drawn
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        reused, _ = losses.head_terms(None, stage, *heads, cfg, rng, reuse=terms)
+        assert reused.data.tobytes() == total.data.tobytes()
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_staged_probes_equal_the_whole_objective(self, seed):
+        fn, params, probes = verify.make_micro_objective(seed)
+        tape = dm.GradTape()
+        tape.backward(fn(tape))
+        staged = probes()
+        assert set(staged) == {name for name in params if not name.startswith("encoder/")}
+        for name, p in params.items():
+            probe = staged.get(name, lambda: fn(None))
+            flat = p.data.reshape(-1)
+            # the coordinate of largest gradient moves the total for sure
+            for c in {0, flat.size - 1, int(np.argmax(np.abs(p.grad)))}:
+                orig = flat[c]
+                try:
+                    for step in (0.0, dm.GRAD_CHECK_STEP, -dm.GRAD_CHECK_STEP):
+                        flat[c] = orig + step
+                        assert probe().data.tobytes() == fn(None).data.tobytes(), (name, c, step)
+                finally:
+                    flat[c] = orig
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_micro_gradcheck_error_is_unchanged(self, seed):
+        assert verify.total_loss_gradcheck(seed).max_relative_error.hex() == _MICRO_GRADCHECK_ERRORS[seed]
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +648,7 @@ class TestBatchedRegularizer:
         # deterministic guard against per-text, per-pair or per-blocking
         # nodes coming back: the per-pair objective recorded 402 nodes here,
         # the per-pair base path 186, the matrix-shaped one 79
-        fn, _ = verify.make_micro_objective(0)
+        fn, _, _ = verify.make_micro_objective(0)
         tape = dm.GradTape()
         fn(tape)
         assert len(tape._nodes) <= 90
