@@ -59,10 +59,15 @@ def retrieve_top1(
         raise EmptyLabelSpace("no labels to retrieve from")
     ids, blocks = score_chunks(query_embeddings, label_embeddings, label_ids)
     preds = []
-    for rows, scores in blocks:
-        # the columns ascend by id: the first max (a NaN counts as the max) is the lowest id
-        best = scores.argmax(axis=1)
-        top = scores[np.arange(len(best)), best]
+    for rows, tiles in blocks:
+        best, top = np.zeros(rows.stop - rows.start, dtype=np.intp), np.full(rows.stop - rows.start, -np.inf)
+        for cols, scores in tiles:
+            # the columns ascend by id: the first max (a NaN counts as the max) is the lowest id
+            arg = scores.argmax(axis=1)
+            val = scores[np.arange(len(arg)), arg]
+            # a tile beats the lower ids before it only with a greater score, or a NaN over a number
+            take = (val > top) | (np.isnan(val) & ~np.isnan(top))
+            best[take], top[take] = arg[take] + cols.start, val[take]
         for qid, lid, score, pos in zip(query_ids[rows], ids[best].tolist(), top.tolist(), positives[rows]):
             preds.append(ScoredPrediction(query_id=qid, top1_label_id=lid, score=score, correct=lid in pos))
     return preds

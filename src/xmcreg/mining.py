@@ -22,14 +22,19 @@ from .encoder import TextRecord
 POSITIVE_TARGET = 0.0
 NEGATIVE_TARGET = 1.0
 
-# upper bound on the scores one block of score_chunks holds (8 MB of
-# float64), so neither retrieval nor pool mining builds the whole
-# query x label matrix
-SCORE_CHUNK_ELEMENTS = 2**20
-# Blocks start at multiples of this many rows. OpenBLAS tiles the rows of
-# a product (by 12 on Haswell), and a block that starts inside a tile
+# about the number of scores one tile of score_chunks holds (2 MB of
+# float64), whatever the label count, so neither retrieval nor pool mining
+# builds the whole query x label matrix
+SCORE_CHUNK_ELEMENTS = 2**18
+# Row blocks start at multiples of this many rows. OpenBLAS tiles the rows
+# of a product (by 12 on Haswell), and a block that starts inside a tile
 # rounds some scores differently in the last bit from the whole product.
 SCORE_BLOCK_ROWS = 96
+# Column tiles start at multiples of this many labels, and the label rows
+# are zero-padded to one. OpenBLAS (Haswell and SkylakeX kernels) rounds
+# the columns past the last multiple of 8 another way, and differently
+# with another thread count.
+SCORE_PAD_COLUMNS = 8
 
 
 class TooFewQueries(ValueError):
@@ -158,35 +163,69 @@ def in_batch_negatives(batch: Batch, dataset: Dataset) -> dict[int, list[int]]:
 
 
 def score_chunks(query_embeddings: np.ndarray, label_embeddings: np.ndarray, label_ids: list[int]):
-    """Scores of every query against every label, a block of query rows at
-    a time, with the label columns in ascending-id order.
+    """Scores of every query against every label, one tile of query rows x
+    label columns at a time, with the label columns in ascending-id order.
 
     Returns ``(ids, blocks)``: ``label_ids`` in ascending order, and an
-    iterator of ``(rows, scores)``, a slice of query rows and the block's
-    scores, whose column j belongs to ``ids[j]`` (label rows are copied
-    into that order unless the ids ascend), so no score depends on the
-    input order. Blocks start at multiples of SCORE_BLOCK_ROWS rows and
-    hold about SCORE_CHUNK_ELEMENTS scores; a tail of under half a block
-    joins the block before it. No block is then a one-row product, which
-    BLAS computes another way, unless the input has one row. With
-    single-threaded OpenBLAS the scores equal the same entries of the whole
-    product bit for bit. A repeated label id raises ValueError, since ties
-    are broken by id.
+    iterator of ``(rows, tiles)`` per block of query rows, where ``tiles``
+    iterates ``(cols, scores)``: a slice of columns, ascending, and the
+    tile's scores, whose column j belongs to ``ids[cols][j]``. Label rows
+    are copied into that order unless the ids ascend, so no score depends
+    on the input order. All tiles are written into one buffer, so a tile is
+    overwritten by the next one: keep what you need of it before asking for
+    the next.
+
+    Row blocks start at multiples of SCORE_BLOCK_ROWS, column tiles at
+    multiples of SCORE_PAD_COLUMNS, and a tile holds about
+    SCORE_CHUNK_ELEMENTS scores; a tail of under half a block or tile joins
+    the one before it. No block is then a one-row product, which BLAS
+    computes another way, unless the input has one row. The label rows are
+    zero-padded to a multiple of SCORE_PAD_COLUMNS (the reorder copy holds
+    the pad rows; else the last tile copies its rows), so every tile
+    computes whole kernel columns, and OpenBLAS gives the same scores at any
+    thread count. At the default tile size they also equal the same entries
+    of the whole padded product bit for bit; much smaller tiles need not,
+    since OpenBLAS rounds some small products by shape (SkylakeX). A
+    repeated label id raises ValueError, since ties are broken by id.
     """
     order = np.argsort(label_ids)
     ids = np.asarray(label_ids)[order]
     repeated = np.flatnonzero(ids[1:] == ids[:-1])
     if repeated.size:
         raise ValueError(f"label id {ids[repeated[0]]} is repeated")
+    width = len(ids)
+    padded = -(-width // SCORE_PAD_COLUMNS) * SCORE_PAD_COLUMNS
+    labels = label_embeddings
     if np.any(order[1:] < order[:-1]):
-        label_embeddings = label_embeddings[order]
-    n = query_embeddings.shape[0]
-    step = max(1, SCORE_CHUNK_ELEMENTS // (SCORE_BLOCK_ROWS * max(1, len(label_ids)))) * SCORE_BLOCK_ROWS
-    starts = list(range(0, n, step))
-    if len(starts) > 1 and n - starts[-1] < step // 2:
+        # one copy reorders and pads
+        labels = np.zeros((padded, label_embeddings.shape[1]), dtype=label_embeddings.dtype)
+        np.take(label_embeddings, order, axis=0, out=labels[:width])
+    step = max(1, SCORE_CHUNK_ELEMENTS // (SCORE_BLOCK_ROWS * max(1, padded))) * SCORE_BLOCK_ROWS
+    row_bounds = _bounds(query_embeddings.shape[0], step)
+    col_bounds = _bounds(padded, max(1, SCORE_CHUNK_ELEMENTS // (step * SCORE_PAD_COLUMNS)) * SCORE_PAD_COLUMNS)
+    last = labels[col_bounds[-2]:]
+    if len(last) < padded - col_bounds[-2]:
+        last = np.concatenate([last, np.zeros((padded - width, labels.shape[1]), dtype=labels.dtype)])
+    buffer = np.empty(max(np.diff(row_bounds)) * max(np.diff(col_bounds)),
+                      dtype=np.result_type(query_embeddings, labels))
+
+    def tiles(rows: slice):
+        queries = query_embeddings[rows]
+        for lo, hi in zip(col_bounds, col_bounds[1:]):
+            scores = buffer[: len(queries) * (hi - lo)].reshape(len(queries), hi - lo)
+            np.matmul(queries, (labels[lo:hi] if hi < padded else last).T, out=scores)
+            yield slice(lo, min(hi, width)), scores[:, : min(hi, width) - lo]
+
+    return ids, ((rows, tiles(rows)) for rows in map(slice, row_bounds, row_bounds[1:]))
+
+
+def _bounds(total: int, step: int) -> list[int]:
+    """Block boundaries 0, step, 2 * step, ..., total; a tail of under half
+    a step joins the block before it, and a total of 0 is one empty block."""
+    starts = list(range(0, total, step)) or [0]
+    if len(starts) > 1 and total - starts[-1] < step // 2:
         starts.pop()
-    return ids, ((slice(start, stop), query_embeddings[start:stop] @ label_embeddings.T)
-                 for start, stop in zip(starts, starts[1:] + [n]))
+    return starts + [total]
 
 
 def ance_pool(
@@ -206,40 +245,55 @@ def ance_pool(
         raise ValueError("pool_size must be >= 1")
     ids, blocks = score_chunks(query_embeddings, label_embeddings, label_ids)
     pools: list[list[int]] = []
-    for rows, scores in blocks:
+    for rows, tiles in blocks:
         positives = positives_per_query[rows]
         pos_rows = np.repeat(np.arange(len(positives)), [len(p) for p in positives])
         pos_ids = np.fromiter(itertools.chain.from_iterable(positives), dtype=ids.dtype, count=len(pos_rows))
         # each positive's column, if it is a label
-        cols = np.searchsorted(ids, pos_ids)
-        known = cols < len(ids)
-        known[known] = ids[cols[known]] == pos_ids[known]
-        scores[pos_rows[known], cols[known]] = -np.inf
-        # ascending negated scores; masked positives sort last
-        np.negative(scores, out=scores)
-        pools.extend(_smallest_per_row(scores, ids, pool_size))
+        pos_cols = np.searchsorted(ids, pos_ids)
+        known = pos_cols < len(ids)
+        known[known] = ids[pos_cols[known]] == pos_ids[known]
+        pos_rows, pos_cols = pos_rows[known], pos_cols[known]
+        # each tile's candidates; among equal scores, the order of the
+        # concatenated tiles is id order
+        found = []
+        for cols, scores in tiles:
+            inside = (pos_cols >= cols.start) & (pos_cols < cols.stop)
+            scores[pos_rows[inside], pos_cols[inside] - cols.start] = -np.inf
+            # ascending negated scores; masked positives sort last. (In numpy
+            # 2.4, np.negative(out=) misreads a one-column tile, a view with
+            # a stride of 8 elements, so the tile is multiplied instead.)
+            scores *= -1.0
+            r, c, v = _smallest_per_row(scores, pool_size)
+            found.append((r, ids[cols][c], v))
+        r, chosen, v = (np.concatenate(parts) for parts in zip(*found))
+        pick = _first_per_row(r, v, pool_size)
+        bounds = np.searchsorted(r[pick], np.arange(len(positives) + 1))
+        chosen = chosen[pick].tolist()
+        pools.extend(chosen[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
     return pools
 
 
-def _smallest_per_row(scores: np.ndarray, ids: np.ndarray, k: int) -> list[list[int]]:
-    """Ids of each row's k smallest finite scores, ordered by (score, id)
-    where column j holds ``ids[j]`` (ascending), without sorting whole rows."""
-    n, width = scores.shape
-    k = min(k, width)
-    if k == 0:
-        return [[] for _ in range(n)]
-    kth = np.partition(scores, k - 1, axis=1)[:, k - 1 : k]
+def _smallest_per_row(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, column, score) of each row's k smallest finite scores, ties to
+    the lower column, in (row, score, column) order, without sorting whole
+    rows."""
+    k = min(k, scores.shape[1])
+    kth = np.partition(scores, k - 1, axis=1)[:, k - 1 : k] if k else -np.inf  # k = 0: no columns
     # every score at or below a row's k-th smallest, ties at the k-th included
     rows, cols = np.nonzero(scores <= kth)
     vals = scores[rows, cols]
-    # stable, and columns ascend within a row: ties keep the lower id first
+    keep = _first_per_row(rows, vals, k)
+    return rows[keep], cols[keep], vals[keep]
+
+
+def _first_per_row(rows: np.ndarray, vals: np.ndarray, k: int) -> np.ndarray:
+    """Positions of each row's k smallest finite ``vals``, ties to the
+    earlier position, in (row, value) order."""
+    # stable: ties keep the earlier position first
     order = np.lexsort((vals, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
-    keep = (rank < k) & np.isfinite(vals)
-    bounds = np.searchsorted(rows[keep], np.arange(n + 1))
-    chosen = ids[cols[keep]].tolist()
-    return [chosen[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    rank = np.arange(order.size) - np.searchsorted(rows[order], rows[order])
+    return order[(rank < k) & np.isfinite(vals[order])]
 
 
 def build_blockings(

@@ -148,6 +148,23 @@ class TestRetrieveTop1:
         with deadline(10), pytest.raises(ValueError, match="^score of query 0 is NaN$"):
             evaluate(preds, target_precision=0.85)
 
+    def test_nan_in_a_later_tile_beats_an_earlier_maximum(self, monkeypatch):
+        # 8-column tiles over 30 labels: column 2 (first tile) holds the
+        # finite maximum, column 11 (second tile) ties with it, and columns
+        # 20 and 27 (third and fourth tiles) hold a NaN; without the NaN
+        # columns the tie goes to column 2
+        monkeypatch.setattr(mining, "SCORE_BLOCK_ROWS", 2)
+        monkeypatch.setattr(mining, "SCORE_CHUNK_ELEMENTS", 1)
+        l = np.zeros((30, 2))
+        l[2] = l[11] = [5.0, 0.0]
+        l[[20, 27]] = [np.nan, 0.0]
+        q = np.array([[1.0, 0.0], [1.0, 0.0]])
+        label_ids = list(range(100, 130))
+        preds = retrieve_top1(q[:1], l, [0], label_ids, [frozenset()])
+        assert preds[0].top1_label_id == 120 and np.isnan(preds[0].score)
+        preds = retrieve_top1(q, l[:20], [0, 1], label_ids[:20], [frozenset()] * 2)
+        assert [(p.top1_label_id, p.score) for p in preds] == [(102, 5.0), (102, 5.0)]
+
     def test_empty_label_space(self):
         with pytest.raises(EmptyLabelSpace):
             retrieve_top1(np.ones((1, 2)), np.zeros((0, 2)), [0], [], [frozenset()])

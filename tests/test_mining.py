@@ -1,11 +1,13 @@
 """Batch clustering, negative mining, and blocking assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xmcreg import mining
+from xmcreg import evaluation, mining
 from xmcreg.encoder import TextRecord
 from xmcreg.mining import (
     Batch,
@@ -237,6 +239,23 @@ class TestAncePool:
             pools = ance_pool(q, labels, ids, positives, pool_size=pool_size)
         assert pools == _exhaustive_sort_oracle(q @ labels.T, ids, positives, pool_size)
 
+    @pytest.mark.parametrize("seed, pool_size", [(0, 1), (1, 5), (2, 12)])
+    def test_column_tiles_match_exhaustive_sort(self, monkeypatch, seed, pool_size):
+        # 8-column tiles over 30 labels (32 with the pad): four tiles per
+        # 3-row block, with ties between labels in different tiles
+        monkeypatch.setattr(mining, "SCORE_BLOCK_ROWS", 3)
+        monkeypatch.setattr(mining, "SCORE_CHUNK_ELEMENTS", 1)
+        rng = np.random.default_rng(seed)
+        q = _unit_rows(rng.normal(size=(7, 3)))
+        labels = _unit_rows(rng.normal(size=(4, 3)))[rng.integers(4, size=30)]
+        ids = [int(x) for x in rng.permutation(np.arange(500, 530))]
+        positives = [frozenset(rng.choice(ids + [999], size=int(rng.integers(0, 6)), replace=False).tolist())
+                     for _ in range(7)]
+        _, blocks = mining.score_chunks(q, labels, ids)
+        assert all(len([cols for cols, _ in tiles]) == 4 for _, tiles in blocks)
+        pools = ance_pool(q, labels, ids, positives, pool_size=pool_size)
+        assert pools == _exhaustive_sort_oracle(q @ labels.T, ids, positives, pool_size)
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 40))
     def test_label_order_changes_no_pool(self, seed, pool_size):
@@ -252,6 +271,54 @@ class TestAncePool:
         labels = _unit_rows([[1, 0], [0, 1], [1, 1]])
         with pytest.raises(ValueError, match="label id 11 is repeated"):
             ance_pool(_unit_rows([[1, 0]]), labels, [11, 10, 11], [frozenset({11})], pool_size=2)
+
+
+class TestScoreChunks:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 5000), st.sampled_from([8, 32]),
+           st.booleans())
+    @example(0, 1, 4999, 32, False)  # one query row, two column tiles
+    @example(0, 300, 4999, 8, True)  # three row blocks of two tiles each
+    def test_tiles_equal_the_padded_whole_product(self, seed, nq, nl, d, shuffled):
+        rng = np.random.default_rng(seed)
+        q, labels = rng.normal(size=(nq, d)), rng.normal(size=(nl, d))
+        ids = rng.permutation(nl) if shuffled else np.arange(nl)
+        pad = -nl % mining.SCORE_PAD_COLUMNS
+        whole = q @ np.vstack([labels[np.argsort(ids)], np.zeros((pad, d))]).T
+        seen = np.zeros((nq, nl), dtype=int)
+        sorted_ids, blocks = mining.score_chunks(q, labels, ids.tolist())
+        for rows, tiles in blocks:
+            assert rows.start % mining.SCORE_BLOCK_ROWS == 0
+            for cols, scores in tiles:
+                assert cols.start % mining.SCORE_PAD_COLUMNS == 0
+                assert scores.tobytes() == whole[rows, cols].tobytes()
+                seen[rows, cols] += 1
+        assert sorted_ids.tolist() == list(range(nl))
+        assert (seen == 1).all()
+
+    @pytest.mark.parametrize("consumer", ["retrieve_top1", "ance_pool"])
+    def test_peak_memory_does_not_grow_with_the_label_count(self, consumer):
+        # two full-width 96-row blocks alive at once would take about 92 MB
+        # at 60,000 labels
+        def peak(num_labels):
+            rng = np.random.default_rng(0)
+            q, labels = rng.normal(size=(192, 8)), rng.normal(size=(num_labels, 8))
+            ids = list(range(num_labels))
+            positives = [frozenset({int(i)}) for i in rng.integers(num_labels, size=192)]
+            tracemalloc.start()
+            try:
+                if consumer == "retrieve_top1":
+                    evaluation.retrieve_top1(q, labels, list(range(192)), ids, positives)
+                else:
+                    ance_pool(q, labels, ids, positives, pool_size=5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        tile = mining.SCORE_CHUNK_ELEMENTS * 8
+        small, large = peak(6_000), peak(60_000)
+        assert large < 4 * tile, f"{large / 2**20:.1f} MiB at 60,000 labels"
+        assert large < 1.5 * small, f"{large / 2**20:.1f} MiB at 60,000 labels, {small / 2**20:.1f} MiB at 6,000"
 
 
 class TestBuildBlockings:
