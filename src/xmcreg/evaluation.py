@@ -57,6 +57,9 @@ def retrieve_top1(
     id, and a row with a NaN score takes its lowest-id NaN column."""
     if label_embeddings.shape[0] == 0:
         raise EmptyLabelSpace("no labels to retrieve from")
+    for given, name in ((query_ids, "query ids"), (positives, "positive sets")):
+        if len(given) != len(query_embeddings):
+            raise ValueError(f"{len(given)} {name} for {len(query_embeddings)} query rows")
     ids, blocks = score_chunks(query_embeddings, label_embeddings, label_ids)
     preds = []
     for rows, tiles in blocks:

@@ -12,7 +12,6 @@ Score columns ascend by label id, whatever the input order; all ties go to the l
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,8 +185,13 @@ def score_chunks(query_embeddings: np.ndarray, label_embeddings: np.ndarray, lab
     thread count. At the default tile size they also equal the same entries
     of the whole padded product bit for bit; much smaller tiles need not,
     since OpenBLAS rounds some small products by shape (SkylakeX). A
-    repeated label id raises ValueError, since ties are broken by id.
+    repeated label id raises ValueError, since ties are broken by id, and
+    so do label rows that do not match the ids or the query width.
     """
+    if label_embeddings.shape[0] != len(label_ids):
+        raise ValueError(f"{label_embeddings.shape[0]} label rows for {len(label_ids)} label ids")
+    if query_embeddings.shape[1] != label_embeddings.shape[1]:
+        raise ValueError(f"query width {query_embeddings.shape[1]} is not label width {label_embeddings.shape[1]}")
     order = np.argsort(label_ids)
     ids = np.asarray(label_ids)[order]
     repeated = np.flatnonzero(ids[1:] == ids[:-1])
@@ -238,39 +242,39 @@ def ance_pool(
     """Per-query pools of the pool_size hardest non-positive labels.
 
     Exact brute-force search over all labels, ordered by similarity
-    descending, ties by ascending label id. Positive ids that are not
-    among ``label_ids`` are ignored.
+    descending, ties by ascending label id. Each row selects its k =
+    pool_size + (largest positive set in its row block) hardest labels,
+    which hold at most k - pool_size positives, then drops its positives
+    and keeps the first pool_size; a block holds up to k candidates per row
+    and column tile while it selects. Only finite scores enter a pool, and a
+    NaN never shortens one: a pool is shorter only when fewer finite
+    non-positive scores exist, or when k scores of +inf fill its row.
     """
     if pool_size < 1:
         raise ValueError("pool_size must be >= 1")
+    if len(positives_per_query) != len(query_embeddings):
+        raise ValueError(f"{len(positives_per_query)} positive sets for {len(query_embeddings)} query rows")
     ids, blocks = score_chunks(query_embeddings, label_embeddings, label_ids)
     pools: list[list[int]] = []
     for rows, tiles in blocks:
         positives = positives_per_query[rows]
-        pos_rows = np.repeat(np.arange(len(positives)), [len(p) for p in positives])
-        pos_ids = np.fromiter(itertools.chain.from_iterable(positives), dtype=ids.dtype, count=len(pos_rows))
-        # each positive's column, if it is a label
-        pos_cols = np.searchsorted(ids, pos_ids)
-        known = pos_cols < len(ids)
-        known[known] = ids[pos_cols[known]] == pos_ids[known]
-        pos_rows, pos_cols = pos_rows[known], pos_cols[known]
+        k = pool_size + max(map(len, positives), default=0)
         # each tile's candidates; among equal scores, the order of the
         # concatenated tiles is id order
         found = []
         for cols, scores in tiles:
-            inside = (pos_cols >= cols.start) & (pos_cols < cols.stop)
-            scores[pos_rows[inside], pos_cols[inside] - cols.start] = -np.inf
-            # ascending negated scores; masked positives sort last. (In numpy
-            # 2.4, np.negative(out=) misreads a one-column tile, a view with
-            # a stride of 8 elements, so the tile is multiplied instead.)
+            # ascending negated scores. (In numpy 2.4, np.negative(out=)
+            # misreads a one-column tile, a view with a stride of 8
+            # elements, so the tile is multiplied instead.)
             scores *= -1.0
-            r, c, v = _smallest_per_row(scores, pool_size)
+            r, c, v = _smallest_per_row(scores, k)
             found.append((r, ids[cols][c], v))
         r, chosen, v = (np.concatenate(parts) for parts in zip(*found))
-        pick = _first_per_row(r, v, pool_size)
+        pick = _first_per_row(r, v, k)
         bounds = np.searchsorted(r[pick], np.arange(len(positives) + 1))
         chosen = chosen[pick].tolist()
-        pools.extend(chosen[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
+        pools.extend([i for i in chosen[lo:hi] if i not in pos][:pool_size]
+                     for lo, hi, pos in zip(bounds[:-1], bounds[1:], positives))
     return pools
 
 
@@ -279,7 +283,8 @@ def _smallest_per_row(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
     the lower column, in (row, score, column) order, without sorting whole
     rows."""
     k = min(k, scores.shape[1])
-    kth = np.partition(scores, k - 1, axis=1)[:, k - 1 : k] if k else -np.inf  # k = 0: no columns
+    # k = 0: no columns; a NaN k-th (fewer than k numbers) becomes +inf
+    kth = np.fmin(np.partition(scores, k - 1, axis=1)[:, k - 1 : k], np.inf) if k else -np.inf
     # every score at or below a row's k-th smallest, ties at the k-th included
     rows, cols = np.nonzero(scores <= kth)
     vals = scores[rows, cols]

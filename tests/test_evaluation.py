@@ -169,6 +169,14 @@ class TestRetrieveTop1:
         with pytest.raises(EmptyLabelSpace):
             retrieve_top1(np.ones((1, 2)), np.zeros((0, 2)), [0], [], [frozenset()])
 
+    def test_query_ids_must_match_the_query_rows(self):
+        with pytest.raises(ValueError, match="2 query ids for 3 query rows"):
+            retrieve_top1(np.eye(3), np.eye(3), [1, 2], [0, 1, 2], [frozenset()] * 3)
+
+    def test_positive_sets_must_match_the_query_rows(self):
+        with pytest.raises(ValueError, match="4 positive sets for 3 query rows"):
+            retrieve_top1(np.eye(3), np.eye(3), [0, 1, 2], [0, 1, 2], [frozenset()] * 4)
+
     def test_repeated_label_id_rejected(self):
         # with a repeated id the lower-id tie rule has no single answer
         l = np.array([[1.0, 0.0], [1.0, 0.0]])

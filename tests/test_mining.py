@@ -256,6 +256,50 @@ class TestAncePool:
         pools = ance_pool(q, labels, ids, positives, pool_size=pool_size)
         assert pools == _exhaustive_sort_oracle(q @ labels.T, ids, positives, pool_size)
 
+    def test_nan_scores_never_empty_a_pool(self):
+        q = np.array([[1.0, 0.0]])
+        labels = np.array([[np.nan, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        pools = [ance_pool(q, labels, [10, 11, 12], [frozenset()], pool_size=n) for n in (1, 2, 3)]
+        assert pools == [[[11]], [[11, 12]], [[11, 12]]]
+
+    @pytest.mark.parametrize("seed, pool_size", [(0, 5), (1, 8), (2, 30)])
+    def test_nan_scores_in_a_tile_match_exhaustive_sort(self, monkeypatch, seed, pool_size):
+        # 8-column tiles over 30 labels: the second tile (ids 508-515) has
+        # two non-NaN scores, fewer than the pool, and the last tile one
+        monkeypatch.setattr(mining, "SCORE_BLOCK_ROWS", 3)
+        monkeypatch.setattr(mining, "SCORE_CHUNK_ELEMENTS", 1)
+        rng = np.random.default_rng(seed)
+        q = _unit_rows(rng.normal(size=(7, 3)))
+        labels = _unit_rows(rng.normal(size=(4, 3)))[rng.integers(4, size=30)]
+        ids = [int(x) for x in rng.permutation(np.arange(500, 530))]
+        nan = np.isin(ids, [508, 509, 510, 511, 513, 515, 524, 525, 527, 528, 529])
+        labels[nan] = np.nan
+        positives = [frozenset(rng.choice(ids + [999], size=int(rng.integers(0, 6)), replace=False).tolist())
+                     for _ in range(7)]
+        pools = ance_pool(q, labels, ids, positives, pool_size=pool_size)
+        finite = [lid for lid, bad in zip(ids, nan) if not bad]
+        assert pools == _exhaustive_sort_oracle(q @ labels[~nan].T, finite, positives, pool_size)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scoring_cases(), st.integers(1, 12), st.data())
+    def test_nan_label_rows_match_exhaustive_sort_over_the_rest(self, case, pool_size, data):
+        q, labels, ids, positives, block_rows, budget = case
+        nan = np.array(data.draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids))))
+        labels[nan] = np.nan
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mining, "SCORE_BLOCK_ROWS", block_rows)
+            mp.setattr(mining, "SCORE_CHUNK_ELEMENTS", budget)
+            pools = ance_pool(q, labels, ids, positives, pool_size=pool_size)
+        finite = [lid for lid, bad in zip(ids, nan) if not bad]
+        assert pools == _exhaustive_sort_oracle(q @ labels[~nan].T, finite, positives, pool_size)
+
+    def test_no_queries_no_pools(self):
+        assert ance_pool(np.zeros((0, 2)), np.eye(2), [0, 1], [], pool_size=3) == []
+
+    def test_positive_sets_must_match_the_query_rows(self):
+        with pytest.raises(ValueError, match="2 positive sets for 3 query rows"):
+            ance_pool(np.eye(3), np.eye(3), [0, 1, 2], [frozenset()] * 2, pool_size=1)
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 40))
     def test_label_order_changes_no_pool(self, seed, pool_size):
@@ -295,6 +339,14 @@ class TestScoreChunks:
                 seen[rows, cols] += 1
         assert sorted_ids.tolist() == list(range(nl))
         assert (seen == 1).all()
+
+    def test_label_rows_must_match_the_ids(self):
+        with pytest.raises(ValueError, match="12 label rows for 3 label ids"):
+            mining.score_chunks(np.ones((2, 4)), np.ones((12, 4)), [2, 1, 0])
+
+    def test_query_and_label_widths_must_match(self):
+        with pytest.raises(ValueError, match="query width 3 is not label width 4"):
+            mining.score_chunks(np.ones((2, 3)), np.ones((3, 4)), [2, 1, 0])
 
     @pytest.mark.parametrize("consumer", ["retrieve_top1", "ance_pool"])
     def test_peak_memory_does_not_grow_with_the_label_count(self, consumer):
