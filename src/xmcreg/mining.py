@@ -186,12 +186,10 @@ def score_chunks(query_embeddings: np.ndarray, label_embeddings: np.ndarray, lab
     of the whole padded product bit for bit; much smaller tiles need not,
     since OpenBLAS rounds some small products by shape (SkylakeX). A
     repeated label id raises ValueError, since ties are broken by id, and
-    so do label rows that do not match the ids or the query width.
+    so does a label row count that does not match the ids.
     """
     if label_embeddings.shape[0] != len(label_ids):
         raise ValueError(f"{label_embeddings.shape[0]} label rows for {len(label_ids)} label ids")
-    if query_embeddings.shape[1] != label_embeddings.shape[1]:
-        raise ValueError(f"query width {query_embeddings.shape[1]} is not label width {label_embeddings.shape[1]}")
     order = np.argsort(label_ids)
     ids = np.asarray(label_ids)[order]
     repeated = np.flatnonzero(ids[1:] == ids[:-1])
@@ -242,13 +240,9 @@ def ance_pool(
     """Per-query pools of the pool_size hardest non-positive labels.
 
     Exact brute-force search over all labels, ordered by similarity
-    descending, ties by ascending label id. Each row selects its k =
-    pool_size + (largest positive set in its row block) hardest labels,
-    which hold at most k - pool_size positives, then drops its positives
-    and keeps the first pool_size; a block holds up to k candidates per row
-    and column tile while it selects. Only finite scores enter a pool, and a
-    NaN never shortens one: a pool is shorter only when fewer finite
-    non-positive scores exist, or when k scores of +inf fill its row.
+    descending, ties by ascending label id: each row keeps its pool_size +
+    |positives| hardest finite scores, then drops its positives, so a pool
+    is shorter only when fewer finite non-positive scores exist.
     """
     if pool_size < 1:
         raise ValueError("pool_size must be >= 1")
@@ -258,19 +252,18 @@ def ance_pool(
     pools: list[list[int]] = []
     for rows, tiles in blocks:
         positives = positives_per_query[rows]
-        k = pool_size + max(map(len, positives), default=0)
-        # each tile's candidates; among equal scores, the order of the
-        # concatenated tiles is id order
+        k = pool_size + np.array([len(pos) for pos in positives], dtype=np.intp)
+        # each tile's candidates (a lone tile's are each row's first k);
+        # among equal scores, the order of the concatenated tiles is id order
         found = []
         for cols, scores in tiles:
-            # ascending negated scores. (In numpy 2.4, np.negative(out=)
-            # misreads a one-column tile, a view with a stride of 8
-            # elements, so the tile is multiplied instead.)
+            # ascending negated scores; multiplied, as np.negative(out=) in
+            # numpy 2.4 misreads a one-column tile (a stride of 8 elements)
             scores *= -1.0
             r, c, v = _smallest_per_row(scores, k)
             found.append((r, ids[cols][c], v))
         r, chosen, v = (np.concatenate(parts) for parts in zip(*found))
-        pick = _first_per_row(r, v, k)
+        pick = _first_per_row(r, v, k) if len(found) > 1 else slice(None)
         bounds = np.searchsorted(r[pick], np.arange(len(positives) + 1))
         chosen = chosen[pick].tolist()
         pools.extend([i for i in chosen[lo:hi] if i not in pos][:pool_size]
@@ -278,27 +271,33 @@ def ance_pool(
     return pools
 
 
-def _smallest_per_row(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row, column, score) of each row's k smallest finite scores, ties to
-    the lower column, in (row, score, column) order, without sorting whole
-    rows."""
-    k = min(k, scores.shape[1])
-    # k = 0: no columns; a NaN k-th (fewer than k numbers) becomes +inf
-    kth = np.fmin(np.partition(scores, k - 1, axis=1)[:, k - 1 : k], np.inf) if k else -np.inf
+def _smallest_per_row(scores: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, column, score) of each row's k[row] smallest finite scores,
+    ties to the lower column, in (row, score, column) order, without sorting
+    whole rows. Non-finite scores are set to +inf in place."""
+    scores[~np.isfinite(scores)] = np.inf
+    # each row's k-th smallest, from the sorted first columns of a partition
+    # at the largest k under the width; a row whose k reaches it keeps all
+    short = k < scores.shape[1]
+    kth = np.full(len(k), np.inf)
+    if short.any():
+        head = np.partition(scores, k[short].max() - 1, axis=1)[:, : k[short].max()]
+        head.sort(axis=1)
+        kth[short] = head[short, k[short] - 1]
     # every score at or below a row's k-th smallest, ties at the k-th included
-    rows, cols = np.nonzero(scores <= kth)
+    rows, cols = np.nonzero(scores <= kth[:, None])
     vals = scores[rows, cols]
     keep = _first_per_row(rows, vals, k)
     return rows[keep], cols[keep], vals[keep]
 
 
-def _first_per_row(rows: np.ndarray, vals: np.ndarray, k: int) -> np.ndarray:
-    """Positions of each row's k smallest finite ``vals``, ties to the
+def _first_per_row(rows: np.ndarray, vals: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Positions of each row's k[row] smallest finite ``vals``, ties to the
     earlier position, in (row, value) order."""
     # stable: ties keep the earlier position first
     order = np.lexsort((vals, rows))
     rank = np.arange(order.size) - np.searchsorted(rows[order], rows[order])
-    return order[(rank < k) & np.isfinite(vals[order])]
+    return order[(rank < k[rows[order]]) & np.isfinite(vals[order])]
 
 
 def build_blockings(
