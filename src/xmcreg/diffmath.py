@@ -480,7 +480,8 @@ def grad_check(
     pass, with every parameter at its value. It returns a dict that may
     map a parameter's name to a function of no arguments that returns
     what ``fn(None)`` would while that parameter alone moves; that
-    parameter's probes call it instead of ``fn(None)``. A probed
+    parameter's probes call it instead of ``fn(None)``. A name that is
+    not in ``params`` raises ValueError before any probe runs. A probed
     coordinate is restored even if a probe raises.
     The step is GRAD_CHECK_STEP. Relative error is |a-f| / max(|a|, |f|,
     1e-8). Coordinates where both sides are below GRAD_CHECK_ZERO_FLOOR
@@ -497,6 +498,9 @@ def grad_check(
     tape.backward(out)
 
     staged = {} if probes is None else probes()
+    unknown = sorted(set(staged) - set(params))
+    if unknown:
+        raise ValueError(f"probes for unknown parameters: {', '.join(map(repr, unknown))}")
     rng = np.random.default_rng(seed)
     max_rel = 0.0
     for name, p in params.items():

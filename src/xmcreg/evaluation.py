@@ -82,6 +82,15 @@ def precision_at_1(preds: list[ScoredPrediction]) -> float:
     return sum(p.correct for p in preds) / len(preds)
 
 
+def _scores(preds: list[ScoredPrediction]) -> np.ndarray:
+    """The predictions' scores; a NaN score raises ValueError naming its query."""
+    scores = np.array([p.score for p in preds], dtype=np.float64)
+    nan = np.isnan(scores)
+    if nan.any():
+        raise ValueError(f"score of query {preds[int(np.argmax(nan))].query_id} is NaN")
+    return scores
+
+
 def coverage_at_target(preds: list[ScoredPrediction], target_precision: float) -> tuple[float, float | None]:
     """Largest score-threshold acceptance set whose precision meets the target.
 
@@ -93,10 +102,7 @@ def coverage_at_target(preds: list[ScoredPrediction], target_precision: float) -
         raise ValueError("target_precision must be in (0, 1]")
     if not preds:
         raise EmptyPredictions("no predictions")
-    scores = np.array([p.score for p in preds], dtype=np.float64)
-    nan = np.isnan(scores)
-    if nan.any():
-        raise ValueError(f"score of query {preds[int(np.argmax(nan))].query_id} is NaN")
+    scores = _scores(preds)
     order = np.argsort(-scores, kind="stable")
     ranked = scores[order]
     hits = np.cumsum(np.array([p.correct for p in preds])[order])
@@ -113,12 +119,12 @@ def coverage_at_target(preds: list[ScoredPrediction], target_precision: float) -
 def score_histogram(preds: list[ScoredPrediction], bins: int = 50) -> Histogram:
     """Uniform-bin counts over the observed score range, split by
     correctness, plus the overlap coefficient of the two normalized
-    distributions."""
+    distributions. A NaN score raises ValueError naming its query."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
     if not preds:
         raise EmptyPredictions("no predictions")
-    scores = np.array([p.score for p in preds])
+    scores = _scores(preds)
     lo, hi = float(scores.min()), float(scores.max())
     if lo == hi:
         hi = lo + 1.0

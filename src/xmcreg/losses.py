@@ -125,10 +125,6 @@ def tcm_loss(tape, pos_sims, neg_sims, cfg: TcmConfig) -> dm.Tensor:
     return total
 
 
-def _bce_mean(tape, logits: dm.Tensor, targets: np.ndarray) -> dm.Tensor:
-    return dm.mean_all(tape, dm.bce_with_logits(tape, logits, targets))
-
-
 def _check_blockings(gammas: dm.Tensor, targets: list[np.ndarray]) -> None:
     # a list count: one np.sum per blocking costs ~10x as much
     if any(t.tolist().count(mining.POSITIVE_TARGET) != 1 for t in targets):
@@ -151,8 +147,7 @@ def aux_loss_ql(
     exactly one positive.
     """
     _check_blockings(gammas, targets)
-    logits = head.forward(tape, gammas, dropout)
-    return _bce_mean(tape, logits, np.concatenate(targets))
+    return head_loss(tape, head, gammas, np.concatenate(targets), dropout)
 
 
 def aux_loss_qb(
@@ -167,23 +162,52 @@ def aux_loss_qb(
 
     Takes the inputs of aux_loss_ql. The blockings of each size K >= 2 are
     contextualized as one (G, K, 4d) batch; a blocking of a single pair
-    has no context and is left out.
+    has no context and is left out. This is group_blockings, which no
+    parameter moves, then contextualize and qb_deltas, which block moves,
+    then head_loss, which head moves.
     """
+    groups, head_targets = group_blockings(tape, gammas, targets)
+    contexts = [pair_reps.contextualize(tape, block, g) for g in groups]
+    return head_loss(tape, head, qb_deltas(tape, groups, contexts), head_targets, dropout)
+
+
+def group_blockings(tape, gammas: dm.Tensor, targets: list[np.ndarray]) -> tuple[list[dm.Tensor], np.ndarray]:
+    """The blockings of aux_loss_qb's inputs that have context, grouped by
+    size: the (G, K, 4d) pair features of the blockings of each size
+    K >= 2, K ascending, and their targets, group after group."""
     _check_blockings(gammas, targets)
     sizes = np.array([len(t) for t in targets])
     starts = np.cumsum(sizes) - sizes
-    deltas, order = [], []
+    groups, order = [], []
     for k in np.unique(sizes[sizes >= 2]):
         members = np.flatnonzero(sizes == k)
-        groups = dm.gather_rows(tape, gammas, starts[members, None] + np.arange(k))
-        deltas.append(pair_reps.build_delta(tape, groups, pair_reps.contextualize(tape, block, groups)))
+        groups.append(dm.gather_rows(tape, gammas, starts[members, None] + np.arange(k)))
         order.extend(members)
-    if not deltas:
+    if not groups:
         raise mining.BadBlocking("contextualization needs a blocking of K >= 2 pairs")
-    if len(deltas) > 1:
-        deltas = [dm.concat(tape, [dm.reshape(tape, d, (-1, d.shape[-1])) for d in deltas])]
-    logits = head.forward(tape, deltas[0], dropout)
-    return _bce_mean(tape, logits, np.concatenate([targets[i] for i in order]).reshape(logits.shape))
+    return groups, np.concatenate([targets[i] for i in order])
+
+
+def qb_deltas(tape, groups: list[dm.Tensor], contexts: list[dm.Tensor]) -> dm.Tensor:
+    """The 16d features of grouped pairs, given each group's contextualized
+    features: (G, K, 16d) for one group, else (P, 16d)."""
+    deltas = [pair_reps.build_delta(tape, g, lam) for g, lam in zip(groups, contexts)]
+    if len(deltas) == 1:
+        return deltas[0]
+    return dm.concat(tape, [dm.reshape(tape, d, (-1, d.shape[-1])) for d in deltas])
+
+
+def head_loss(
+    tape,
+    head: MlpHead,
+    x: dm.Tensor,
+    targets: np.ndarray,
+    dropout: tuple[float, np.random.Generator] | None = None,
+) -> dm.Tensor:
+    """Mean BCE of the head's logits on the pair features x against the
+    targets, one per logit in order."""
+    logits = head.forward(tape, x, dropout)
+    return dm.mean_all(tape, dm.bce_with_logits(tape, logits, targets.reshape(logits.shape)))
 
 
 @dataclass

@@ -97,24 +97,37 @@ def init_block(rng: np.random.Generator, width: int) -> BlockContextParams:
 def contextualize(tape, block: BlockContextParams, gammas: dm.Tensor) -> dm.Tensor:
     """Apply the encoder block to every group of a (G, K, 4d) batch of
     pair features, or to one (K, 4d) group; the contextualized features
-    have the shape of the input."""
+    have the shape of the input. This is canonical_order, then
+    apply_block."""
     if gammas.ndim not in (2, 3) or gammas.shape[-1] != block.width:
         raise DimensionMismatch(f"group shape {gammas.shape}, block width {block.width}")
+    return apply_block(tape, block, *canonical_order(tape, gammas))
+
+
+def canonical_order(tape, gammas: dm.Tensor) -> tuple[dm.Tensor, np.ndarray]:
+    """The parameter-free half of contextualize: the (G, K, w) rows of each
+    group of gammas, a (G, K, w) batch or one (K, w) group, in canonical
+    order (ascending row bytes), and the flat row indices, shaped
+    gammas.shape[:-1], that put them back in input order.
+
+    Running each group in this order makes the block bit-exactly
+    permutation-equivariant: summation order would otherwise leak the
+    input ordering into the last ulp."""
     k, width = gammas.shape[-2:]
     if k < 2:
         raise DimensionMismatch("contextualize needs K >= 2 pairs")
-
-    # run each group in a canonical row order (ascending row bytes) so the
-    # operation is bit-exactly permutation-equivariant: summation order
-    # would otherwise leak the input ordering into the last ulp. canon
-    # holds flat row indices, (G, K); inverse maps them back.
     rows = np.ascontiguousarray(gammas.data).reshape(-1, k, width).view(np.dtype((np.void, 8 * width)))[..., 0]
     canon = np.argsort(rows, axis=-1, kind="stable")
     canon += k * np.arange(len(rows))[:, None]
     inverse = np.argsort(canon.ravel()).reshape(gammas.shape[:-1])
     flat = gammas if gammas.ndim == 2 else dm.reshape(tape, gammas, (-1, width))
-    x = dm.gather_rows(tape, flat, canon)
+    return dm.gather_rows(tape, flat, canon), inverse
 
+
+def apply_block(tape, block: BlockContextParams, x: dm.Tensor, inverse: np.ndarray) -> dm.Tensor:
+    """The parameters' half of contextualize: the encoder block over the
+    groups canonical_order gave, x and inverse, back in input order."""
+    width = block.width
     xn = dm.layer_norm(tape, x, block.ln1_gain, block.ln1_bias)
     q = dm.affine(tape, xn, block.wq, block.bq)
     keys = dm.affine(tape, xn, block.wk, block.bk)

@@ -9,7 +9,8 @@ import numpy as np
 from . import diffmath as dm
 from . import mining
 from .data_io import SyntheticSpec, build_synthetic
-from .losses import head_terms, objective, pair_stage, plan_batch
+from .losses import group_blockings, head_loss, head_terms, objective, pair_stage, plan_batch, qb_deltas
+from .pair_reps import apply_block, canonical_order
 from .trainer import TrainConfig, init_model
 
 
@@ -89,18 +90,17 @@ def kernel_gradchecks(seed: int, tol: float = 1e-4, max_coords: int = 64) -> dm.
 MICRO_DIM, MICRO_BATCH, MICRO_K, MICRO_LABELS, MICRO_MAX_COORDS = 8, 6, 3, 20, 8
 
 
-# the one head term each part of the model reaches; the encoder reaches them all
-_HEAD_TERM = {"head_ql": "ql", "head_qb": "qb", "block": "qb"}
-
-
 def make_micro_objective(seed: int):
     """A tiny end-to-end objective closure, its parameter set, and its
     staged probes for dm.grad_check.
 
     It draws no dropout (no rng), so it is deterministic across calls.
-    An encoder tensor's probe reruns the whole objective; a head's or the
-    contextualizer's reruns only the head term it reaches, on the pair
-    stage and the other term as computed at the unperturbed parameters.
+    An encoder tensor's probe reruns the whole objective. The others rerun
+    only what their tensor moves, on what the unperturbed parameters give
+    for the rest: a head_ql probe reruns aux_loss_ql, a head_qb probe
+    head_loss on the cached deltas, and a block probe apply_block,
+    qb_deltas and head_loss on the cached canonical groups. Then
+    head_terms adds the terms.
     """
     spec = SyntheticSpec(
         num_labels=MICRO_LABELS,
@@ -132,13 +132,27 @@ def make_micro_objective(seed: int):
 
     def probes():
         stage = pair_stage(None, plan, model.enc, loss_cfg)
-        _, terms = head_terms(None, stage, *heads, loss_cfg)
+        groups, head_targets = group_blockings(None, stage.gammas, stage.targets)
+        canonical = [canonical_order(None, g) for g in groups]
 
-        def rerun(term):
-            others = {name: t for name, t in terms.items() if name != term}
-            return lambda: head_terms(None, stage, *heads, loss_cfg, reuse=others)[0]
+        def deltas():
+            return qb_deltas(None, groups, [apply_block(None, model.block, *c) for c in canonical])
 
-        return {name: rerun(_HEAD_TERM[part]) for name in params if (part := name.split("/")[0]) in _HEAD_TERM}
+        def qb(deltas):
+            return head_loss(None, model.head_qb, deltas, head_targets)
+
+        def total(**reuse):
+            # a term given is only added, not recomputed
+            return head_terms(None, stage, *heads, loss_cfg, reuse=reuse)
+
+        cached = deltas()
+        terms = total(qb=qb(cached))[1]
+        by_part = {
+            "head_ql": lambda: total(qb=terms["qb"])[0],
+            "head_qb": lambda: total(ql=terms["ql"], qb=qb(cached))[0],
+            "block": lambda: total(ql=terms["ql"], qb=qb(deltas()))[0],
+        }
+        return {name: by_part[part] for name in params if (part := name.split("/")[0]) in by_part}
 
     return fn, params, probes
 

@@ -199,6 +199,22 @@ class TestGradCheck:
         assert calls == [True]
         assert report.passed is passed
 
+    def test_probe_for_an_unknown_parameter_is_refused_before_any_probe_runs(self):
+        # a misspelt name would otherwise send its tensor back to fn unnoticed
+        p = dm.Tensor([1.0, 2.0])
+        calls = []
+
+        def fn(tape):
+            calls.append(tape is None)
+            return dm.mean_all(tape, dm.mul(tape, p, p))
+
+        def probes():
+            return {"p": lambda: fn(None), "p_typo": lambda: fn(None)}
+
+        with pytest.raises(ValueError, match="'p_typo'"):
+            dm.grad_check(fn, {"p": p}, seed=0, tol=1e-4, probes=probes)
+        assert calls == [False]
+
 
 @pytest.mark.parametrize("seed", range(12))
 def test_kernel_jvp_matches_finite_differences(seed):

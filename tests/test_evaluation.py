@@ -326,6 +326,12 @@ class TestHistogram:
         with pytest.raises(EmptyPredictions):
             score_histogram([])
 
+    @pytest.mark.parametrize("scores, nan_query", [([0.9, float("nan"), 0.2], 1), ([float("nan"), 0.9, 0.2], 0)])
+    def test_nan_score_raises_naming_its_query(self, scores, nan_query):
+        # else every edge is NaN, the overlap reads 0 and the report is not valid JSON
+        with pytest.raises(ValueError, match=f"^score of query {nan_query} is NaN$"):
+            score_histogram(_preds(scores, [True, False, True]))
+
 
 class TestFiles:
     def test_scores_round_trip(self, tmp_path):
@@ -414,3 +420,10 @@ def test_calibration_split_picks_the_threshold():
     assert report.c_at_1 == 1 / 3
     assert report.p_at_1 == 2 / 3
     assert evaluate(preds, 1.0).threshold == 0.9
+
+
+def test_calibrated_eval_rejects_a_nan_score():
+    # the calibration split sets the threshold, so only the histogram reads preds' scores
+    preds = _preds([0.9, float("nan"), 0.4], [True, False, True])
+    with pytest.raises(ValueError, match="^score of query 1 is NaN$"):
+        evaluate(preds, 0.85, calibration=_preds([0.8, 0.5], [True, False]))

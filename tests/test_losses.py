@@ -2,6 +2,7 @@
 auxiliary BCE losses, and the weighted total."""
 
 import math
+from collections import Counter
 from dataclasses import astuple
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmcreg import diffmath as dm
-from xmcreg import losses, mining, verify
+from xmcreg import losses, mining, pair_reps, verify
 from xmcreg.data_io import build_synthetic
 from xmcreg.encoder import embed, encode, featurize
 from xmcreg.losses import (
@@ -423,10 +424,32 @@ class TestPlanIndependence:
         _assert_plan_reads_no_parameter(dataset, plan_batch(dataset, b, cfg, model.enc.num_buckets), model, cfg)
 
 
+def _shrink_first_blocking(monkeypatch):
+    """make_batch leaves the first query one negative: a blocking of 2
+    pairs where the others have MICRO_K = 3."""
+    make_batch = mining.make_batch
+
+    def shrunk(*args):
+        batch = make_batch(*args)
+        first = batch.query_ids[0]
+        batch.neg_pools[first] = batch.neg_pools[first][:1]
+        return batch
+
+    monkeypatch.setattr(mining, "make_batch", shrunk)
+
+
 # total_loss_gradcheck(seed).max_relative_error, bit for bit, from before
-# the probes were staged
+# the probes were staged, for seeds 0-24, the seeds acceptance criterion 1
+# checks
 _MICRO_GRADCHECK_ERRORS = ["0x1.4557de5c69526p-22", "0x1.9bc649bef1589p-23", "0x1.c317d143b87c9p-16",
-                           "0x1.050be5442d018p-21", "0x1.8af0691f05a36p-21"]
+                           "0x1.050be5442d018p-21", "0x1.8af0691f05a36p-21", "0x1.5b1793f3834afp-22",
+                           "0x1.43b2b3f89f155p-19", "0x1.a8f041ab7e3a2p-20", "0x1.38adae84b1ab7p-18",
+                           "0x1.dc2c1c0c7968cp-17", "0x1.3bac1d182cf03p-17", "0x1.c716187c69b07p-21",
+                           "0x1.07200a29d5e1bp-21", "0x1.02b7cf4a4db92p-18", "0x1.297354aecd673p-21",
+                           "0x1.4c5f98ab41778p-20", "0x1.0c625c0889b99p-21", "0x1.0de29cc1102cbp-22",
+                           "0x1.5e7b855070704p-22", "0x1.70da5b630fd3cp-19", "0x1.73fc0ab0d190dp-21",
+                           "0x1.ec7beacd2bb07p-21", "0x1.73861901b9702p-20", "0x1.dbd04c00765e1p-23",
+                           "0x1.98e8b886aedcep-22"]
 
 
 class TestStages:
@@ -448,8 +471,20 @@ class TestStages:
         assert reused.data.tobytes() == total.data.tobytes()
         assert rng.bit_generator.state == state
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_staged_probes_equal_the_whole_objective(self, seed):
+    @pytest.mark.parametrize("seed, shrunk", [pytest.param(seed, shrunk, id=f"{seed}{'-shrunk' * shrunk}")
+                                              for shrunk in (False, True) for seed in range(5)])
+    def test_staged_probes_equal_the_whole_objective(self, monkeypatch, seed, shrunk):
+        sizes = []
+        if shrunk:
+            _shrink_first_blocking(monkeypatch)
+            group_blockings = losses.group_blockings
+
+            def spy(*args):
+                groups, head_targets = group_blockings(*args)
+                sizes.append([g.shape[1] for g in groups])
+                return groups, head_targets
+
+            monkeypatch.setattr(losses, "group_blockings", spy)
         fn, params, probes = verify.make_micro_objective(seed)
         tape = dm.GradTape()
         tape.backward(fn(tape))
@@ -467,8 +502,56 @@ class TestStages:
                         assert probe().data.tobytes() == fn(None).data.tobytes(), (name, c, step)
                 finally:
                     flat[c] = orig
+        if shrunk:  # the multi-size branch of the staged deltas ran
+            assert sizes and all(s == [2, 3] for s in sizes)
 
-    @pytest.mark.parametrize("seed", range(5))
+    def test_probes_rerun_only_what_their_tensor_moves(self, monkeypatch):
+        params = verify.make_micro_objective(0)[1]
+        part, calls = ["analytic"], Counter()
+        for home, name in ((losses, "pair_stage"), (losses, "group_blockings"), (pair_reps, "contextualize"),
+                           (pair_reps, "canonical_order"), (pair_reps, "apply_block")):
+            original = getattr(home, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[part[0], _name] += 1
+                return _original(*args, **kwargs)
+
+            for module in (losses, pair_reps, verify):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        grad_check = dm.grad_check
+
+        def tagged(fn, params, *args, probes, **kwargs):
+            # every probe names the part of the model it moves while it runs
+            def tag(name, probe):
+                def run():
+                    part[0] = name.split("/")[0]
+                    return probe()
+                return run
+
+            def tagged_probes():
+                part[0] = "setup"
+                staged = probes()
+                return {name: tag(name, staged.get(name, lambda: fn(None))) for name in params}
+
+            return grad_check(fn, params, *args, probes=tagged_probes, **kwargs)
+
+        monkeypatch.setattr(dm, "grad_check", tagged)
+        verify.total_loss_gradcheck(0)
+
+        probes = Counter()
+        for name, t in params.items():
+            probes[name.split("/")[0]] += 2 * min(t.data.size, verify.MICRO_MAX_COORDS)
+        whole = ("pair_stage", "group_blockings", "contextualize", "canonical_order", "apply_block")
+        # one blocking size: grouping and canonical order once per pair stage
+        expected = Counter({("analytic", name): 1 for name in whole})
+        expected.update({("encoder", name): probes["encoder"] for name in whole})
+        expected.update({("setup", name): 1 for name in ("pair_stage", "group_blockings", "canonical_order",
+                                                           "apply_block")})
+        expected["block", "apply_block"] = probes["block"]
+        assert calls == expected
+
+    @pytest.mark.parametrize("seed", range(len(_MICRO_GRADCHECK_ERRORS)))
     def test_micro_gradcheck_error_is_unchanged(self, seed):
         assert verify.total_loss_gradcheck(seed).max_relative_error.hex() == _MICRO_GRADCHECK_ERRORS[seed]
 
