@@ -60,20 +60,18 @@ def retrieve_top1(
     for given, name in ((query_ids, "query ids"), (positives, "positive sets")):
         if len(given) != len(query_embeddings):
             raise ValueError(f"{len(given)} {name} for {len(query_embeddings)} query rows")
-    ids, blocks = score_chunks(query_embeddings, label_embeddings, label_ids)
-    preds = []
-    for rows, tiles in blocks:
-        best, top = np.zeros(rows.stop - rows.start, dtype=np.intp), np.full(rows.stop - rows.start, -np.inf)
-        for cols, scores in tiles:
-            # the columns ascend by id: the first max (a NaN counts as the max) is the lowest id
-            arg = scores.argmax(axis=1)
-            val = scores[np.arange(len(arg)), arg]
-            # a tile beats the lower ids before it only with a greater score, or a NaN over a number
-            take = (val > top) | (np.isnan(val) & ~np.isnan(top))
-            best[take], top[take] = arg[take] + cols.start, val[take]
-        for qid, lid, score, pos in zip(query_ids[rows], ids[best].tolist(), top.tolist(), positives[rows]):
-            preds.append(ScoredPrediction(query_id=qid, top1_label_id=lid, score=score, correct=lid in pos))
-    return preds
+    ids, tiles = score_chunks(query_embeddings, label_embeddings, label_ids)
+    best, top = np.zeros(len(query_embeddings), dtype=np.intp), np.full(len(query_embeddings), -np.inf)
+    for rows, cols, scores in tiles:
+        # the columns ascend by id: the first max (a NaN counts as the max) is the lowest id
+        arg = scores.argmax(axis=1)
+        val = scores[np.arange(len(arg)), arg]
+        # a tile beats the lower ids before it only with a greater score, or a NaN over a number
+        block_best, block_top = best[rows], top[rows]  # views: writes land in best and top
+        take = (val > block_top) | (np.isnan(val) & ~np.isnan(block_top))
+        block_best[take], block_top[take] = arg[take] + cols.start, val[take]
+    return [ScoredPrediction(query_id=qid, top1_label_id=lid, score=score, correct=lid in pos)
+            for qid, lid, score, pos in zip(query_ids, ids[best].tolist(), top.tolist(), positives)]
 
 
 def precision_at_1(preds: list[ScoredPrediction]) -> float:
@@ -83,11 +81,13 @@ def precision_at_1(preds: list[ScoredPrediction]) -> float:
 
 
 def _scores(preds: list[ScoredPrediction]) -> np.ndarray:
-    """The predictions' scores; a NaN score raises ValueError naming its query."""
+    """The predictions' scores; a NaN or infinite score raises ValueError naming its query."""
     scores = np.array([p.score for p in preds], dtype=np.float64)
-    nan = np.isnan(scores)
-    if nan.any():
-        raise ValueError(f"score of query {preds[int(np.argmax(nan))].query_id} is NaN")
+    bad = ~np.isfinite(scores)
+    if bad.any():
+        i = int(np.argmax(bad))
+        value = "NaN" if np.isnan(scores[i]) else float(scores[i])
+        raise ValueError(f"score of query {preds[i].query_id} is {value}")
     return scores
 
 
@@ -119,7 +119,7 @@ def coverage_at_target(preds: list[ScoredPrediction], target_precision: float) -
 def score_histogram(preds: list[ScoredPrediction], bins: int = 50) -> Histogram:
     """Uniform-bin counts over the observed score range, split by
     correctness, plus the overlap coefficient of the two normalized
-    distributions. A NaN score raises ValueError naming its query."""
+    distributions. A NaN or infinite score raises ValueError naming its query."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
     if not preds:

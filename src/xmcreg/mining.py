@@ -165,22 +165,22 @@ def score_chunks(query_embeddings: np.ndarray, label_embeddings: np.ndarray, lab
     """Scores of every query against every label, one tile of query rows x
     label columns at a time, with the label columns in ascending-id order.
 
-    Returns ``(ids, blocks)``: ``label_ids`` in ascending order, and an
-    iterator of ``(rows, tiles)`` per block of query rows, where ``tiles``
-    iterates ``(cols, scores)``: a slice of columns, ascending, and the
-    tile's scores, whose column j belongs to ``ids[cols][j]``. Label rows
-    are copied into that order unless the ids ascend, so no score depends
-    on the input order. All tiles are written into one buffer, so a tile is
-    overwritten by the next one: keep what you need of it before asking for
-    the next.
+    Returns ``(ids, tiles)``: ``label_ids`` in ascending order, and one
+    iterator of ``(rows, cols, scores)``: a slice of query rows, a slice of
+    columns, and the tile's scores, whose column j belongs to
+    ``ids[cols][j]``. Column tiles come in ascending order, and within each
+    the row blocks ascend, so each row sees its tiles in id order. Each
+    column tile's label rows are gathered once, in ascending-id order, so no
+    score depends on the input order. All tiles and the gathered label rows
+    share one buffer, so a tile is overwritten by the next one: keep what
+    you need of it before asking for the next.
 
     Row blocks start at multiples of SCORE_BLOCK_ROWS, column tiles at
     multiples of SCORE_PAD_COLUMNS, and a tile holds about
     SCORE_CHUNK_ELEMENTS scores; a tail of under half a block or tile joins
     the one before it. No block is then a one-row product, which BLAS
-    computes another way, unless the input has one row. The label rows are
-    zero-padded to a multiple of SCORE_PAD_COLUMNS (the reorder copy holds
-    the pad rows; else the last tile copies its rows), so every tile
+    computes another way, unless the input has one row. The gathered label
+    rows are zero-padded to a multiple of SCORE_PAD_COLUMNS, so every tile
     computes whole kernel columns, and OpenBLAS gives the same scores at any
     thread count. At the default tile size they also equal the same entries
     of the whole padded product bit for bit; much smaller tiles need not,
@@ -197,28 +197,25 @@ def score_chunks(query_embeddings: np.ndarray, label_embeddings: np.ndarray, lab
         raise ValueError(f"label id {ids[repeated[0]]} is repeated")
     width = len(ids)
     padded = -(-width // SCORE_PAD_COLUMNS) * SCORE_PAD_COLUMNS
-    labels = label_embeddings
-    if np.any(order[1:] < order[:-1]):
-        # one copy reorders and pads
-        labels = np.zeros((padded, label_embeddings.shape[1]), dtype=label_embeddings.dtype)
-        np.take(label_embeddings, order, axis=0, out=labels[:width])
     step = max(1, SCORE_CHUNK_ELEMENTS // (SCORE_BLOCK_ROWS * max(1, padded))) * SCORE_BLOCK_ROWS
     row_bounds = _bounds(query_embeddings.shape[0], step)
     col_bounds = _bounds(padded, max(1, SCORE_CHUNK_ELEMENTS // (step * SCORE_PAD_COLUMNS)) * SCORE_PAD_COLUMNS)
-    last = labels[col_bounds[-2]:]
-    if len(last) < padded - col_bounds[-2]:
-        last = np.concatenate([last, np.zeros((padded - width, labels.shape[1]), dtype=labels.dtype)])
-    buffer = np.empty(max(np.diff(row_bounds)) * max(np.diff(col_bounds)),
-                      dtype=np.result_type(query_embeddings, labels))
+    tile_rows, tile_cols = max(np.diff(row_bounds)), max(np.diff(col_bounds))
+    buffer = np.empty(tile_rows * tile_cols + tile_cols * label_embeddings.shape[1],
+                      dtype=np.result_type(query_embeddings, label_embeddings))
+    labels = buffer[tile_rows * tile_cols:].reshape(tile_cols, label_embeddings.shape[1])
 
-    def tiles(rows: slice):
-        queries = query_embeddings[rows]
+    def tiles():
         for lo, hi in zip(col_bounds, col_bounds[1:]):
-            scores = buffer[: len(queries) * (hi - lo)].reshape(len(queries), hi - lo)
-            np.matmul(queries, (labels[lo:hi] if hi < padded else last).T, out=scores)
-            yield slice(lo, min(hi, width)), scores[:, : min(hi, width) - lo]
+            cols = slice(lo, min(hi, width))
+            labels[: cols.stop - lo] = label_embeddings[order[cols]]
+            labels[cols.stop - lo : hi - lo] = 0.0
+            for rows in map(slice, row_bounds, row_bounds[1:]):
+                scores = buffer[: (rows.stop - rows.start) * (hi - lo)].reshape(rows.stop - rows.start, hi - lo)
+                np.matmul(query_embeddings[rows], labels[: hi - lo].T, out=scores)
+                yield rows, cols, scores[:, : cols.stop - lo]
 
-    return ids, ((rows, tiles(rows)) for rows in map(slice, row_bounds, row_bounds[1:]))
+    return ids, tiles()
 
 
 def _bounds(total: int, step: int) -> list[int]:
@@ -248,27 +245,25 @@ def ance_pool(
         raise ValueError("pool_size must be >= 1")
     if len(positives_per_query) != len(query_embeddings):
         raise ValueError(f"{len(positives_per_query)} positive sets for {len(query_embeddings)} query rows")
-    ids, blocks = score_chunks(query_embeddings, label_embeddings, label_ids)
-    pools: list[list[int]] = []
-    for rows, tiles in blocks:
-        positives = positives_per_query[rows]
-        k = pool_size + np.array([len(pos) for pos in positives], dtype=np.intp)
-        # each tile's candidates (a lone tile's are each row's first k);
-        # among equal scores, the order of the concatenated tiles is id order
-        found = []
-        for cols, scores in tiles:
-            # ascending negated scores; multiplied, as np.negative(out=) in
-            # numpy 2.4 misreads a one-column tile (a stride of 8 elements)
-            scores *= -1.0
-            r, c, v = _smallest_per_row(scores, k)
-            found.append((r, ids[cols][c], v))
-        r, chosen, v = (np.concatenate(parts) for parts in zip(*found))
-        pick = _first_per_row(r, v, k) if len(found) > 1 else slice(None)
-        bounds = np.searchsorted(r[pick], np.arange(len(positives) + 1))
-        chosen = chosen[pick].tolist()
-        pools.extend([i for i in chosen[lo:hi] if i not in pos][:pool_size]
-                     for lo, hi, pos in zip(bounds[:-1], bounds[1:], positives))
-    return pools
+    ids, tiles = score_chunks(query_embeddings, label_embeddings, label_ids)
+    k = pool_size + np.array([len(pos) for pos in positives_per_query], dtype=np.intp)
+    # each tile's candidates; among equal scores, the order of the
+    # concatenated tiles is id order
+    found = []
+    for rows, cols, scores in tiles:
+        # ascending negated scores; multiplied, as np.negative(out=) in
+        # numpy 2.4 misreads a one-column tile (a stride of 8 elements)
+        scores *= -1.0
+        r, c, v = _smallest_per_row(scores, k[rows])
+        found.append((r + rows.start, ids[cols][c], v))
+    r, chosen, v = (np.concatenate(parts) for parts in zip(*found))
+    # the last tile starts past 0 only when there are several column tiles;
+    # a lone tile's candidates already are each row's first k, in row order
+    pick = _first_per_row(r, v, k) if cols.start else slice(None)
+    bounds = np.searchsorted(r[pick], np.arange(len(k) + 1))
+    chosen = chosen[pick].tolist()
+    return [[i for i in chosen[lo:hi] if i not in pos][:pool_size]
+            for lo, hi, pos in zip(bounds[:-1], bounds[1:], positives_per_query)]
 
 
 def _smallest_per_row(scores: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

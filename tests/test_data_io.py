@@ -369,7 +369,10 @@ class TestRecordFuzz:
     """load_dataset loads valid record files exactly as written and rejects
     every malformed record at its own path:line."""
 
-    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    # no deadline: an example takes a few ms, but a full garbage collection
+    # landing in one takes tens of ms in a full suite, and a busy CPU
+    # stretches that toward hypothesis's 200 ms default
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(_record_files(), st.booleans(), st.data())
     def test_valid_files_load_as_written(self, tmp_path, files, ascii_only, data):
         labels, queries = files
@@ -381,7 +384,7 @@ class TestRecordFuzz:
             (r["id"], r["text"], frozenset(r["labels"])) for r in queries
         ]
 
-    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(_record_files(), st.sampled_from(_PARSE + _VALIDATION), st.data())
     def test_malformed_record_rejected_at_its_line(self, tmp_path, files, kind, data):
         labels, queries = files
@@ -508,7 +511,7 @@ def _format(value) -> str:
 
 
 class TestKeyValueParser:
-    @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.data())
     def test_written_values_round_trip(self, tmp_path, data):
         cls = data.draw(st.sampled_from([SyntheticSpec, TrainConfig]))
@@ -522,7 +525,7 @@ class TestKeyValueParser:
         parsed = load_key_values(path, cls)
         assert dataclasses.asdict(parsed) == dataclasses.asdict(expected)
 
-    @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         st.sampled_from([(SyntheticSpec, "seed"), (TrainConfig, "epochs")]),
         st.integers(0, 6),

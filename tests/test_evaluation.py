@@ -104,7 +104,7 @@ class TestRetrieveTop1:
         q[4] = l[7]
         label_ids = [int(x) for x in rng.permutation(np.arange(100, 110))]
         positives = [frozenset({label_ids[i], 999}) for i in range(9)]  # 999 is not a label
-        blocks = [rows for rows, _ in mining.score_chunks(q, l, label_ids)[1]]
+        blocks = [rows for rows, cols, _ in mining.score_chunks(q, l, label_ids)[1] if cols.start == 0]
         assert all(rows.start % block_rows == 0 and rows.stop - rows.start >= 2 for rows in blocks)
         assert blocks[-1].stop == 9
         preds = retrieve_top1(q, l, list(range(9)), label_ids, positives)
@@ -245,6 +245,13 @@ class TestCoverage:
         with deadline(10), pytest.raises(ValueError, match=f"^score of query {nan_query} is NaN$"):
             coverage_at_target(preds, 0.5)
 
+    @pytest.mark.parametrize("scores, message", [([float("inf"), 0.9], "query 0 is inf"),
+                                                 ([0.9, -float("inf")], "query 1 is -inf")])
+    def test_infinite_score_raises_naming_its_query(self, scores, message):
+        # else an infinite score can be the threshold, which a report cannot write as JSON
+        with pytest.raises(ValueError, match=f"^score of {message}$"):
+            coverage_at_target(_preds(scores, [True, False]), 0.5)
+
     def test_threshold_keeps_the_sign_of_zero(self):
         # -0.0 == 0.0: the group's first score in input order is the threshold
         for first, second in ((-0.0, 0.0), (0.0, -0.0)):
@@ -331,6 +338,13 @@ class TestHistogram:
         # else every edge is NaN, the overlap reads 0 and the report is not valid JSON
         with pytest.raises(ValueError, match=f"^score of query {nan_query} is NaN$"):
             score_histogram(_preds(scores, [True, False, True]))
+
+    @pytest.mark.parametrize("scores, message", [([0.5, float("inf"), 0.2], "query 1 is inf"),
+                                                 ([-float("inf"), 0.5, 0.2], "query 0 is -inf")])
+    def test_infinite_score_raises_naming_its_query(self, scores, message):
+        # else the edges are NaN or infinite and a count goes negative
+        with pytest.raises(ValueError, match=f"^score of {message}$"):
+            score_histogram(_preds(scores, [True, False, True]), bins=4)
 
 
 class TestFiles:
@@ -427,3 +441,10 @@ def test_calibrated_eval_rejects_a_nan_score():
     preds = _preds([0.9, float("nan"), 0.4], [True, False, True])
     with pytest.raises(ValueError, match="^score of query 1 is NaN$"):
         evaluate(preds, 0.85, calibration=_preds([0.8, 0.5], [True, False]))
+
+
+def test_calibrated_eval_rejects_an_infinite_calibration_score():
+    # else the threshold is inf, and write_report would write Infinity
+    preds = _preds([0.9, 0.6, 0.4], [True, False, True])
+    with pytest.raises(ValueError, match="^score of query 0 is inf$"):
+        evaluate(preds, 0.85, calibration=_preds([float("inf"), 0.5], [True, False]))

@@ -251,8 +251,8 @@ class TestAncePool:
         ids = [int(x) for x in rng.permutation(np.arange(500, 530))]
         positives = [frozenset(rng.choice(ids + [999], size=int(rng.integers(0, 6)), replace=False).tolist())
                      for _ in range(7)]
-        _, blocks = mining.score_chunks(q, labels, ids)
-        assert all(len([cols for cols, _ in tiles]) == 4 for _, tiles in blocks)
+        _, tiles = mining.score_chunks(q, labels, ids)
+        assert len({cols.start for _, cols, _ in tiles}) == 4
         pools = ance_pool(q, labels, ids, positives, pool_size=pool_size)
         assert pools == _exhaustive_sort_oracle(q @ labels.T, ids, positives, pool_size)
 
@@ -354,13 +354,12 @@ class TestScoreChunks:
         pad = -nl % mining.SCORE_PAD_COLUMNS
         whole = q @ np.vstack([labels[np.argsort(ids)], np.zeros((pad, d))]).T
         seen = np.zeros((nq, nl), dtype=int)
-        sorted_ids, blocks = mining.score_chunks(q, labels, ids.tolist())
-        for rows, tiles in blocks:
+        sorted_ids, tiles = mining.score_chunks(q, labels, ids.tolist())
+        for rows, cols, scores in tiles:
             assert rows.start % mining.SCORE_BLOCK_ROWS == 0
-            for cols, scores in tiles:
-                assert cols.start % mining.SCORE_PAD_COLUMNS == 0
-                assert scores.tobytes() == whole[rows, cols].tobytes()
-                seen[rows, cols] += 1
+            assert cols.start % mining.SCORE_PAD_COLUMNS == 0
+            assert scores.tobytes() == whole[rows, cols].tobytes()
+            seen[rows, cols] += 1
         assert sorted_ids.tolist() == list(range(nl))
         assert (seen == 1).all()
 
@@ -368,14 +367,16 @@ class TestScoreChunks:
         with pytest.raises(ValueError, match="12 label rows for 3 label ids"):
             mining.score_chunks(np.ones((2, 4)), np.ones((12, 4)), [2, 1, 0])
 
-    @pytest.mark.parametrize("consumer", ["retrieve_top1", "ance_pool"])
-    def test_peak_memory_does_not_grow_with_the_label_count(self, consumer):
+    @pytest.mark.parametrize("consumer, shuffled", [
+        pytest.param(consumer, shuffled, id=consumer + "-shuffled" * shuffled)
+        for consumer in ["retrieve_top1", "ance_pool"] for shuffled in [False, True]])
+    def test_peak_memory_does_not_grow_with_the_label_count(self, consumer, shuffled):
         # two full-width 96-row blocks alive at once would take about 92 MB
-        # at 60,000 labels
+        # at 60,000 labels, and a reordered copy of all label rows about 4 MB
         def peak(num_labels):
             rng = np.random.default_rng(0)
             q, labels = rng.normal(size=(192, 8)), rng.normal(size=(num_labels, 8))
-            ids = list(range(num_labels))
+            ids = rng.permutation(num_labels).tolist() if shuffled else list(range(num_labels))
             positives = [frozenset({int(i)}) for i in rng.integers(num_labels, size=192)]
             tracemalloc.start()
             try:
