@@ -247,21 +247,24 @@ def ance_pool(
         raise ValueError(f"{len(positives_per_query)} positive sets for {len(query_embeddings)} query rows")
     ids, tiles = score_chunks(query_embeddings, label_embeddings, label_ids)
     k = pool_size + np.array([len(pos) for pos in positives_per_query], dtype=np.intp)
-    # each tile's candidates; among equal scores, the order of the
-    # concatenated tiles is id order
-    found = []
+    # each row block's candidates: each row's first k of the tiles so far,
+    # cut again with each later tile's, so a row holds at most 2 k; among
+    # equal scores the earlier tile's, of lower ids, stay first
+    found = {}
     for rows, cols, scores in tiles:
         # ascending negated scores; multiplied, as np.negative(out=) in
         # numpy 2.4 misreads a one-column tile (a stride of 8 elements)
         scores *= -1.0
         r, c, v = _smallest_per_row(scores, k[rows])
-        found.append((r + rows.start, ids[cols][c], v))
-    r, chosen, v = (np.concatenate(parts) for parts in zip(*found))
-    # the last tile starts past 0 only when there are several column tiles;
-    # a lone tile's candidates already are each row's first k, in row order
-    pick = _first_per_row(r, v, k) if cols.start else slice(None)
-    bounds = np.searchsorted(r[pick], np.arange(len(k) + 1))
-    chosen = chosen[pick].tolist()
+        part = r + rows.start, ids[cols][c], v
+        if rows.start in found:
+            part = [np.concatenate(pair) for pair in zip(found[rows.start], part)]
+            pick = _first_per_row(part[0], part[2], k)
+            part = [a[pick] for a in part]
+        found[rows.start] = part
+    r, chosen, _ = (np.concatenate(parts) for parts in zip(*found.values()))  # blocks in row order
+    bounds = np.searchsorted(r, np.arange(len(k) + 1))
+    chosen = chosen.tolist()
     return [[i for i in chosen[lo:hi] if i not in pos][:pool_size]
             for lo, hi, pos in zip(bounds[:-1], bounds[1:], positives_per_query)]
 

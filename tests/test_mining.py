@@ -367,21 +367,23 @@ class TestScoreChunks:
         with pytest.raises(ValueError, match="12 label rows for 3 label ids"):
             mining.score_chunks(np.ones((2, 4)), np.ones((12, 4)), [2, 1, 0])
 
-    @pytest.mark.parametrize("consumer, shuffled", [
-        pytest.param(consumer, shuffled, id=consumer + "-shuffled" * shuffled)
-        for consumer in ["retrieve_top1", "ance_pool"] for shuffled in [False, True]])
-    def test_peak_memory_does_not_grow_with_the_label_count(self, consumer, shuffled):
+    @pytest.mark.parametrize("consumer, shuffled, queries", [
+        *(pytest.param(consumer, shuffled, 192, id=consumer + "-shuffled" * shuffled)
+          for consumer in ["retrieve_top1", "ance_pool"] for shuffled in [False, True]),
+        pytest.param("ance_pool", True, 2_000, id="ance_pool-shuffled-2000_queries")])
+    def test_peak_memory_does_not_grow_with_the_label_count(self, consumer, shuffled, queries):
         # two full-width 96-row blocks alive at once would take about 92 MB
-        # at 60,000 labels, and a reordered copy of all label rows about 4 MB
+        # at 60,000 labels, a reordered copy of all label rows about 4 MB, and
+        # pool candidates of 2,000 queries kept from all 22 tiles about 20 MB
         def peak(num_labels):
             rng = np.random.default_rng(0)
-            q, labels = rng.normal(size=(192, 8)), rng.normal(size=(num_labels, 8))
+            q, labels = rng.normal(size=(queries, 8)), rng.normal(size=(num_labels, 8))
             ids = rng.permutation(num_labels).tolist() if shuffled else list(range(num_labels))
-            positives = [frozenset({int(i)}) for i in rng.integers(num_labels, size=192)]
+            positives = [frozenset({int(i)}) for i in rng.integers(num_labels, size=queries)]
             tracemalloc.start()
             try:
                 if consumer == "retrieve_top1":
-                    evaluation.retrieve_top1(q, labels, list(range(192)), ids, positives)
+                    evaluation.retrieve_top1(q, labels, list(range(queries)), ids, positives)
                 else:
                     ance_pool(q, labels, ids, positives, pool_size=5)
                 return tracemalloc.get_traced_memory()[1]
