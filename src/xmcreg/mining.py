@@ -110,7 +110,7 @@ def cluster_batches(query_embeddings: np.ndarray, batch_size: int, seed: int) ->
         sims[assigned] = -np.inf
         take = min(batch_size - 1, int((~assigned).sum()))
         # sort by similarity desc, index asc
-        candidates = np.lexsort((np.arange(n), -sims))[:take]
+        candidates = np.argsort(-sims, kind="stable")[:take]
         group = [int(seed_idx)] + [int(c) for c in candidates]
         assigned[group] = True
         groups.append(group)
@@ -247,21 +247,21 @@ def ance_pool(
         raise ValueError(f"{len(positives_per_query)} positive sets for {len(query_embeddings)} query rows")
     ids, tiles = score_chunks(query_embeddings, label_embeddings, label_ids)
     k = pool_size + np.array([len(pos) for pos in positives_per_query], dtype=np.intp)
-    # each row block's candidates: each row's first k of the tiles so far,
-    # cut again with each later tile's, so a row holds at most 2 k; among
-    # equal scores the earlier tile's, of lower ids, stay first
+    # each row block's survivors, each row's first k of the tiles so far, are
+    # cut once per tile together with the tile's candidates after them, so a
+    # cut holds at most 2 k a row plus the ties at its k-th; the stable cut
+    # keeps the survivors, of earlier tiles and lower ids, first among ties
     found = {}
     for rows, cols, scores in tiles:
         # ascending negated scores; multiplied, as np.negative(out=) in
         # numpy 2.4 misreads a one-column tile (a stride of 8 elements)
         scores *= -1.0
-        r, c, v = _smallest_per_row(scores, k[rows])
+        r, c, v = _at_or_below_kth(scores, k[rows])
         part = r + rows.start, ids[cols][c], v
         if rows.start in found:
             part = [np.concatenate(pair) for pair in zip(found[rows.start], part)]
-            pick = _first_per_row(part[0], part[2], k)
-            part = [a[pick] for a in part]
-        found[rows.start] = part
+        pick = _first_per_row(part[0], part[2], k)
+        found[rows.start] = [a[pick] for a in part]
     r, chosen, _ = (np.concatenate(parts) for parts in zip(*found.values()))  # blocks in row order
     bounds = np.searchsorted(r, np.arange(len(k) + 1))
     chosen = chosen.tolist()
@@ -269,10 +269,10 @@ def ance_pool(
             for lo, hi, pos in zip(bounds[:-1], bounds[1:], positives_per_query)]
 
 
-def _smallest_per_row(scores: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row, column, score) of each row's k[row] smallest finite scores,
-    ties to the lower column, in (row, score, column) order, without sorting
-    whole rows. Non-finite scores are set to +inf in place."""
+def _at_or_below_kth(scores: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, column, score) of every score at or below its row's k[row]-th
+    smallest, ties at the k-th included, in (row, column) order, without
+    sorting whole rows. Non-finite scores are set to +inf in place."""
     scores[~np.isfinite(scores)] = np.inf
     # each row's k-th smallest, from the sorted first columns of a partition
     # at the largest k under the width; a row whose k reaches it keeps all
@@ -282,11 +282,8 @@ def _smallest_per_row(scores: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np
         head = np.partition(scores, k[short].max() - 1, axis=1)[:, : k[short].max()]
         head.sort(axis=1)
         kth[short] = head[short, k[short] - 1]
-    # every score at or below a row's k-th smallest, ties at the k-th included
     rows, cols = np.nonzero(scores <= kth[:, None])
-    vals = scores[rows, cols]
-    keep = _first_per_row(rows, vals, k)
-    return rows[keep], cols[keep], vals[keep]
+    return rows, cols, scores[rows, cols]
 
 
 def _first_per_row(rows: np.ndarray, vals: np.ndarray, k: np.ndarray) -> np.ndarray:

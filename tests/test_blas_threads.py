@@ -25,20 +25,27 @@ print(hashlib.sha256(repr(([(p.top1_label_id, p.score) for p in preds], pools)).
 """
 
 
-@pytest.mark.skipif("openblas" not in BLAS["name"], reason=f"numpy's BLAS is {BLAS['name']}, not OpenBLAS")
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: a second OpenBLAS thread would not split the work")
-def test_255_label_scores_and_pools_equal_at_one_and_two_threads(tmp_path):
-    # CI's 255-label ANCE shape: 600 queries x 255 labels, d = 8, pools of 5.
-    # The 7 labels past the last multiple of 8 repeat earlier labels, and
-    # every query is a noisy copy of one of them, so each top-1 and pool is
-    # a tie between such a column and an earlier one: a score that rounds
-    # differently with another thread count moves an id or a score's bits.
+pytestmark = [
+    pytest.mark.skipif("openblas" not in BLAS["name"], reason=f"numpy's BLAS is {BLAS['name']}, not OpenBLAS"),
+    pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: a second OpenBLAS thread would not split the work"),
+]
+
+
+def _assert_equal_at_one_and_two_threads(tmp_path, num_labels: int, sources: int) -> None:
+    # 600 queries x num_labels labels, d = 8, pools of 5. The labels past the
+    # last multiple of 8 repeat labels among the first ``sources``, and every
+    # query is a noisy copy of one of them, so pools hold a tie between such a
+    # column and an earlier one (438 of 600 at 255 labels, 98 at 4,199): a
+    # score that rounds differently with another thread count moves an id or
+    # a score's bits.
     rng = np.random.default_rng(0)
-    labels = rng.normal(size=(255, 8))
-    labels[248:] = labels[rng.choice(248, size=7, replace=False)]
-    queries = labels[248 + rng.integers(7, size=600)] + 0.01 * rng.normal(size=(600, 8))
+    last = num_labels // 8 * 8
+    labels = rng.normal(size=(num_labels, 8))
+    labels[last:] = labels[rng.choice(sources, size=num_labels - last, replace=False)]
+    queries = labels[last + rng.integers(num_labels - last, size=600)] + 0.01 * rng.normal(size=(600, 8))
     data = tmp_path / "case.npz"
-    np.savez(data, queries=queries, labels=labels, ids=np.arange(255), positives=rng.integers(255, size=600))
+    np.savez(data, queries=queries, labels=labels, ids=np.arange(num_labels),
+             positives=rng.integers(num_labels, size=600))
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
 
     def digest(threads: str) -> str:
@@ -51,3 +58,15 @@ def test_255_label_scores_and_pools_equal_at_one_and_two_threads(tmp_path):
         f"retrieve_top1 or ance_pool changed with the OpenBLAS thread count on {BLAS['openblas configuration']!r}; "
         "this core may need another mining.SCORE_PAD_COLUMNS"
     )
+
+
+def test_255_label_scores_and_pools_equal_at_one_and_two_threads(tmp_path):
+    # CI's 255-label ANCE shape, one column tile: 7 labels past 248 repeat earlier ones
+    _assert_equal_at_one_and_two_threads(tmp_path, 255, 248)
+
+
+def test_4199_label_scores_and_pools_equal_at_one_and_two_threads(tmp_path):
+    # two default column tiles (columns 0-2727 and 2728-4198): the 7 labels
+    # past 4192 repeat labels of the first tile, so every tie crosses the
+    # boundary and the pools' per-tile cut decides it
+    _assert_equal_at_one_and_two_threads(tmp_path, 4199, 2728)

@@ -486,6 +486,16 @@ class TestHistogram:
         assert f"error: {scores}: no score rows" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_scores_spanning_more_than_the_largest_float(self, tmp_path):
+        # read_scores takes any finite score; the edges once overflowed and the command exited 2
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("query_id\tlabel_id\tscore\tcorrect\n0\t3\t1e+308\t1\n1\t4\t-1e+308\t0\n")
+        out = tmp_path / "hist.json"
+        assert run(["histogram", "--scores", str(scores), "--bins", "4", "--out", str(out)]) == 0
+        obj = json.loads(out.read_text())
+        assert obj["edges"] == [-1e308, -5e307, 0.0, 5e307, 1e308]
+        assert (obj["correct_counts"], obj["incorrect_counts"]) == ([0, 0, 0, 1], [1, 0, 0, 0])
+
 
 class TestFingerprintScript:
     def test_prints_the_sha256_of_every_output(self, dataset_dir, tmp_path):

@@ -346,6 +346,30 @@ class TestHistogram:
         with pytest.raises(ValueError, match=f"^score of {message}$"):
             score_histogram(_preds(scores, [True, False, True]), bins=4)
 
+    def test_range_wider_than_the_largest_float(self):
+        # hi - lo overflows: np.linspace gave a NaN edge, and np.histogram refused the edges
+        hist = score_histogram(_preds([1e308, -1e308], [True, False]), bins=4)
+        assert hist.edges == [-1e308, -5e307, 0.0, 5e307, 1e308]
+        assert (hist.correct_counts, hist.incorrect_counts) == ([0, 0, 0, 1], [1, 0, 0, 0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6), st.integers(1, 9))
+    # equal scores where lo + 1.0 rounds to lo gave edges all equal to the score
+    @example([1e17, 1e17], 4)
+    @example([-2.0**53], 4)
+    @example([float(np.finfo(float).max)], 1)
+    # at subnormal scale np.linspace put an edge past the last one
+    @example([-2.5e-323, 1.5e-323], 10)
+    # a subnormal score is not exact at a quarter scale, so it must stay an end edge
+    @example([1.5e-323, float(np.finfo(float).max)], 3)
+    # the widest range: spaced at half scale, 3 steps of a third of it overflow
+    @example([-float(np.finfo(float).max), float(np.finfo(float).max)], 3)
+    def test_edges_are_finite_and_widening_for_any_finite_scores(self, scores, bins):
+        hist = score_histogram(_preds(scores, [i % 2 == 0 for i in range(len(scores))]), bins=bins)
+        edges = np.array(hist.edges)
+        assert np.isfinite(edges).all() and (edges[1:] >= edges[:-1]).all() and edges[-1] > edges[0]
+        assert sum(hist.correct_counts) + sum(hist.incorrect_counts) == len(scores)
+
 
 class TestFiles:
     def test_scores_round_trip(self, tmp_path):

@@ -48,6 +48,15 @@ class TestClusterBatches:
         assert len(groups) == 2
         assert sorted(i for g in groups for i in g) == [0, 1, 2, 3]
 
+    def test_ties_go_to_the_lower_index(self):
+        # every similarity ties, so each seed takes the lowest unassigned indices
+        groups = cluster_batches(np.ones((100, 2)), batch_size=4, seed=0)
+        free = set(range(100))
+        for seed, *rest in groups:
+            free.discard(seed)
+            assert rest == sorted(free)[:3]
+            free -= set(rest)
+
     def test_separated_clusters_stay_together(self):
         embs = _unit_rows([[1, 0.01], [1, -0.01], [1, 0.02], [-1, 0.01], [-1, -0.02], [-1, 0.03]])
         groups = cluster_batches(embs, batch_size=3, seed=1)
