@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import operator
 import os
 import typing
 from dataclasses import dataclass
@@ -216,6 +217,34 @@ def generate(spec: SyntheticSpec, out_dir: str | Path) -> None:
 
 # what each field type of a record file reads as in an error message
 _KIND_NAMES = {int: "an integer", str: "a string", list: "a list of integers"}
+# json.loads's own decoder, whose C scanner _records calls without json.loads's
+# whitespace matches; JSON allows only these four whitespace characters
+_RAW_DECODE = json.JSONDecoder().raw_decode
+_JSON_SPACE = " \t\n\r"
+_ALL_INTS = {int}.issuperset  # of the types of a list's items
+
+
+def _field_values(path: Path, lineno: int, obj, fields: dict[str, type]) -> list:
+    """The values of ``fields`` in the decoded record ``obj``, checked one by
+    one; the first that fails raises ParseError at ``path:lineno``."""
+    if type(obj) is not dict:
+        raise ParseError(f"{path}:{lineno}: expected an object, got {json.dumps(obj)}")
+    values = []
+    for name, kind in fields.items():
+        if name not in obj:
+            raise ParseError(f"{path}:{lineno}: missing field {name!r}")
+        value = obj[name]
+        # type(), not isinstance(): True must not pass as the int 1
+        if type(value) is not kind or (kind is list and not _ALL_INTS(map(type, value))):
+            raise ParseError(f"{path}:{lineno}: {name!r} must be {_KIND_NAMES[kind]}, got {json.dumps(value)}")
+        if kind is str:
+            try:  # an escape such as \ud800 decodes to a lone surrogate, which UTF-8 cannot encode
+                value.encode("utf-8")
+            except UnicodeEncodeError as e:
+                raise ParseError(
+                    f"{path}:{lineno}: {name!r} is not UTF-8 text: {e.reason} at character {e.start}") from None
+        values.append(value)
+    return values
 
 
 def _records(path: Path, fields: dict[str, type]):
@@ -223,41 +252,48 @@ def _records(path: Path, fields: dict[str, type]):
     non-blank line of a JSONL file. Each line must be a UTF-8 JSON object
     holding each field with exactly its JSON type: an int is not a bool
     or a float, a list holds ints, and a string encodes as UTF-8. Anything
-    else raises ParseError at ``path:line``. Other keys are ignored."""
+    else raises ParseError at ``path:line``. Other keys are ignored.
+
+    A line that is one JSON value from its first character, followed by
+    JSON whitespace only, is decoded by the C scanner alone. Any other
+    line (leading whitespace, trailing data, bad JSON) goes to json.loads,
+    which gives the same value or raises its exact error."""
+    # of two fields or more, so that pick gives a tuple
+    pick, kinds = operator.itemgetter(*fields), tuple(fields.values())
+    lists = [i for i, kind in enumerate(kinds) if kind is list]
     with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line.decode("utf-8"))
+                text = line.decode("utf-8")
+                try:
+                    obj, end = _RAW_DECODE(text)
+                    whole = not text[end:].strip(_JSON_SPACE)
+                except ValueError:
+                    whole = False
+                if not whole:
+                    obj = json.loads(text)
             except ValueError as e:  # not UTF-8, or not JSON
                 raise ParseError(f"{path}:{lineno}: {e}") from e
-            if type(obj) is not dict:
-                raise ParseError(f"{path}:{lineno}: expected an object, got {json.dumps(obj)}")
-            values = []
-            for name, kind in fields.items():
-                if name not in obj:
-                    raise ParseError(f"{path}:{lineno}: missing field {name!r}")
-                value = obj[name]
-                # type(), not isinstance(): True must not pass as the int 1
-                if type(value) is not kind or (kind is list and any(type(x) is not int for x in value)):
-                    raise ParseError(f"{path}:{lineno}: {name!r} must be {_KIND_NAMES[kind]}, got {json.dumps(value)}")
-                if kind is str:
-                    try:  # an escape such as \ud800 decodes to a lone surrogate, which UTF-8 cannot encode
-                        value.encode("utf-8")
-                    except UnicodeEncodeError as e:
-                        raise ParseError(
-                            f"{path}:{lineno}: {name!r} is not UTF-8 text: {e.reason} at character {e.start}") from None
-                values.append(value)
+            # the common record, checked at once: every field there with
+            # exactly its type, lists of ints, and no \u escape, so no lone
+            # surrogate (text decoded from UTF-8 holds none); any other is
+            # checked field by field
+            try:
+                values = pick(obj)
+            except (KeyError, TypeError):  # a missing field, or not an object
+                values = None
+            plain = values is not None and tuple(map(type, values)) == kinds and "\\u" not in text
+            for i in lists:  # a loop, not a generator: one is built per line
+                plain = plain and _ALL_INTS(map(type, values[i]))
+            if not plain:
+                values = _field_values(path, lineno, obj, fields)
             yield lineno, values
 
 
-def _claim_id(path: Path, lineno: int, kind: str, id_: int, seen: set[int]) -> None:
-    if id_ < 0:
-        raise ValidationError(f"{path}:{lineno}: negative {kind} id {id_}")
-    if id_ in seen:
-        raise ValidationError(f"{path}:{lineno}: duplicate {kind} id {id_}")
-    seen.add(id_)
+def _bad_id(path: Path, lineno: int, kind: str, id_: int) -> ValidationError:
+    return ValidationError(f"{path}:{lineno}: {'negative' if id_ < 0 else 'duplicate'} {kind} id {id_}")
 
 
 def load_dataset(data_dir: str | Path) -> Dataset:
@@ -269,8 +305,10 @@ def load_dataset(data_dir: str | Path) -> Dataset:
     label_ids: set[int] = set()
     path = data_dir / "labels.jsonl"
     for lineno, (lid, text) in _records(path, {"id": int, "text": str}):
-        _claim_id(path, lineno, "label", lid, label_ids)
-        labels.append(TextRecord(id=lid, text=text))
+        if lid < 0 or lid in label_ids:
+            raise _bad_id(path, lineno, "label", lid)
+        label_ids.add(lid)
+        labels.append(TextRecord(lid, text))
     if not labels:
         raise ValidationError(f"{path}: no label records")
 
@@ -278,13 +316,16 @@ def load_dataset(data_dir: str | Path) -> Dataset:
     query_ids: set[int] = set()
     path = data_dir / "queries.jsonl"
     for lineno, (qid, text, pos) in _records(path, {"id": int, "text": str, "labels": list}):
-        _claim_id(path, lineno, "query", qid, query_ids)
+        if qid < 0 or qid in query_ids:
+            raise _bad_id(path, lineno, "query", qid)
+        query_ids.add(qid)
         if not pos:
             raise ValidationError(f"{path}:{lineno}: query {qid} has no positive labels")
-        for lid in pos:
-            if lid not in label_ids:
-                raise ValidationError(f"{path}:{lineno}: query {qid} references missing label id {lid}")
-        queries.append(QueryRecord(id=qid, text=text, positives=frozenset(pos)))
+        positives = frozenset(pos)
+        if not positives <= label_ids:
+            missing = next(lid for lid in pos if lid not in label_ids)
+            raise ValidationError(f"{path}:{lineno}: query {qid} references missing label id {missing}")
+        queries.append(QueryRecord(qid, text, positives))
     if not queries:
         raise ValidationError(f"{path}: no query records")
 

@@ -270,10 +270,24 @@ def gather_rows(tape, a, idx) -> Tensor:
     return _make(tape, out, backward)
 
 
+# Elements per block of embedding_bag's gathered rows: 48k float64 values
+# are 384 KB, which stay in the L2 cache while a block is weighted and
+# summed. The 20,000 label bags of the eval-scaled benchmark (30-55 slots
+# of 64 values, 256 texts a call; one CPU, 2 MB L2) pooled in 83 ms in one
+# block a call, 68 ms at 48k elements (19 texts of 40 slots), 69-70 ms at
+# 40k and 64k, 72 ms at 32k, 77 ms at 16k and 100 ms at 8k.
+BAG_BLOCK = 49152
+
+
 def embedding_bag(tape, table, ids, weights) -> Tensor:
     """Weighted sums of table rows, one per bag: ids and weights of shape
     (slots,) + S hold bag s's rows and weights in column s, and a slot of
-    weight 0 is a pad. Equals sum(table[ids] * weights, axis=0) bit for bit."""
+    weight 0 is a pad. Equals sum(table[ids] * weights, axis=0) bit for bit.
+
+    The bags are gathered, weighted and summed in blocks of columns of
+    about BAG_BLOCK elements, each summed slot by slot as the whole would
+    be. A table of width 1 is one block: numpy would sum a block of one
+    bag of width 1 pairwise, from 9 slots on."""
     dt, ids, weights = _val(table), np.asarray(ids, dtype=np.intp), np.asarray(weights, dtype=np.float64)
     if dt.ndim != 2 or ids.ndim < 1 or ids.shape != weights.shape:
         raise DimensionMismatch(f"embedding_bag of {dt.shape} over ids {ids.shape}, weights {weights.shape}")
@@ -284,9 +298,15 @@ def embedding_bag(tape, table, ids, weights) -> Tensor:
         real = np.nonzero(weights)
         _scatter_rows(table, ids[real], g[real[1:]] * weights[real][:, None])
 
-    rows = dt[ids]
-    rows *= weights[..., None]
-    return _make(tape, rows.sum(axis=0), backward)
+    slots, bags, width = len(ids), math.prod(ids.shape[1:]), dt.shape[1]
+    bag_ids, bag_weights = ids.reshape(slots, bags), weights.reshape(slots, bags)
+    out = np.empty((bags, width))
+    step = max(1, BAG_BLOCK // max(1, slots * width)) if width > 1 else max(1, bags)
+    for lo in range(0, bags, step):
+        rows = dt[bag_ids[:, lo : lo + step]]
+        rows *= bag_weights[:, lo : lo + step, None]
+        np.add.reduce(rows, axis=0, out=out[lo : lo + step])
+    return _make(tape, out.reshape(ids.shape[1:] + (width,)), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,12 @@ from . import diffmath as dm
 
 MAX_CHARS = 128
 # texts featurized and embedded per pass of encode_matrix, which takes
-# them in length order. On eval-scaled's 24k texts (one CPU) sorting took
-# about 10% off encode_matrix at 256 texts per pass, and 256 texts per
-# pass took about 20% less than 64. 256 keeps each hashing temporary near
-# 256 kB (32k trigrams at MAX_CHARS); 512 texts per pass raised the peak
-# RSS of that eval by about 1 MB over 64
+# them in length order. On eval-scaled's 24k texts (one CPU, bags pooled
+# in blocks of dm.BAG_BLOCK) encode_matrix took 166 ms at 256 texts per
+# pass, 184 ms unsorted, 202 ms at 64 and 162 ms at 512. 256 keeps each
+# hashing temporary near 256 kB (32k trigrams at MAX_CHARS); its peak
+# allocation past the output matrix was 2.9 MB, against 1.9 MB at 64 and
+# 4.6 MB at 512
 FEATURIZE_CHUNK = 256
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
@@ -118,10 +119,11 @@ def encode(params: EncoderParams, text: str, tape: dm.GradTape | None = None) ->
 def encode_matrix(params: EncoderParams, texts: list[str]) -> np.ndarray:
     """Stacked embeddings for frozen-parameter inference (no tape), one
     row per text in input order. Texts are embedded in chunks of similar
-    length (a stable sort by length), so a chunk carries few pad slots; a
-    row's bits do not depend on its chunk."""
+    length (a stable sort by length), so a chunk carries few pad slots, and
+    a chunk's bags are pooled in blocks of dm.BAG_BLOCK elements; a row's
+    bits depend on neither its chunk nor its block."""
     out = np.empty((len(texts), params.dim))
-    order = sorted(range(len(texts)), key=lambda i: len(texts[i]))
+    order = np.argsort(np.fromiter(map(len, texts), np.intp, len(texts)), kind="stable").tolist()
     for start in range(0, len(texts), FEATURIZE_CHUNK):
         rows = order[start : start + FEATURIZE_CHUNK]
         out[rows] = embed(params, featurize([texts[i] for i in rows], params.num_buckets)).data

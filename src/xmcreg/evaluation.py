@@ -126,11 +126,16 @@ def score_histogram(preds: list[ScoredPrediction], bins: int = 50) -> Histogram:
         raise EmptyPredictions("no predictions")
     scores = _scores(preds)
     lo, hi = float(scores.min()), float(scores.max())
-    if lo == hi:  # a width of 1, or of one ulp toward 0 where lo + 1.0 rounds to lo
-        lo, hi = sorted((lo, lo + 1.0 if lo + 1.0 != lo else float(np.nextafter(lo, 0.0))))
+    equal = lo == hi
+    if equal:  # a width of 1
+        hi = lo + 1.0
     # spaced at a quarter scale, exact for normal floats, so no range or step overflows; the
     # inner edges clipped, as subnormal steps can pass hi, and the end edges lo and hi exactly
     edges = np.concatenate(([lo], np.clip(np.linspace(lo / 4, hi / 4, bins + 1)[1:-1] * 4, lo, hi), [hi]))
+    if equal and not (edges[1:] > edges[:-1]).all():
+        # lo + 1.0 rounds to lo, or the floats near lo are too sparse for bins 1 / bins wide: the
+        # bins floats next to lo toward 0, so every bin is one ulp wide
+        edges = np.sort(np.nextafter.accumulate(np.r_[lo, np.zeros(bins)]))
     correct = np.array([p.correct for p in preds])
     c_counts, _ = np.histogram(scores[correct], bins=edges)
     i_counts, _ = np.histogram(scores[~correct], bins=edges)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -450,6 +451,39 @@ class TestRecordFuzz:
             f.write(line + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / name))}:2: {re.escape(message)}"):
             load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("name, record", [
+        ("labels.jsonl", b'{"id": 1, "text": "b"}'),
+        ("queries.jsonl", b'{"id": 1, "text": "r", "labels": [0]}'),
+    ])
+    @pytest.mark.parametrize("layout", [
+        b"  R\n", b"\tR\n",  # leading JSON whitespace
+        b"R  \n", b"R\t\n", b"R\r", b"R\r\n",  # trailing JSON whitespace
+        b"R\x0c\n",  # a trailing form feed, which JSON does not allow
+        b"\x0b\x0c\n",  # ASCII whitespace only: a blank line
+        b"\xc2\xa0\n",  # a no-break space only: not blank
+        b"RR\n", b"R,\n",  # trailing data
+        b"\xef\xbb\xbfR\n",  # a byte order mark
+        b'{"id": NaN, "text": "b"}\n',
+    ])
+    def test_line_loads_as_json_loads_reads_it(self, tmp_path, name, record, layout):
+        """A record line, however laid out, gives the records or the full
+        error that the loader gives with json.loads decoding every line."""
+        (tmp_path / "labels.jsonl").write_bytes(b'{"id": 0, "text": "a"}\n')
+        (tmp_path / "queries.jsonl").write_bytes(b'{"id": 0, "text": "q", "labels": [0]}\n')
+        with open(tmp_path / name, "ab") as f:
+            f.write(layout.replace(b"R", record))
+
+        def outcome():
+            try:
+                ds = load_dataset(tmp_path)
+            except ValueError as e:
+                return type(e), str(e)
+            return [(l.id, l.text) for l in ds.labels], [(q.id, q.text, q.positives) for q in ds.queries]
+
+        fast = outcome()
+        with mock.patch.object(data_io, "_RAW_DECODE", mock.Mock(side_effect=ValueError)):
+            assert fast == outcome()
 
 
 class TestRunConfig:

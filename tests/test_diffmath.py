@@ -407,22 +407,42 @@ def _bag_cases(draw):
     return table, ids, weights, g, grad, order
 
 
-@given(_bag_cases())
-def test_embedding_bag_equals_numpy_bitwise(case):
+@given(_bag_cases(), st.sampled_from([1, 8, 24, dm.BAG_BLOCK]))
+def test_embedding_bag_equals_numpy_bitwise(case, block):
     """Forward and table gradient against plain numpy: repeated rows, pads
     (weight 0), signed zeros in the gradient, and a fresh or an existing
-    C- or F-ordered table gradient."""
+    C- or F-ordered table gradient; bags pooled one, a few or all to a block."""
     table, ids, weights, g, grad, order = case
     t = dm.Tensor(table.copy())
     if grad is not None:
         t.grad = np.array(grad, order=order)
-    out = dm.embedding_bag(dm.GradTape(), t, ids, weights)
+    with mock.patch.object(dm, "BAG_BLOCK", block):
+        out = dm.embedding_bag(dm.GradTape(), t, ids, weights)
     assert out.data.tobytes() == (table[ids] * weights[..., None]).sum(0).tobytes()
     out._backward(g)
     want = np.zeros_like(table) if grad is None else grad.copy()
     real = weights != 0  # a pad adds nothing, not even +0.0 onto an existing -0.0
     np.add.at(want, ids[real], (g * weights[..., None])[real] + 0.0)
     assert t.grad.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 4])
+@pytest.mark.parametrize("block", [1, 96, 144, 240, 10**6])
+def test_embedding_bag_blocks_sum_as_one_pass(width, block):
+    """Bags split over blocks, the last one partial, sum bit for bit as in
+    one pass: at width 4, 48 elements a bag, so 1, 2, 3 or 5 bags a block
+    and one block of all 7. A table of width 1 is always one block: numpy
+    sums one column of one bag of 9 or more slots pairwise."""
+    rng = np.random.default_rng(0)
+    table = rng.normal(size=(10, width)) * 10.0 ** rng.integers(-8, 9, size=(10, width))
+    ids = rng.integers(0, 10, size=(12, 7))
+    weights = rng.uniform(size=(12, 7))
+    weights[:, 2] = 0.0  # all pads
+    ids[:, 5], weights[:, 5] = 0, 0.0
+    weights[0, 5] = 1.0  # an empty text: bucket 0 with weight 1
+    with mock.patch.object(dm, "BAG_BLOCK", block):
+        out = dm.embedding_bag(None, dm.Tensor(table), ids, weights)
+    assert out.data.tobytes() == (table[ids] * weights[..., None]).sum(0).tobytes()
 
 
 @st.composite

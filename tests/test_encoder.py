@@ -138,10 +138,11 @@ _VARIED_TEXTS = st.lists(
 ).flatmap(st.permutations)
 
 
-@given(_VARIED_TEXTS, st.integers(1, 4))
-def test_encode_matrix_rows_equal_encode_across_chunks(texts, chunk):
+@given(_VARIED_TEXTS, st.integers(1, 4), st.sampled_from([1, 300, 2000, dm.BAG_BLOCK]))
+def test_encode_matrix_rows_equal_encode_across_chunks(texts, chunk, block):
     params = init_encoder(np.random.default_rng(0), d=8, d_in=16, num_buckets=1024)
-    with mock.patch.object(encoder, "FEATURIZE_CHUNK", chunk):
+    # a bag is 16 values a slot, so 1 text a block at 1 element, up to 18 at 300
+    with mock.patch.object(encoder, "FEATURIZE_CHUNK", chunk), mock.patch.object(dm, "BAG_BLOCK", block):
         mat = encode_matrix(params, texts)
     assert mat.shape == (len(texts), params.dim)
     for row, text in zip(mat, texts):

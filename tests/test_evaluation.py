@@ -370,6 +370,37 @@ class TestHistogram:
         assert np.isfinite(edges).all() and (edges[1:] >= edges[:-1]).all() and edges[-1] > edges[0]
         assert sum(hist.correct_counts) + sum(hist.incorrect_counts) == len(scores)
 
+    @pytest.mark.parametrize("score, bins, below", [
+        # lo + 1.0 rounds to lo: a width of one ulp left 3 of 4 bins empty of width
+        (1e17, 4, [-64.0, -48.0, -32.0, -16.0]),
+        # just above the binade boundary 2**53: the ulp halves below it, so the
+        # floats toward 0 are 2, 3, 4 and 5 below; a width of bins ulps at the
+        # score's own spacing gave zero-width bins across the boundary
+        (2.0**53 + 2, 4, [-5.0, -4.0, -3.0, -2.0]),
+        (-(2.0**53 + 2), 4, [5.0, 4.0, 3.0, 2.0]),
+        # width 1 at 2 bins: the middle edge 2**52 + 0.5 rounds to 2**52
+        (2.0**52, 2, [-1.0, -0.5]),
+    ])
+    def test_equal_large_scores_give_bins_one_ulp_wide(self, score, bins, below):
+        hist = score_histogram(_preds([score, score], [True, False]), bins=bins)
+        want = sorted([score, *(score + d for d in below)])
+        assert hist.edges == want
+        # widened toward 0, the score is the last edge if positive, else the first
+        counts = [0] * (bins - 1) + [1] if score > 0 else [1] + [0] * (bins - 1)
+        assert hist.correct_counts == hist.incorrect_counts == counts
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 64))
+    @example(2.0**53 + 2, 4)
+    @example(-float(np.finfo(float).max), 64)
+    @example(0.0, 64)
+    def test_equal_scores_give_every_bin_a_positive_width(self, score, bins):
+        hist = score_histogram(_preds([score, score], [True, False]), bins=bins)
+        edges = np.array(hist.edges)
+        assert np.isfinite(edges).all() and (edges[1:] > edges[:-1]).all()
+        assert edges[0] <= score <= edges[-1]
+        assert sum(hist.correct_counts) == sum(hist.incorrect_counts) == 1
+
 
 class TestFiles:
     def test_scores_round_trip(self, tmp_path):
