@@ -51,7 +51,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--spec", help="key = value file with SyntheticSpec fields")
     gen.add_argument("--num-labels", type=int)
     gen.add_argument("--num-queries", type=int)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=int)
 
     tr = sub.add_parser("train", help="train a model")
     tr.add_argument("--config", help="key = value file with TrainConfig fields")
@@ -83,6 +83,9 @@ def _build_parser() -> _Parser:
 
 def _cmd_generate(args) -> int:
     if args.spec:
+        for flag in _SPEC_FLAGS.values():
+            if getattr(args, flag[2:].replace("-", "_")) is not None:
+                raise UsageError(f"argument {flag}: not allowed with argument --spec")
         spec = data_io.load_key_values(args.spec, data_io.SyntheticSpec)
     else:
         if args.num_labels is None or args.num_queries is None:
@@ -92,7 +95,7 @@ def _cmd_generate(args) -> int:
                 num_labels=args.num_labels,
                 num_train_queries=args.num_queries,
                 num_test_queries=max(1, args.num_queries // 4),
-                seed=args.seed,
+                seed=0 if args.seed is None else args.seed,
             )
         except data_io.InvalidSpec as e:
             if e.field not in _SPEC_FLAGS:  # the title cap stays a runtime error

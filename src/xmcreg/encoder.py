@@ -41,6 +41,22 @@ class EncoderParams:
     bucket_table: dm.Tensor  # (H, d_in)
     projection: dm.Tensor  # (d_in, d)
 
+    def __post_init__(self) -> None:
+        """Refuse shapes the encoder cannot embed with, naming the tensor:
+        both must be 2-d, with H >= 1024, the projection's rows equal to
+        the table's width, and d >= 2."""
+        for name in ("bucket_table", "projection"):
+            if getattr(self, name).ndim != 2:
+                raise ValueError(f"{name} has shape {getattr(self, name).shape}, need 2 dimensions")
+        (rows, width), (proj_rows, d) = self.bucket_table.shape, self.projection.shape
+        for name, holds, rule in (
+            ("bucket_table", rows >= 1024, ">= 1024 rows"),
+            ("projection", proj_rows == width, f"{width} rows, the bucket_table's width"),
+            ("projection", d >= 2, ">= 2 columns"),
+        ):
+            if not holds:
+                raise ValueError(f"{name} has shape {getattr(self, name).shape}, need {rule}")
+
     @property
     def num_buckets(self) -> int:
         return self.bucket_table.shape[0]
@@ -51,8 +67,6 @@ class EncoderParams:
 
 
 def init_encoder(rng: np.random.Generator, d: int, d_in: int, num_buckets: int) -> EncoderParams:
-    if num_buckets < 1024 or d < 2:
-        raise ValueError("need num_buckets >= 1024 and d >= 2")
     table = rng.uniform(-0.05, 0.05, size=(num_buckets, d_in))
     proj = rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_in, d))
     return EncoderParams(bucket_table=dm.Tensor(table), projection=dm.Tensor(proj))

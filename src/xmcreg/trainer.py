@@ -128,10 +128,13 @@ def model_from_tensors(tensors: dict[str, np.ndarray], path: str | Path | None =
         for name in names:
             if f"{prefix}/{name}" not in tensors:
                 raise ValueError(f"{path or 'checkpoint'}: no model tensor '{prefix}/{name}'")
-    return ModelParams(**{
-        attr: cls(**{name: dm.Tensor(tensors[f"{prefix}/{name}"]) for name in names})
-        for attr, prefix, cls, names in _LAYOUT
-    })
+    parts = {}
+    for attr, prefix, cls, names in _LAYOUT:
+        try:
+            parts[attr] = cls(**{name: dm.Tensor(tensors[f"{prefix}/{name}"]) for name in names})
+        except ValueError as e:  # a part's own shape check, which names the field
+            raise ValueError(f"{path or 'checkpoint'}: {prefix}/{e}") from None
+    return ModelParams(**parts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end command-line workflows."""
 
 import hashlib
+import importlib.util
 import json
 import random
 import re
@@ -145,6 +146,14 @@ class TestGenerate:
         assert f"error: {spec}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("flag", ["--num-labels", "--num-queries", "--seed"])
+    def test_spec_with_a_size_or_seed_flag_is_usage_error_before_writing(self, tmp_path, capsys, flag):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("num_labels = 20\nnum_train_queries = 10\nnum_test_queries = 4\nfamilies = 4\n")
+        assert run(["generate-data", "--out", str(tmp_path / "d"), "--spec", str(spec), flag, "5"]) == 1
+        assert f"argument {flag}: not allowed with argument --spec" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
 
 class TestTrain:
     def test_outputs(self, trained_dir):
@@ -238,6 +247,32 @@ class TestEval:
         code = run(["eval", "--checkpoint", str(path), "--data", str(dataset_dir / "test"), "--report", str(report)])
         assert code == 2
         assert f"error: {path}: no model tensor 'head_qb/b2'" in capsys.readouterr().err
+        assert not report.exists()
+
+    # (tensor, how it is malformed, the error after the checkpoint's path); the
+    # tiny config's table is (1024, 16) and its projection (16, 8)
+    BAD_ENCODERS = [
+        ("encoder/projection", lambda t: np.array(t[0, 0]), "encoder/projection has shape (), need 2 dimensions"),
+        ("encoder/bucket_table", lambda t: t[:0], "encoder/bucket_table has shape (0, 16), need >= 1024 rows"),
+        ("encoder/projection", lambda t: t.T,
+         "encoder/projection has shape (8, 16), need 16 rows, the bucket_table's width"),
+        ("encoder/bucket_table", lambda t: t[:10], "encoder/bucket_table has shape (10, 16), need >= 1024 rows"),
+        ("encoder/projection", lambda t: t[:, :1], "encoder/projection has shape (16, 1), need >= 2 columns"),
+    ]
+
+    @pytest.mark.parametrize("name, malform, message", BAD_ENCODERS,
+                             ids=["rank-0", "0-row-table", "transposed", "10-row-table", "1-column"])
+    def test_malformed_encoder_without_sidecar_fails_naming_file_and_tensor(
+        self, trained_dir, dataset_dir, tmp_path, capsys, name, malform, message
+    ):
+        tensors = dict(Checkpoint.load(trained_dir / "checkpoint.bin").tensors)
+        tensors[name] = malform(tensors[name])
+        path = tmp_path / "bad.bin"
+        write_tensors(path, tensors)
+        report = tmp_path / "report.json"
+        code = run(["eval", "--checkpoint", str(path), "--data", str(dataset_dir / "test"), "--report", str(report)])
+        assert code == 2
+        assert f"error: {path}: {message}" in capsys.readouterr().err
         assert not report.exists()
 
     def test_nan_checkpoint_fails_instead_of_hanging(self, trained_dir, dataset_dir, tmp_path, capsys):
@@ -512,6 +547,30 @@ class TestFingerprintScript:
         assert [name for _, name in lines] == names
         for digest, name in lines:
             assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def determinism():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "determinism.py"
+    spec = importlib.util.spec_from_file_location("determinism", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestDeterminismScript:
+    def test_title_cap_case_passes_naming_its_first_file(self, determinism, tmp_path):
+        case = "title cap, PYTHONHASHSEED 1 and 2"
+        assert re.fullmatch(f"{case}: [0-9a-f]{{64}}  test/labels.jsonl", determinism.check(case, tmp_path))
+
+    def test_a_differing_file_exits_1_naming_the_case_and_the_file(self, determinism, tmp_path, monkeypatch):
+        runs = {"a": {"report.json": "0" * 64, "scores.tsv": "1" * 64},
+                "b": {"report.json": "0" * 64, "scores.tsv": "2" * 64}}
+        monkeypatch.setitem(determinism.CASES, "two files", lambda work: runs)
+        with pytest.raises(SystemExit) as exit:
+            determinism.check("two files", tmp_path)
+        # a message, not a number: Python prints it and exits 1
+        assert exit.value.code == "two files: FAIL scores.tsv differs: 111111111111 in a, 222222222222 in b"
 
 
 class TestUsage:
