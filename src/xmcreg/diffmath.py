@@ -48,6 +48,21 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
 
+Layout = dict[str, tuple[str, tuple[int, ...]]]  # a part's tensors in field order: name -> (initializer, shape)
+
+_INITIALIZERS = {
+    "normal": lambda rng, shape: rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape),  # std 1/sqrt(rows)
+    "uniform": lambda rng, shape: rng.uniform(-0.05, 0.05, size=shape),
+    "zeros": lambda rng, shape: np.zeros(shape),
+    "ones": lambda rng, shape: np.ones(shape),
+}
+
+
+def init_tensors(rng: np.random.Generator, layout: Layout) -> dict[str, Tensor]:
+    """A tensor for each entry of layout, drawn from rng in layout order."""
+    return {name: Tensor(_INITIALIZERS[init](rng, shape)) for name, (init, shape) in layout.items()}
+
+
 class GradTape:
     """Ordered record of kernel applications, replayed in reverse.
 
@@ -65,7 +80,7 @@ class GradTape:
     def backward(self, root: Tensor) -> None:
         root.grad = np.ones_like(root.data)
         for node in reversed(self._nodes):
-            if node.grad is not None and node._backward is not None:
+            if node.grad is not None:
                 node._backward(node.grad)
 
 
@@ -82,14 +97,10 @@ def _make(tape: GradTape | None, data: np.ndarray, backward) -> Tensor:
 
 
 def _accum(t, g: np.ndarray) -> None:
-    if not isinstance(t, Tensor):
-        return
-    if t.grad is None:
-        # copy: g may alias a downstream node's gradient buffer. A copy, not
-        # an add into zeros, so a -0.0 in g stays -0.0
-        t.grad = np.array(g, dtype=np.float64)
-    else:
-        t.grad += g
+    """Add g to t's gradient out of place: the first g is kept as it is, as
+    a stored gradient may be shared with other tensors and is never written."""
+    if isinstance(t, Tensor):
+        t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -242,16 +253,12 @@ def _scatter_rows(t, idx: np.ndarray, vals: np.ndarray) -> None:
     """np.add.at(t.grad, idx, vals + 0.0) over the rows of t's gradient, bit
     for bit: the same additions in the same order, but on numpy's fast path
     for a 1-D destination (a row-wise add.at runs one index at a time).
-    t.grad becomes zeros if t has none yet, and C-contiguous, so that its
-    flat view aliases it. + 0.0 maps -0.0 to +0.0, as adding into a zero
-    buffer does. A constant t gets nothing."""
+    The sum starts from zeros, or from a C-ordered copy of t's gradient so
+    far, which _accum may share with other tensors. + 0.0 maps -0.0 to
+    +0.0, as adding into a zero buffer does. A constant t gets nothing."""
     if not isinstance(t, Tensor):
         return
-    if t.grad is None:
-        # np.zeros, not zeros_like: a transposed operand's data is F-ordered
-        t.grad = np.zeros(t.shape)
-    elif not t.grad.flags.c_contiguous:
-        t.grad = np.ascontiguousarray(t.grad)
+    t.grad = np.zeros(t.shape) if t.grad is None else np.array(t.grad, order="C")
     width = math.prod(t.shape[1:])
     flat = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
     np.add.at(t.grad.reshape(-1), flat, (vals + 0.0).reshape(-1))

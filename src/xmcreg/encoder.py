@@ -38,8 +38,13 @@ class TextRecord:
 class EncoderParams:
     """Trainable encoder state: hashed-trigram table plus projection."""
 
-    bucket_table: dm.Tensor  # (H, d_in)
-    projection: dm.Tensor  # (d_in, d)
+    bucket_table: dm.Tensor
+    projection: dm.Tensor
+
+    @staticmethod
+    def layout(d: int, d_in: int, num_buckets: int) -> dm.Layout:
+        """d-dimensional embeddings projected from num_buckets rows of width d_in."""
+        return {"bucket_table": ("uniform", (num_buckets, d_in)), "projection": ("normal", (d_in, d))}
 
     def __post_init__(self) -> None:
         """Refuse shapes the encoder cannot embed with, naming the tensor:
@@ -67,9 +72,7 @@ class EncoderParams:
 
 
 def init_encoder(rng: np.random.Generator, d: int, d_in: int, num_buckets: int) -> EncoderParams:
-    table = rng.uniform(-0.05, 0.05, size=(num_buckets, d_in))
-    proj = rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_in, d))
-    return EncoderParams(bucket_table=dm.Tensor(table), projection=dm.Tensor(proj))
+    return EncoderParams(**dm.init_tensors(rng, EncoderParams.layout(d, d_in, num_buckets)))
 
 
 def featurize(texts: list[str], num_buckets: int) -> tuple[np.ndarray, np.ndarray]:

@@ -54,6 +54,13 @@ class MlpHead:
     w2: dm.Tensor
     b2: dm.Tensor
 
+    @staticmethod
+    def layout(in_dim: int) -> dm.Layout:
+        """A head whose hidden layer is as wide as its input."""
+        vector = ("zeros", (in_dim,))
+        return {"w1": ("normal", (in_dim, in_dim)), "b1": vector, "ln_gain": ("ones", (in_dim,)), "ln_bias": vector,
+                "w2": ("normal", (in_dim, 1)), "b2": ("zeros", (1,))}
+
     def forward(self, tape, x: dm.Tensor, dropout: tuple[float, np.random.Generator] | None = None) -> dm.Tensor:
         """Logits for the pair features along the last axis of x, shaped
         x.shape[:-1]. A (rate, rng) dropout with rate > 0 draws the mask."""
@@ -70,15 +77,7 @@ class MlpHead:
 
 
 def init_head(rng: np.random.Generator, in_dim: int) -> MlpHead:
-    """A head whose hidden layer is as wide as its input."""
-    return MlpHead(
-        w1=dm.Tensor(rng.normal(0.0, 1.0 / np.sqrt(in_dim), size=(in_dim, in_dim))),
-        b1=dm.Tensor(np.zeros(in_dim)),
-        ln_gain=dm.Tensor(np.ones(in_dim)),
-        ln_bias=dm.Tensor(np.zeros(in_dim)),
-        w2=dm.Tensor(rng.normal(0.0, 1.0 / np.sqrt(in_dim), size=(in_dim, 1))),
-        b2=dm.Tensor(np.zeros(1)),
-    )
+    return MlpHead(**dm.init_tensors(rng, MlpHead.layout(in_dim)))
 
 
 def triplet_base_loss(tape, s_pos, s_negs, margin: float, counts=None) -> dm.Tensor:

@@ -57,10 +57,19 @@ class BlockContextParams:
     ln1_bias: dm.Tensor
     ln2_gain: dm.Tensor
     ln2_bias: dm.Tensor
-    ff_w1: dm.Tensor  # (w, 2w)
+    ff_w1: dm.Tensor
     ff_b1: dm.Tensor
-    ff_w2: dm.Tensor  # (2w, w)
+    ff_w2: dm.Tensor
     ff_b2: dm.Tensor
+
+    @staticmethod
+    def layout(width: int) -> dm.Layout:
+        """A block over tokens of the given width, whose feed-forward layer is twice as wide."""
+        square, vector, gain = ("normal", (width, width)), ("zeros", (width,)), ("ones", (width,))
+        return {"wq": square, "wk": square, "wv": square, "wo": square, "bq": vector, "bk": vector, "bv": vector,
+                "bo": vector, "ln1_gain": gain, "ln1_bias": vector, "ln2_gain": gain, "ln2_bias": vector,
+                "ff_w1": ("normal", (width, 2 * width)), "ff_b1": ("zeros", (2 * width,)),
+                "ff_w2": ("normal", (2 * width, width)), "ff_b2": vector}
 
     @property
     def width(self) -> int:
@@ -68,30 +77,7 @@ class BlockContextParams:
 
 
 def init_block(rng: np.random.Generator, width: int) -> BlockContextParams:
-    def proj(n_in, n_out):
-        return dm.Tensor(rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_in, n_out)))
-
-    def zeros(n):
-        return dm.Tensor(np.zeros(n))
-
-    return BlockContextParams(
-        wq=proj(width, width),
-        wk=proj(width, width),
-        wv=proj(width, width),
-        wo=proj(width, width),
-        bq=zeros(width),
-        bk=zeros(width),
-        bv=zeros(width),
-        bo=zeros(width),
-        ln1_gain=dm.Tensor(np.ones(width)),
-        ln1_bias=zeros(width),
-        ln2_gain=dm.Tensor(np.ones(width)),
-        ln2_bias=zeros(width),
-        ff_w1=proj(width, 2 * width),
-        ff_b1=zeros(2 * width),
-        ff_w2=proj(2 * width, width),
-        ff_b2=zeros(width),
-    )
+    return BlockContextParams(**dm.init_tensors(rng, BlockContextParams.layout(width)))
 
 
 def contextualize(tape, block: BlockContextParams, gammas: dm.Tensor) -> dm.Tensor:

@@ -15,9 +15,9 @@ import numpy as np
 from . import diffmath as dm
 from . import mining
 from .data_io import write_atomic
-from .encoder import EncoderParams, encode_matrix, init_encoder
-from .losses import LossConfig, MlpHead, TcmConfig, init_head, total_loss
-from .pair_reps import BlockContextParams, init_block
+from .encoder import EncoderParams, encode_matrix
+from .losses import LossConfig, MlpHead, TcmConfig, total_loss
+from .pair_reps import BlockContextParams
 
 CHECKPOINT_MAGIC = b"ALC1"
 
@@ -94,47 +94,59 @@ class ModelParams:
     head_qb: MlpHead
     block: BlockContextParams
 
+    @staticmethod
+    def layout(dim: int, dim_hidden: int, num_buckets: int) -> dm.Layout:
+        """Every part's layout at the given sizes, under checkpoint names, in checkpoint order."""
+        width = 4 * dim
+        parts = {"encoder": EncoderParams.layout(dim, dim_hidden, num_buckets), "head_ql": MlpHead.layout(width),
+                 "head_qb": MlpHead.layout(4 * width), "block": BlockContextParams.layout(width)}
+        return {f"{prefix}/{name}": entry for prefix, part in parts.items() for name, entry in part.items()}
+
     def named_tensors(self) -> dict[str, dm.Tensor]:
         """Every parameter under its checkpoint name, in checkpoint order."""
-        return {
-            f"{prefix}/{name}": getattr(getattr(self, attr), name)
-            for attr, prefix, _, names in _LAYOUT
-            for name in names
-        }
+        return {f"{prefix}/{name}": getattr(getattr(self, attr), name)
+                for attr, prefix, _, names in _PARTS for name in names}
 
 
-# (attribute, checkpoint prefix, class, field names) of each ModelParams
-# part; every field of a part is a tensor. Names follow field order, which
-# fixes the order of tensors in a checkpoint.
-_LAYOUT = [
+# (attribute, checkpoint prefix, class, field names) of each ModelParams part, every field a
+# tensor. Names follow field order, the order of each part's layout and of a checkpoint.
+_PARTS = [
     (attr, "encoder" if attr == "enc" else attr, cls, [f.name for f in fields(cls)])
     for attr, cls in typing.get_type_hints(ModelParams).items()
 ]
 
 
+def _assemble(tensors: dict[str, dm.Tensor]) -> ModelParams:
+    return ModelParams(**{attr: cls(**{name: tensors[f"{prefix}/{name}"] for name in names})
+                          for attr, prefix, cls, names in _PARTS})
+
+
 def init_model(rng: np.random.Generator, config: TrainConfig) -> ModelParams:
-    enc = init_encoder(rng, d=config.dim, d_in=config.dim_hidden, num_buckets=config.num_buckets)
-    width = 4 * config.dim
-    head_ql = init_head(rng, width)
-    head_qb = init_head(rng, 4 * width)
-    block = init_block(rng, width)
-    return ModelParams(enc=enc, head_ql=head_ql, head_qb=head_qb, block=block)
+    """A model drawn from rng, tensor by tensor in checkpoint order."""
+    return _assemble(dm.init_tensors(rng, ModelParams.layout(config.dim, config.dim_hidden, config.num_buckets)))
 
 
 def model_from_tensors(tensors: dict[str, np.ndarray], path: str | Path | None = None) -> ModelParams:
-    """The model held by a checkpoint's tensors (read from ``path``, which a
-    missing tensor's error names)."""
-    for attr, prefix, cls, names in _LAYOUT:
-        for name in names:
-            if f"{prefix}/{name}" not in tensors:
-                raise ValueError(f"{path or 'checkpoint'}: no model tensor '{prefix}/{name}'")
-    parts = {}
-    for attr, prefix, cls, names in _LAYOUT:
-        try:
-            parts[attr] = cls(**{name: dm.Tensor(tensors[f"{prefix}/{name}"]) for name in names})
-        except ValueError as e:  # a part's own shape check, which names the field
-            raise ValueError(f"{path or 'checkpoint'}: {prefix}/{e}") from None
-    return ModelParams(**parts)
+    """The model held by a checkpoint's tensors, read from ``path``, which
+    the errors name. Every model tensor must be there; the encoder's must
+    pass EncoderParams' checks; then every one must have the shape that
+    ModelParams.layout gives at the encoder's sizes, and finite values."""
+    where = path or "checkpoint"
+    try:
+        model = _assemble({name: dm.Tensor(arr) for name, arr in tensors.items()})
+    except KeyError as e:  # str() quotes the name
+        raise ValueError(f"{where}: no model tensor {e}") from None
+    except ValueError as e:  # the encoder's own shape check, which names the field
+        raise ValueError(f"{where}: encoder/{e}") from None
+    (num_buckets, dim_hidden), dim = model.enc.bucket_table.shape, model.enc.dim
+    for name, (_, shape) in ModelParams.layout(dim, dim_hidden, num_buckets).items():
+        arr = tensors[name]
+        if arr.shape != shape:
+            raise ValueError(f"{where}: {name} has shape {arr.shape}, need {shape}")
+        if not np.isfinite(arr).all():
+            at = np.flatnonzero(~np.isfinite(arr))[0]
+            raise ValueError(f"{where}: {name} holds {arr.flat[at]} at flat index {at}, need finite values")
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +333,8 @@ class Checkpoint:
         """Read a checkpoint and its config sidecar, if there is one. Its
         meta/epoch, if present, holds one whole number >= 0. The sidecar
         must be a JSON object whose dim, dim_hidden and num_buckets,
-        where present, are integers; with all three it must agree with the
-        shapes of the encoder, head and block tensors."""
+        where present, are integers; with all three, every model tensor
+        present must have the shape ModelParams.layout gives at them."""
         path = Path(path)
         payload = read_tensors(path)
         epoch = _whole_epoch(path, payload.pop("meta/epoch", np.array([0.0])))
@@ -340,19 +352,11 @@ class Checkpoint:
                 if key in config and type(config[key]) is not int:
                     raise ValueError(f"{sidecar}: {key!r} must be an integer, got {json.dumps(config[key])}")
         if all(key in config for key in ("dim", "dim_hidden", "num_buckets")):
-            d, hidden, width = config["dim"], config["dim_hidden"], 4 * config["dim"]
-            expected = {
-                "encoder/bucket_table": (config["num_buckets"], hidden),
-                "encoder/projection": (hidden, d),
-                "head_ql/w1": (width, width),
-                "head_qb/w1": (4 * width, 4 * width),
-                "block/wq": (width, width),
-            }
-            for name, shape in expected.items():
+            layout = ModelParams.layout(config["dim"], config["dim_hidden"], config["num_buckets"])
+            for name, (_, shape) in layout.items():
                 if name in payload and payload[name].shape != shape:
-                    raise ValueError(
-                        f"{path}: {name} has shape {payload[name].shape}, expected {shape} from {sidecar.name}"
-                    )
+                    raise ValueError(f"{path}: {name} has shape {payload[name].shape}, "
+                                     f"expected {shape} from {sidecar.name}")
         return cls(tensors=payload, config=config, epoch=epoch, path=path)
 
 

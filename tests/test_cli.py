@@ -258,10 +258,18 @@ class TestEval:
          "encoder/projection has shape (8, 16), need 16 rows, the bucket_table's width"),
         ("encoder/bucket_table", lambda t: t[:10], "encoder/bucket_table has shape (10, 16), need >= 1024 rows"),
         ("encoder/projection", lambda t: t[:, :1], "encoder/projection has shape (16, 1), need >= 2 columns"),
+        ("head_ql/w1", lambda t: np.array(t[0, 0]), "head_ql/w1 has shape (), need (32, 32)"),
+        ("head_ql/w1", lambda t: t[:3], "head_ql/w1 has shape (3, 32), need (32, 32)"),
+        ("block/wq", lambda t: t[:, :5], "block/wq has shape (32, 5), need (32, 32)"),
+        ("head_qb/b2", lambda t: t[:0], "head_qb/b2 has shape (0,), need (1,)"),
+        ("block/ff_b1", lambda t: t[:32], "block/ff_b1 has shape (32,), need (64,)"),
+        ("head_qb/w2", lambda t: t[..., None], "head_qb/w2 has shape (128, 1, 1), need (128, 1)"),
     ]
 
     @pytest.mark.parametrize("name, malform, message", BAD_ENCODERS,
-                             ids=["rank-0", "0-row-table", "transposed", "10-row-table", "1-column"])
+                             ids=["rank-0", "0-row-table", "transposed", "10-row-table", "1-column",
+                                  "rank-0-head", "3-row-head", "5-column-block", "0-row-head-bias",
+                                  "32-row-block-bias", "rank-3-head"])
     def test_malformed_encoder_without_sidecar_fails_naming_file_and_tensor(
         self, trained_dir, dataset_dir, tmp_path, capsys, name, malform, message
     ):
@@ -284,7 +292,8 @@ class TestEval:
         with deadline(60):
             code = run(["eval", "--checkpoint", str(path), "--data", str(dataset_dir / "test"), "--report", str(report)])
         assert code == 2
-        assert re.search(r"^error: score of query \d+ is NaN$", capsys.readouterr().err, re.M)
+        message = f"error: {path}: encoder/projection holds nan at flat index 0, need finite values"
+        assert message in capsys.readouterr().err
         assert not report.exists()
 
     def test_malformed_sidecar_fails_naming_it(self, trained_dir, dataset_dir, tmp_path, capsys):

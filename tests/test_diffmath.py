@@ -285,6 +285,22 @@ def test_tape_isolates_unrelated_parameters():
     np.testing.assert_array_equal(a.grad, np.full(3, 2.0 / 3))
 
 
+@pytest.mark.parametrize("second_use", [
+    lambda tape, a: dm.gather_rows(tape, a, [1, 1]),  # a row scatter
+    lambda tape, a: dm.mul(tape, a, 2.0),  # an accumulation
+], ids=["scatter", "accumulate"])
+def test_shared_gradient_survives_a_later_gradient_of_one_operand(second_use):
+    """dm.add hands both operands one gradient array; a gradient that one
+    operand receives later must not write into it."""
+    a, b = dm.Tensor(np.ones((2, 3))), dm.Tensor(np.ones((2, 3)))
+    tape = dm.GradTape()
+    other = second_use(tape, a)  # recorded first, so its backward runs last
+    out = dm.add(tape, dm.mean_all(tape, dm.add(tape, a, b)), dm.mean_all(tape, other))
+    tape.backward(out)
+    np.testing.assert_array_equal(b.grad, np.full((2, 3), 1 / 6))
+    assert not np.array_equal(a.grad, b.grad)
+
+
 def test_finite_outputs_on_finite_inputs():
     rng = np.random.default_rng(11)
     x = dm.Tensor(rng.normal(scale=50, size=(6, 8)))

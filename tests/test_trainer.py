@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -400,7 +401,8 @@ class TestCheckpointFormat:
 
     def test_sidecar_checks_head_and_block_widths(self, tmp_path, tiny_dataset):
         ckpt, _ = train(tiny_dataset, tiny_config(epochs=1))
-        for name, shape in (("head_ql/w1", (32, 32)), ("head_qb/w1", (128, 128)), ("block/wq", (32, 32))):
+        for name, shape in (("head_ql/w1", (32, 32)), ("head_qb/w1", (128, 128)), ("block/wq", (32, 32)),
+                            ("block/ff_w2", (64, 32))):
             tensors = dict(ckpt.tensors)
             tensors[name] = np.zeros((shape[0] + 4, shape[1]))
             path = tmp_path / "c.bin"
@@ -703,6 +705,30 @@ class TestModelRoundTrip:
         del tensors["head_qb/b2"]
         with pytest.raises(ValueError, match=re.escape("ckpt.bin: no model tensor 'head_qb/b2'")):
             model_from_tensors(tensors, path="ckpt.bin")
+
+    @pytest.mark.parametrize("name, at, value", [
+        ("encoder/bucket_table", 17, np.inf), ("head_qb/b2", 0, np.nan), ("block/ff_b1", 5, -np.inf),
+    ])
+    def test_non_finite_model_tensor_named_with_flat_index(self, name, at, value):
+        model = init_model(np.random.default_rng(0), tiny_config())
+        tensors = {k: np.array(v.data) for k, v in model.named_tensors().items()}
+        tensors[name].flat[at:] = value  # the first non-finite value is at `at`
+        message = f"ckpt.bin: {name} holds {value} at flat index {at}, need finite values"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            model_from_tensors(tensors, path="ckpt.bin")
+
+    # sha256 of each tensor's name, shape and little-endian bytes, in
+    # checkpoint order, drawn from default_rng(0)
+    @pytest.mark.parametrize("config, digest", [
+        (TrainConfig(), "819e56ffad6defd95dd9d620d9aee8e559734528630a43ce78186ed76d365962"),
+        (tiny_config(), "6bcb3124e7ef7fd3439cbc49ec459d94748625617809cb826e9865b1e8d6d9cb"),
+    ], ids=["default", "tiny"])
+    def test_initial_weights_pinned(self, config, digest):
+        h = hashlib.sha256()
+        for name, t in init_model(np.random.default_rng(0), config).named_tensors().items():
+            h.update(f"{name} {t.shape}\n".encode())
+            h.update(t.data.astype("<f8").tobytes())
+        assert h.hexdigest() == digest
 
     def test_parts_hold_tensors_only(self):
         config = tiny_config(dropout=0.0)
