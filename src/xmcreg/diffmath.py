@@ -2,8 +2,9 @@
 
 Reverse-mode differentiation over a per-step gradient tape. Only the
 kernels the training objective needs are implemented; this is deliberately
-not a general autodiff system. All kernels are pure functions over
-immutable inputs and deterministic.
+not a general autodiff system. All kernels are deterministic, and their
+forward passes are pure functions over immutable inputs; a backward pass
+writes no array but the gradient buffers that leaves own.
 """
 
 from __future__ import annotations
@@ -27,14 +28,28 @@ class DimensionMismatch(ValueError):
 
 
 class Tensor:
-    """Rank-0 to rank-3 float64 array with an optional gradient buffer."""
+    """Rank-0 to rank-3 float64 array with an optional gradient.
 
-    __slots__ = ("data", "grad", "_backward")
+    A leaf (a tensor no tape recorded, such as a parameter) owns one
+    gradient buffer from its first gradient on. Each backward pass writes
+    the leaf's first gradient into it and adds later ones in place, so a
+    leaf's .grad is that buffer, to be read until the next pass reuses it.
+    """
+
+    __slots__ = ("data", "grad", "_backward", "_buffer")
 
     def __init__(self, data) -> None:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self._backward = None
+        self._buffer: np.ndarray | None = None
+
+    def buffer(self) -> np.ndarray:
+        """This tensor's own gradient buffer: C-ordered, of its shape, allocated
+        at the first call and returned, contents as they are, by every later one."""
+        if self._buffer is None:
+            self._buffer = np.empty(self.data.shape)
+        return self._buffer
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -68,7 +83,8 @@ class GradTape:
 
     Single-writer: one tape per training step. Leaf tensors (parameters)
     are never recorded; their .grad buffers survive the replay and hold
-    the accumulated gradients.
+    the accumulated gradients. A recorded node's .grad is dropped once its
+    backward has run, so each is freed as soon as no operand holds it.
     """
 
     def __init__(self) -> None:
@@ -82,6 +98,7 @@ class GradTape:
         for node in reversed(self._nodes):
             if node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
 
 def _val(x) -> np.ndarray:
@@ -96,11 +113,40 @@ def _make(tape: GradTape | None, data: np.ndarray, backward) -> Tensor:
     return out
 
 
+def _fresh(t) -> np.ndarray | None:
+    """The buffer that t's first gradient of a pass goes into: t's own when t
+    is a leaf with no gradient yet, else None."""
+    if isinstance(t, Tensor) and t.grad is None and t._backward is None:
+        return t.buffer()
+    return None
+
+
 def _accum(t, g: np.ndarray) -> None:
-    """Add g to t's gradient out of place: the first g is kept as it is, as
-    a stored gradient may be shared with other tensors and is never written."""
-    if isinstance(t, Tensor):
-        t.grad = g if t.grad is None else t.grad + g
+    """Add g to t's gradient. A leaf copies its first g into its buffer and
+    adds later ones there in place. Any other tensor keeps its first g as it
+    is and adds later ones out of place: a stored gradient other than a
+    leaf's own buffer may be shared with other tensors and is never written."""
+    if not isinstance(t, Tensor):
+        return
+    buf = _fresh(t)
+    if buf is not None:
+        np.copyto(buf, g)
+        t.grad = buf
+    elif t.grad is None:
+        t.grad = g
+    elif t.grad is t._buffer:
+        t.grad += g
+    else:
+        t.grad = t.grad + g
+
+
+def _accum_matmul(t, x: np.ndarray, y: np.ndarray) -> None:
+    """_accum(t, x @ y), with a leaf's first product written straight into its buffer."""
+    buf = _fresh(t)
+    if buf is None:
+        _accum(t, x @ y)
+    else:
+        t.grad = np.matmul(x, y, out=buf)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -161,9 +207,11 @@ def matmul(tape, a, b) -> Tensor:
     out = da @ db
 
     def backward(g):
-        _accum(a, g @ db.swapaxes(-1, -2))
-        _accum(b, da.swapaxes(-1, -2) @ g if db.ndim == 3 else
-               da.reshape(-1, da.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+        _accum_matmul(a, g, db.swapaxes(-1, -2))
+        if db.ndim == 3:
+            _accum_matmul(b, da.swapaxes(-1, -2), g)
+        else:
+            _accum_matmul(b, da.reshape(-1, da.shape[-1]).T, g.reshape(-1, g.shape[-1]))
 
     return _make(tape, out, backward)
 
@@ -180,7 +228,7 @@ def affine(tape, x, w, bias) -> Tensor:
     def backward(g):
         g_rows = g.reshape(-1, dw.shape[1])
         _accum(x, (g_rows @ dw.T).reshape(dx.shape))
-        _accum(w, rows.T @ g_rows)
+        _accum_matmul(w, rows.T, g_rows)
         _accum(bias, g_rows.sum(axis=0))
 
     return _make(tape, out, backward)
@@ -253,12 +301,21 @@ def _scatter_rows(t, idx: np.ndarray, vals: np.ndarray) -> None:
     """np.add.at(t.grad, idx, vals + 0.0) over the rows of t's gradient, bit
     for bit: the same additions in the same order, but on numpy's fast path
     for a 1-D destination (a row-wise add.at runs one index at a time).
-    The sum starts from zeros, or from a C-ordered copy of t's gradient so
-    far, which _accum may share with other tensors. + 0.0 maps -0.0 to
-    +0.0, as adding into a zero buffer does. A constant t gets nothing."""
+    A leaf's first sum of a pass starts from its buffer filled with zeros,
+    and later ones add into that buffer. Otherwise the sum starts from
+    fresh zeros, or from a C-ordered copy of t's gradient so far, which
+    _accum may share with other tensors. + 0.0 maps -0.0 to +0.0, as
+    adding into a zero buffer does. A constant t gets nothing."""
     if not isinstance(t, Tensor):
         return
-    t.grad = np.zeros(t.shape) if t.grad is None else np.array(t.grad, order="C")
+    buf = _fresh(t)
+    if buf is not None:
+        buf.fill(0.0)
+        t.grad = buf
+    elif t.grad is None:
+        t.grad = np.zeros(t.shape)
+    elif t.grad is not t._buffer:
+        t.grad = np.array(t.grad, order="C")
     width = math.prod(t.shape[1:])
     flat = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
     np.add.at(t.grad.reshape(-1), flat, (vals + 0.0).reshape(-1))

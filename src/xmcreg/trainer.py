@@ -165,22 +165,33 @@ ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 class AdamState:
     """Adam's first and second moments by checkpoint name, and its step
     count. ``touched`` names every tensor that had a gradient at some step:
-    only those are read or written."""
+    only those are read or written. An untouched tensor's moments are a
+    read-only zero view, which holds no memory; its first gradient gives
+    it zeroed arrays of its own. ``scratch`` holds a block's two
+    temporaries, reused by every step."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
     touched: set = field(default_factory=set)
+    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, ADAM_BLOCK)), repr=False, compare=False)
 
 
 def init_adam(params: dict[str, dm.Tensor]) -> AdamState:
-    """Zero moments for every parameter. Each parameter's data becomes its
-    own C-ordered copy, which the update writes through a flat view, so the
-    caller's arrays (a loaded checkpoint's, say) are never written."""
+    """Zero moments for every parameter, as read-only views until its first
+    gradient. Each parameter's data becomes its own C-ordered copy, which
+    the update writes through a flat view, so the caller's arrays (a loaded
+    checkpoint's, say) are never written."""
     for p in params.values():
         p.data = np.array(p.data, order="C")
-    return AdamState(m={name: np.zeros(p.data.shape) for name, p in params.items()},
-                     v={name: np.zeros(p.data.shape) for name, p in params.items()})
+    return AdamState(m={name: np.broadcast_to(0.0, p.data.shape) for name, p in params.items()},
+                     v={name: np.broadcast_to(0.0, p.data.shape) for name, p in params.items()})
+
+
+def _finite(a: np.ndarray) -> bool:
+    """Whether every value of a is finite, read without an a-sized
+    temporary: min and max are NaN if any value is."""
+    return a.size == 0 or math.isfinite(a.min()) and math.isfinite(a.max())
 
 
 def update_step(params: dict[str, dm.Tensor], state: AdamState, lr: float) -> None:
@@ -188,13 +199,16 @@ def update_step(params: dict[str, dm.Tensor], state: AdamState, lr: float) -> No
 
     A parameter whose gradient has been zero on every step so far has
     zero moments and a mathematically zero update, so it is skipped. A
-    touched parameter without a gradient this step gets a zero one. The
-    others are updated tensor by tensor in blocks of ADAM_BLOCK elements,
-    each element by the operations, in the order, of
+    touched parameter without a gradient this step gets its own gradient
+    buffer (Tensor.buffer), filled with zeros. The others are updated
+    tensor by tensor in blocks of ADAM_BLOCK elements, each element by the
+    operations, in the order, of
     m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
     p = p - lr*(m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps),
     so the result does not depend on the block size. Gradients are left
-    in place for the caller to read.
+    for the caller to read, until the next step's backward pass reuses
+    the buffers. Nothing tensor-sized is allocated except a tensor's
+    moments, at its first gradient.
 
     Every gradient is checked first, in checkpoint order: a wrong shape
     raises ShapeMismatch, a NaN or infinite value NonFiniteGradient naming
@@ -206,17 +220,20 @@ def update_step(params: dict[str, dm.Tensor], state: AdamState, lr: float) -> No
         if p.grad is None:
             if name not in state.touched:
                 continue
-            p.grad = np.zeros(p.data.shape)
+            p.grad = p.buffer()
+            p.grad.fill(0.0)
         elif np.shape(p.grad) != p.data.shape:
             raise ShapeMismatch(f"{name}: grad {np.shape(p.grad)} vs param {p.data.shape}")
-        elif not np.isfinite(p.grad).all():
+        elif not _finite(p.grad):
             raise dm.NonFiniteGradient(f"non-finite gradient of {name} at step {state.step}")
         grads[name] = p.grad
-    state.touched |= grads.keys()
     state.step += 1
     t = state.step
-    tmp = np.empty((2, ADAM_BLOCK))
+    tmp = state.scratch
     for name, g in grads.items():
+        if name not in state.touched:  # its first gradient: moments of its own
+            state.touched.add(name)
+            state.m[name], state.v[name] = np.zeros(g.shape), np.zeros(g.shape)
         g, data, m, v = (np.ravel(a) for a in (g, params[name].data, state.m[name], state.v[name]))
         for lo in range(0, g.size, ADAM_BLOCK):
             hi = min(lo + ADAM_BLOCK, g.size)

@@ -285,20 +285,79 @@ def test_tape_isolates_unrelated_parameters():
     np.testing.assert_array_equal(a.grad, np.full(3, 2.0 / 3))
 
 
-@pytest.mark.parametrize("second_use", [
-    lambda tape, a: dm.gather_rows(tape, a, [1, 1]),  # a row scatter
-    lambda tape, a: dm.mul(tape, a, 2.0),  # an accumulation
-], ids=["scatter", "accumulate"])
-def test_shared_gradient_survives_a_later_gradient_of_one_operand(second_use):
+_SECOND_USES = {
+    "scatter": lambda tape, a: dm.gather_rows(tape, a, [1, 1]),  # a row scatter
+    "accumulate": lambda tape, a: dm.mul(tape, a, 2.0),  # an accumulation
+    "product": lambda tape, a: dm.matmul(tape, a, np.eye(3)),  # a product
+}
+
+
+@pytest.mark.parametrize("use, operands", [
+    pytest.param(use, operands, id=use if operands == "leaves" else f"{use}-{operands.replace(' ', '-')}")
+    for operands in ("leaves", "leaves with buffers", "nodes") for use in _SECOND_USES
+])
+def test_shared_gradient_survives_a_later_gradient_of_one_operand(use, operands):
     """dm.add hands both operands one gradient array; a gradient that one
-    operand receives later must not write into it."""
+    operand receives later must not write into it: not when the operand is
+    a leaf, whose buffer may already exist from an earlier pass, and not
+    when it is a recorded node, which keeps the shared array itself (the
+    other node's backward reads it after the later gradient has landed)."""
     a, b = dm.Tensor(np.ones((2, 3))), dm.Tensor(np.ones((2, 3)))
-    tape = dm.GradTape()
-    other = second_use(tape, a)  # recorded first, so its backward runs last
-    out = dm.add(tape, dm.mean_all(tape, dm.add(tape, a, b)), dm.mean_all(tape, other))
-    tape.backward(out)
+
+    def run():
+        tape = dm.GradTape()
+        x, y = (dm.reshape(tape, t, (2, 3)) for t in (a, b)) if operands == "nodes" else (a, b)
+        other = _SECOND_USES[use](tape, x)  # recorded after x and y, so its backward runs between add's and theirs
+        tape.backward(dm.add(tape, dm.mean_all(tape, dm.add(tape, x, y)), dm.mean_all(tape, other)))
+
+    if operands == "leaves with buffers":
+        run()
+        a.grad = b.grad = None
+        assert a.buffer() is not None and b.buffer() is not None
+    run()
     np.testing.assert_array_equal(b.grad, np.full((2, 3), 1 / 6))
     assert not np.array_equal(a.grad, b.grad)
+
+
+class TestGradientBuffers:
+    """A leaf writes each pass's gradient into the one buffer it owns; a
+    recorded node's gradient is dropped once its backward has run."""
+
+    @staticmethod
+    def _pass(w, x, b):
+        tape = dm.GradTape()
+        h = dm.affine(tape, x, w, b)
+        out = dm.mean_all(tape, dm.embedding_bag(tape, h, [[0, 2], [1, 1]], [[1.0, 0.5], [2.0, 0.0]]))
+        tape.backward(out)
+        return h, out
+
+    def test_leaf_keeps_one_buffer_across_passes(self):
+        rng = np.random.default_rng(0)
+        w, b = dm.Tensor(rng.normal(size=(4, 3))), dm.Tensor(rng.normal(size=3))
+        x = dm.Tensor(rng.normal(size=(3, 4)))
+        assert w.grad is None and w._buffer is None  # allocated at the first gradient, not before
+        self._pass(w, x, b)
+        first, w_before = {t: t.grad for t in (w, x, b)}, w.grad.copy()
+        for t in (w, x, b):
+            assert t.grad is t.buffer()
+            t.grad = None
+        x.data = x.data * 2.0
+        self._pass(w, x, b)
+        for t, buf in first.items():
+            assert t.grad is buf  # the same array object, rewritten
+        assert not np.array_equal(w.grad, w_before)
+        # the pass's gradient, not the sum of both passes
+        want = dm.Tensor(w.data.copy())
+        self._pass(want, dm.Tensor(x.data), dm.Tensor(b.data))
+        assert w.grad.tobytes() == want.grad.tobytes()
+
+    def test_node_gradients_dropped_after_backward(self):
+        rng = np.random.default_rng(1)
+        w, b = dm.Tensor(rng.normal(size=(4, 3))), dm.Tensor(rng.normal(size=3))
+        x = dm.Tensor(rng.normal(size=(3, 4)))
+        h, out = self._pass(w, x, b)
+        assert h.grad is None and out.grad is None
+        assert all(t.grad is not None for t in (w, x, b))
 
 
 def test_finite_outputs_on_finite_inputs():

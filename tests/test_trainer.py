@@ -8,6 +8,8 @@ import math
 import re
 import struct
 import tempfile
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -265,6 +267,54 @@ class TestArena:
         assert _adam_bytes(params, state) == kept
         assert state.step == 1
 
+    def test_moments_allocated_at_first_gradient(self):
+        params = {name: dm.Tensor(np.ones(shape)) for name, shape in (("a", (3, 4)), ("never", (1000, 100)))}
+        state = init_adam(params)
+        for name in params:  # read-only zero views that hold no memory
+            for moment in (state.m[name], state.v[name]):
+                assert not moment.flags.writeable and moment.strides == (0, 0) and not moment.any()
+        params["a"].grad = np.ones((3, 4))
+        update_step(params, state, lr=0.1)
+        assert state.m["a"].flags.writeable and state.m["a"].all() and state.v["a"].all()
+        assert not state.m["never"].flags.writeable and not state.v["never"].flags.writeable
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["encoder/bucket_table", "head_ql/b2"])
+    def test_nonfinite_in_last_partial_block_or_one_element(self, monkeypatch, name, value):
+        # 1,024 x 16 table values in blocks of 1,000: the last block holds
+        # 384; head_ql/b2 holds one value
+        monkeypatch.setattr(trainer, "ADAM_BLOCK", 1000)
+        params = init_model(np.random.default_rng(0), tiny_config()).named_tensors()
+        assert params["encoder/bucket_table"].data.size % 1000 == 384 and params["head_ql/b2"].data.size == 1
+        state = init_adam(params)
+        for p in params.values():
+            _land(p, np.ones(p.shape))
+        update_step(params, state, lr=0.1)
+        kept = _adam_bytes(params, state)
+        params[name].grad.flat[-1] = value
+        with pytest.raises(dm.NonFiniteGradient, match=f"^non-finite gradient of {name} at step 1$"):
+            update_step(params, state, lr=0.1)
+        assert _adam_bytes(params, state) == kept
+        assert state.step == 1
+
+    def test_step_allocates_nothing_tensor_sized(self):
+        params = init_model(np.random.default_rng(0), TrainConfig()).named_tensors()
+        state = init_adam(params)
+        for p in params.values():
+            _land(p, np.ones(p.shape))
+        update_step(params, state, lr=0.1)
+        params["head_ql/b2"].grad = None  # touched earlier, no gradient now: its own buffer, zeroed
+        tracemalloc.start()
+        try:
+            update_step(params, state, lr=0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # np.isfinite of the 128 x 128 block weights alone would take 16 KB
+        assert peak < 16384
+        b2 = params["head_ql/b2"]
+        assert b2.grad is b2.buffer() and b2.grad.tobytes() == np.zeros(1).tobytes()
+
     @pytest.mark.parametrize("view", ["transposed", "sliced"])
     def test_non_contiguous_parameter_updated_in_its_own_copy(self, view):
         b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
@@ -496,6 +546,38 @@ class TestTrain:
             ckpt.save(p)
             paths.append(p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    # sha256 of the saved 2-epoch checkpoint on the tiny dataset: how
+    # gradients are stored and reused must not move a bit of training. The
+    # cluster run has beta1 > 0 and dropout on, so heads, block and table
+    # all get gradients.
+    @pytest.mark.parametrize("overrides, digest", [
+        ({}, "a9b427c922a76797e04e3a213ed6d8fd9c2c5f2832ed390632faf3b22ab7d8de"),
+        ({"sampler": "ance"}, "5cc663404533578633448cd59ac6ea63fe7f5c0c272bc14b065c6e0b0f15a87a"),
+        ({"beta1": 0.0}, "9c430a5f5c5a4b0191d6b4acc079c7ef068670f0497d8c9590fb7d58b32e77a4"),
+    ], ids=["cluster", "ance", "beta1=0"])
+    def test_trained_checkpoint_pinned(self, tmp_path, tiny_dataset, overrides, digest):
+        assert tiny_config().beta1 > 0 and tiny_config().dropout > 0
+        ckpt, _ = train(tiny_dataset, tiny_config(epochs=2, **overrides))
+        ckpt.save(tmp_path / "c.bin")
+        assert hashlib.sha256((tmp_path / "c.bin").read_bytes()).hexdigest() == digest
+
+    def test_gradient_buffers_kept_across_steps_and_freed_after(self, tiny_dataset, monkeypatch):
+        names = ("encoder/bucket_table", "head_qb/w1", "block/wq")
+        ids, first = {name: [] for name in names}, {}
+
+        def spy(params, state, lr):
+            update_step(params, state, lr)
+            for name in names:
+                ids[name].append(id(params[name].grad))
+                first.setdefault(name, weakref.ref(params[name].grad))
+
+        monkeypatch.setattr(trainer, "update_step", spy)
+        train(tiny_dataset, tiny_config(epochs=2))
+        for name in names:
+            assert len(ids[name]) == 12, name  # 24 queries in groups of 4, two epochs
+            # every step's gradient is the one buffer, which is freed when train returns
+            assert set(ids[name]) == {ids[name][0]} and first[name]() is None, name
 
     def test_log_total_matches_components(self, tiny_dataset):
         config = tiny_config(epochs=2)
