@@ -5,13 +5,30 @@ fully regularized one (margin regularizer + both auxiliary losses).
 Trains two models per seed on a synthetic catalog and reports test-set
 precision@1, coverage@1 at the target precision, and the correct/incorrect
 score-histogram overlap. Writes a JSON summary next to the console table.
+
+    python3 scripts/run_directional.py --seeds 0 1 2 --out directional_results.json
+
+It runs from a checkout without an install, on the checkout's own source,
+with one BLAS thread, pinned before numpy loads: OpenBLAS rounds some
+products differently with a different number of threads, so the table is
+reproducible only at a fixed count.
 """
 
-import argparse
-import json
-from pathlib import Path
+import os
 
-from xmcreg.experiments import directional_comparison
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+# the checkout's own source, not an installed copy
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from xmcreg.data_io import write_atomic  # noqa: E402
+from xmcreg.experiments import directional_comparison  # noqa: E402
 
 
 def main() -> None:
@@ -48,7 +65,7 @@ def main() -> None:
             for which in ("base", "regularized")
         },
     }
-    Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_atomic(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"\nwrote {args.out}")
 
 

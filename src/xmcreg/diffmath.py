@@ -4,7 +4,11 @@ Reverse-mode differentiation over a per-step gradient tape. Only the
 kernels the training objective needs are implemented; this is deliberately
 not a general autodiff system. All kernels are deterministic, and their
 forward passes are pure functions over immutable inputs; a backward pass
-writes no array but the gradient buffers that leaves own.
+writes no array but the gradient buffers that leaves own and the arrays
+it allocates itself. A kernel whose formula chains several elementwise
+operations runs them one by one, in the formula's order, in its own
+output, what it keeps for its backward pass and at most one scratch
+array, so its result is the formula's bit for bit.
 """
 
 from __future__ import annotations
@@ -161,14 +165,19 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # arithmetic
 
+# add, sub and mul form and un-broadcast a gradient only for an operand
+# that is a Tensor: a constant's would be thrown away.
+
 
 def add(tape, a, b) -> Tensor:
     da, db = _val(a), _val(b)
     out = da + db
 
     def backward(g):
-        _accum(a, _unbroadcast(g, da.shape))
-        _accum(b, _unbroadcast(g, db.shape))
+        if isinstance(a, Tensor):
+            _accum(a, _unbroadcast(g, da.shape))
+        if isinstance(b, Tensor):
+            _accum(b, _unbroadcast(g, db.shape))
 
     return _make(tape, out, backward)
 
@@ -178,8 +187,10 @@ def sub(tape, a, b) -> Tensor:
     out = da - db
 
     def backward(g):
-        _accum(a, _unbroadcast(g, da.shape))
-        _accum(b, -_unbroadcast(g, db.shape))
+        if isinstance(a, Tensor):
+            _accum(a, _unbroadcast(g, da.shape))
+        if isinstance(b, Tensor):
+            _accum(b, -_unbroadcast(g, db.shape))
 
     return _make(tape, out, backward)
 
@@ -190,8 +201,10 @@ def mul(tape, a, b) -> Tensor:
     out = da * db
 
     def backward(g):
-        _accum(a, _unbroadcast(g * db, da.shape))
-        _accum(b, _unbroadcast(g * da, db.shape))
+        if isinstance(a, Tensor):
+            _accum(a, _unbroadcast(g * db, da.shape))
+        if isinstance(b, Tensor):
+            _accum(b, _unbroadcast(g * da, db.shape))
 
     return _make(tape, out, backward)
 
@@ -223,7 +236,9 @@ def affine(tape, x, w, bias) -> Tensor:
     if dw.ndim != 2 or dx.ndim < 2 or dx.shape[-1] != dw.shape[0] or dbias.shape != dw.shape[1:]:
         raise DimensionMismatch(f"affine {dx.shape} @ {dw.shape} + {dbias.shape}")
     rows = dx.reshape(-1, dw.shape[0])
-    out = (rows @ dw + dbias).reshape(dx.shape[:-1] + dw.shape[1:])
+    out = rows @ dw
+    out += dbias
+    out = out.reshape(dx.shape[:-1] + dw.shape[1:])
 
     def backward(g):
         g_rows = g.reshape(-1, dw.shape[1])
@@ -298,14 +313,15 @@ def stack(tape, parts) -> Tensor:
 
 
 def _scatter_rows(t, idx: np.ndarray, vals: np.ndarray) -> None:
-    """np.add.at(t.grad, idx, vals + 0.0) over the rows of t's gradient, bit
-    for bit: the same additions in the same order, but on numpy's fast path
+    """np.add.at(t.grad, idx, vals) over the rows of t's gradient, bit for
+    bit: the same additions in the same order, but on numpy's fast path
     for a 1-D destination (a row-wise add.at runs one index at a time).
     A leaf's first sum of a pass starts from its buffer filled with zeros,
     and later ones add into that buffer. Otherwise the sum starts from
     fresh zeros, or from a C-ordered copy of t's gradient so far, which
-    _accum may share with other tensors. + 0.0 maps -0.0 to +0.0, as
-    adding into a zero buffer does. A constant t gets nothing."""
+    _accum may share with other tensors. Callers pass vals + 0.0, which
+    maps -0.0 to +0.0 as adding into a zero buffer does. A constant t
+    gets nothing."""
     if not isinstance(t, Tensor):
         return
     buf = _fresh(t)
@@ -318,7 +334,7 @@ def _scatter_rows(t, idx: np.ndarray, vals: np.ndarray) -> None:
         t.grad = np.array(t.grad, order="C")
     width = math.prod(t.shape[1:])
     flat = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
-    np.add.at(t.grad.reshape(-1), flat, (vals + 0.0).reshape(-1))
+    np.add.at(t.grad.reshape(-1), flat, vals.reshape(-1))
 
 
 def gather_rows(tape, a, idx) -> Tensor:
@@ -329,7 +345,7 @@ def gather_rows(tape, a, idx) -> Tensor:
     out = da[idx]
 
     def backward(g):
-        _scatter_rows(a, idx, g)
+        _scatter_rows(a, idx, g + 0.0)
 
     return _make(tape, out, backward)
 
@@ -360,7 +376,9 @@ def embedding_bag(tape, table, ids, weights) -> Tensor:
         # real slots only, slot-major: a pad's g * 0 + 0.0 would add +0.0,
         # which leaves sums started from zeros as they are
         real = np.nonzero(weights)
-        _scatter_rows(table, ids[real], g[real[1:]] * weights[real][:, None])
+        vals = g[real[1:]] * weights[real][:, None]
+        vals += 0.0
+        _scatter_rows(table, ids[real], vals)
 
     slots, bags, width = len(ids), math.prod(ids.shape[1:]), dt.shape[1]
     bag_ids, bag_weights = ids.reshape(slots, bags), weights.reshape(slots, bags)
@@ -442,40 +460,66 @@ def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
 def gelu(tape, a) -> Tensor:
     """tanh-approximation GeLU: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
     da = _val(a)
-    # da * da * da, not da**3: numpy sends a cube to libm pow, ~80x slower
-    inner = GELU_C * (da + 0.044715 * (da * da * da))
-    t = np.tanh(inner)
-    out = 0.5 * da * (1.0 + t)
+    # t = tanh(GELU_C * (da + 0.044715 * (da * da * da))), kept for the
+    # backward; da * da * da, not da**3: numpy sends a cube to libm pow,
+    # ~80x slower. out= keeps a rank-0 chain an array numpy writes in place
+    t = np.multiply(da, da, out=np.empty_like(da))
+    t *= da
+    t *= 0.044715
+    t += da
+    t *= GELU_C
+    np.tanh(t, out=t)
+    out = np.multiply(da, 0.5, out=np.empty_like(da))
+    out *= t + 1.0  # out = 0.5 * da * (1.0 + t)
 
     def backward(g):
-        sech2 = 1.0 - t * t
-        d = 0.5 * (1.0 + t) + 0.5 * da * sech2 * GELU_C * (1.0 + 3 * 0.044715 * da**2)
-        _accum(a, g * d)
+        # d = 0.5 * (1.0 + t) + 0.5 * da * (1.0 - t * t) * GELU_C * (1.0 + 3 * 0.044715 * da**2)
+        d = np.multiply(da, 0.5, out=np.empty_like(da))
+        s = np.multiply(t, t, out=np.empty_like(da))
+        np.subtract(1.0, s, out=s)
+        d *= s
+        d *= GELU_C
+        np.square(da, out=s)
+        s *= 3 * 0.044715
+        s += 1.0
+        d *= s
+        np.add(t, 1.0, out=s)
+        s *= 0.5
+        d += s
+        d *= g
+        _accum(a, d)
 
     return _make(tape, out, backward)
 
 
 def layer_norm(tape, a, gain, bias) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then scale by
+    gain and shift by bias, two vectors of the last axis's length."""
     da, dg, db = _val(a), _val(gain), _val(bias)
-    if dg.shape[-1] != da.shape[-1] or db.shape[-1] != da.shape[-1]:
-        raise DimensionMismatch("layer_norm gain/bias length")
+    if da.ndim < 1 or dg.shape != da.shape[-1:] or db.shape != da.shape[-1:]:
+        raise DimensionMismatch(f"layer_norm of {da.shape} with gain {dg.shape}, bias {db.shape}")
     n = da.shape[-1]
-    centred = da - np.add.reduce(da, axis=-1, keepdims=True) / n
-    var = np.add.reduce(np.square(centred), axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = centred * inv
-    out = xhat * dg + db
+    # xhat = centred * inv with centred = da - mean and
+    # inv = 1 / sqrt(var + eps), var = mean(centred**2); out = xhat * gain + bias
+    xhat = da - np.add.reduce(da, axis=-1, keepdims=True) / n
+    out = np.square(xhat)
+    inv = 1.0 / np.sqrt(np.add.reduce(out, axis=-1, keepdims=True) / n + LAYER_NORM_EPS)
+    xhat *= inv
+    np.multiply(xhat, dg, out=out)
+    out += db
 
     def backward(g):
-        _accum(gain, _unbroadcast(g * xhat, dg.shape))
+        # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = g * gain
+        dx = g * dg
+        s = dx * xhat
+        m2 = np.add.reduce(s, axis=-1, keepdims=True) / n
+        dx -= np.add.reduce(dx, axis=-1, keepdims=True) / n
+        np.multiply(xhat, m2, out=s)
+        dx -= s
+        dx *= inv
+        np.multiply(g, xhat, out=s)
+        _accum(gain, _unbroadcast(s, dg.shape))
         _accum(bias, _unbroadcast(g, db.shape))
-        dxhat = g * dg
-        dx = inv * (
-            dxhat
-            - np.add.reduce(dxhat, axis=-1, keepdims=True) / n
-            - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n)
-        )
         _accum(a, dx)
 
     return _make(tape, out, backward)
@@ -484,12 +528,17 @@ def layer_norm(tape, a, gain, bias) -> Tensor:
 def softmax(tape, a) -> Tensor:
     """Row-wise softmax over the last axis."""
     da = _val(a)
-    z = da - da.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
+    # p = exp(da - max) / sum(exp(da - max))
+    p = da - da.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        _accum(a, p * (g - (g * p).sum(axis=-1, keepdims=True)))
+        # p * (g - sum(g * p))
+        d = g * p
+        np.subtract(g, d.sum(axis=-1, keepdims=True), out=d)
+        d *= p
+        _accum(a, d)
 
     return _make(tape, p, backward)
 
@@ -513,8 +562,12 @@ def l2_normalize(tape, a) -> Tensor:
     n[n == 0.0] = np.inf  # an all-zero vector passes back no gradient
 
     def backward(g):
+        # (g - y * (g . y)) / n
         g = g.reshape(rows.shape)
-        _accum(a, ((g - y * _row_dots(g, y)[:, None]) / n[:, None]).reshape(da.shape))
+        d = y * _row_dots(g, y)[:, None]
+        np.subtract(g, d, out=d)
+        d /= n[:, None]
+        _accum(a, d.reshape(da.shape))
 
     return _make(tape, y.reshape(da.shape), backward)
 
@@ -522,16 +575,25 @@ def l2_normalize(tape, a) -> Tensor:
 def bce_with_logits(tape, z, y) -> Tensor:
     """Elementwise binary cross-entropy on raw logits, log-sum-exp stable.
 
-    y is a constant target array; gradient flows only into the logits.
+    y is a constant target array of the logits' shape; gradient flows
+    only into the logits.
     """
     dz = _val(z)
     dy = np.asarray(y, dtype=np.float64)
+    if dy.shape != dz.shape:
+        raise DimensionMismatch(f"bce_with_logits of logits {dz.shape} against targets {dy.shape}")
     # algebraically softplus(z) - z*y, but branch-selected on the binary
-    # target so swapping (z, y) -> (-z, 1-y) is bit-exact
-    out = np.where(dy > 0.5, np.logaddexp(0.0, -dz), np.logaddexp(0.0, dz))
+    # target so swapping (z, y) -> (-z, 1-y) is bit-exact:
+    # log(1 + exp(-z)) where y > 0.5, else log(1 + exp(z))
+    out = np.where(dy > 0.5, -dz, dz)
+    np.logaddexp(0.0, out, out=out)
 
     def backward(g):
-        _accum(z, g * (_sigmoid_stable(np.atleast_1d(dz * 1.0)).reshape(dz.shape) - dy))
+        # g * (sigmoid(z) - y)
+        d = _sigmoid_stable(np.atleast_1d(dz)).reshape(dz.shape)
+        d -= dy
+        d *= g
+        _accum(z, d)
 
     return _make(tape, out, backward)
 

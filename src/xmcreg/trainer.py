@@ -16,7 +16,7 @@ from . import diffmath as dm
 from . import mining
 from .data_io import write_atomic
 from .encoder import EncoderParams, encode_matrix
-from .losses import LossConfig, MlpHead, TcmConfig, total_loss
+from .losses import LossBreakdown, LossConfig, MlpHead, TcmConfig, total_loss
 from .pair_reps import BlockContextParams
 
 CHECKPOINT_MAGIC = b"ALC1"
@@ -393,6 +393,25 @@ def _refresh(enc: EncoderParams, dataset: mining.Dataset, config: TrainConfig,
     return mining.random_groups(len(dataset.queries), config.batch_size, rng), pools
 
 
+def _step(dataset: mining.Dataset, batch: mining.Batch, model: ModelParams, params: dict[str, dm.Tensor],
+          state: AdamState, loss_cfg: LossConfig, lr: float, rng: np.random.Generator) -> LossBreakdown:
+    """One training step on a batch: the objective on a fresh tape, its
+    backward pass and one Adam update. Returns the loss breakdown. The
+    step's graph lives in this call's locals, so it is freed when the call
+    returns, before the next step's forward pass builds another."""
+    for p in params.values():
+        p.grad = None
+    tape = dm.GradTape()
+    total, breakdown, _ = total_loss(
+        tape, dataset, batch, model.enc, model.head_ql, model.head_qb, model.block, loss_cfg, rng=rng
+    )
+    if not np.isfinite(breakdown.total):
+        raise NonFiniteLoss(f"non-finite loss at step {state.step}")
+    tape.backward(total)
+    update_step(params, state, lr)
+    return breakdown
+
+
 def train(
     dataset: mining.Dataset,
     config: TrainConfig,
@@ -415,16 +434,7 @@ def train(
         sums = {"base": 0.0, "tcm": 0.0, "xe_ql": 0.0, "xe_qb": 0.0, "total": 0.0}
         for group in groups:
             batch = mining.make_batch(dataset, group, sampled_pos, pools, rng)
-            for p in params.values():
-                p.grad = None
-            tape = dm.GradTape()
-            total, breakdown, _ = total_loss(
-                tape, dataset, batch, model.enc, model.head_ql, model.head_qb, model.block, loss_cfg, rng=rng
-            )
-            if not np.isfinite(breakdown.total):
-                raise NonFiniteLoss(f"non-finite loss at step {state.step}")
-            tape.backward(total)
-            update_step(params, state, config.learning_rate)
+            breakdown = _step(dataset, batch, model, params, state, loss_cfg, config.learning_rate, rng)
             for key, val in asdict(breakdown).items():
                 sums[key] += val
 

@@ -20,8 +20,9 @@ def _square_mean(tape, t: dm.Tensor) -> dm.Tensor:
     return dm.mean_all(tape, dm.mul(tape, t, t))
 
 
-def kernel_gradchecks(seed: int, tol: float = 1e-4, max_coords: int = 64) -> dm.GradCheckReport:
-    """Finite-difference check of every kernel's backward pass."""
+def kernel_checks(seed: int) -> dict[str, tuple]:
+    """The kernel suite by check name: a scalar program over one kernel,
+    fn(tape), and the parameters it reads, drawn from seed."""
     rng = np.random.default_rng(seed)
 
     def away_from_zero(shape):
@@ -47,7 +48,7 @@ def kernel_gradchecks(seed: int, tol: float = 1e-4, max_coords: int = 64) -> dm.
     # bags of x2's rows, one per column: pads (row 0, weight 0), row 2 in two bags, a bag of pads only
     bag_ids, bag_w = [[1, 2, 0, 0], [2, 0, 0, 0], [0, 1, 0, 0]], [[0.25, 0.5, 0, 1], [0.75, 0.3, 0, 0], [0, 0.2, 0, 0]]
 
-    checks = {
+    return {
         "add": (lambda tape: _square_mean(tape, dm.add(tape, x2, y2)), {"x": x2, "y": y2}),
         "sub": (lambda tape: _square_mean(tape, dm.sub(tape, x2, y2)), {"x": x2, "y": y2}),
         "hadamard": (lambda tape: _square_mean(tape, dm.mul(tape, x2, y2)), {"x": x2, "y": y2}),
@@ -80,8 +81,11 @@ def kernel_gradchecks(seed: int, tol: float = 1e-4, max_coords: int = 64) -> dm.
         "transpose-rank3": (lambda tape: _square_mean(tape, dm.transpose(tape, x3)), {"x": x3}),
     }
 
+
+def kernel_gradchecks(seed: int, tol: float = 1e-4, max_coords: int = 64) -> dm.GradCheckReport:
+    """Finite-difference check of every kernel's backward pass."""
     errors = {name: dm.grad_check(fn, params, seed=seed, tol=tol, max_coords=max_coords).max_relative_error
-              for name, (fn, params) in checks.items()}
+              for name, (fn, params) in kernel_checks(seed).items()}
     worst = max(errors, key=errors.get)
     return dm.GradCheckReport(max_relative_error=errors[worst], passed=errors[worst] <= tol, worst_case=worst)
 

@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import json
+import os
 import random
 import re
 import shutil
@@ -15,6 +16,7 @@ import pytest
 
 from xmcreg import verify
 from xmcreg.cli import run
+from xmcreg.experiments import ComparisonResult, RunResult
 from xmcreg.trainer import Checkpoint, write_tensors
 
 from conftest import deadline
@@ -580,6 +582,35 @@ class TestDeterminismScript:
             determinism.check("two files", tmp_path)
         # a message, not a number: Python prints it and exits 1
         assert exit.value.code == "two files: FAIL scores.tsv differs: 111111111111 in a, 222222222222 in b"
+
+
+class TestDirectionalScript:
+    SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_directional.py"
+
+    def test_runs_from_a_checkout_without_an_install(self, tmp_path):
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+        result = subprocess.run([sys.executable, str(self.SCRIPT), "--help"], cwd=tmp_path, env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+
+    def test_pins_one_blas_thread_and_writes_its_summary(self, tmp_path, monkeypatch, capsys):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, "2")
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        spec = importlib.util.spec_from_file_location("run_directional", self.SCRIPT)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert [os.environ[var] for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")] == ["1"] * 3
+        result = ComparisonResult(seeds=[4], base=[RunResult(0.5, 0.25, 0.75)], regularized=[RunResult(1.0, 0.5, 0.0)])
+        monkeypatch.setattr(script, "directional_comparison", lambda seeds, target_precision: result)
+        out = tmp_path / "summary.json"
+        monkeypatch.setattr(sys, "argv", ["run_directional.py", "--seeds", "4", "--out", str(out)])
+        script.main()
+        summary = json.loads(out.read_text())
+        assert summary["regularized"] == [{"p_at_1": 1.0, "c_at_1": 0.5, "overlap": 0.0}]
+        assert summary["mean"]["base"] == {"p_at_1": 0.5, "c_at_1": 0.25, "overlap": 0.75}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json"]  # no .tmp left behind
+        assert f"wrote {out}" in capsys.readouterr().out
 
 
 class TestUsage:

@@ -109,6 +109,15 @@ class TestLayerNorm:
         assert abs(out.mean()) < 1e-12
         assert abs(out.var() - 1.0) < 1e-4  # up to eps
 
+    @pytest.mark.parametrize("x, gain, bias", [
+        (np.ones((2, 3)), np.ones((1, 3)), np.zeros(3)),  # a gain of another rank
+        (np.ones((2, 3)), np.ones(3), np.zeros(2)),  # a bias of another length
+        (np.ones(()), np.ones(()), np.zeros(())),  # a rank-0 operand
+    ], ids=["gain-rank", "bias-length", "rank-0"])
+    def test_gain_and_bias_are_vectors_of_the_last_axis(self, x, gain, bias):
+        with pytest.raises(dm.DimensionMismatch):
+            dm.layer_norm(None, dm.Tensor(x), dm.Tensor(gain), dm.Tensor(bias))
+
 
 class TestGradCheck:
     def test_sum_of_squares_quadratic(self):
@@ -238,10 +247,14 @@ def test_total_loss_gradcheck_names_itself():
     assert verify.total_loss_gradcheck(0).worst_case == "total_loss"
 
 
+def _kernel_names() -> set:
+    return {name for name, fn in vars(dm).items()
+            if inspect.isfunction(fn) and fn.__module__ == dm.__name__ and not name.startswith("_")
+            and list(inspect.signature(fn).parameters)[:1] == ["tape"]}
+
+
 def test_every_kernel_is_gradchecked():
-    kernels = {name for name, fn in vars(dm).items()
-               if inspect.isfunction(fn) and fn.__module__ == dm.__name__ and not name.startswith("_")
-               and list(inspect.signature(fn).parameters)[:1] == ["tape"]}
+    kernels = _kernel_names()
     assert {"add", "embedding_bag"} <= kernels
     called = set()
 
@@ -257,6 +270,202 @@ def test_every_kernel_is_gradchecked():
     with mock.patch.multiple(dm, **{name: spy(name) for name in kernels}):
         kernel_gradchecks(0, max_coords=1)
     assert kernels - called == set()
+
+
+def _freeze(*values) -> None:
+    """Make every array among values read-only, with those that Tensors
+    and lists among them hold."""
+    for v in values:
+        if isinstance(v, (list, tuple)):
+            _freeze(*v)
+        elif isinstance(v, (dm.Tensor, np.ndarray)):
+            (v.data if isinstance(v, dm.Tensor) else v).flags.writeable = False
+
+
+def _read_only(g) -> np.ndarray:
+    view = np.asarray(g).view()
+    view.flags.writeable = False
+    return view
+
+
+def _read_only_kernels() -> dict:
+    """Every kernel, wrapped so that its operands, its output and the
+    gradient its backward pass receives are read-only: a kernel that
+    writes any of them raises."""
+
+    def wrap(kernel):
+        def wrapper(tape, *args, **kwargs):
+            _freeze(args, list(kwargs.values()))
+            out = kernel(tape, *args, **kwargs)
+            _freeze(out)
+            backward = out._backward
+            if backward is not None:
+                out._backward = lambda g: backward(_read_only(g))
+            return out
+
+        return wrapper
+
+    return {name: wrap(getattr(dm, name)) for name in _kernel_names()}
+
+
+@pytest.mark.parametrize("name", list(verify.kernel_checks(0)))
+def test_gradchecked_kernels_never_write_their_inputs(name):
+    """Each program of the kernel suite, forward and backward, with every
+    operand, every kernel output and every upstream gradient read-only."""
+    fn, params = verify.kernel_checks(0)[name]
+    with mock.patch.multiple(dm, **_read_only_kernels()):
+        tape = dm.GradTape()
+        tape.backward(fn(tape))
+    assert all(p.grad is not None for p in params.values())
+
+
+_RANK_SHAPES = {0: (), 1: (4,), 2: (3, 4), 3: (2, 3, 4)}
+
+# kernel case -> (ranks it takes, program over operands x and y of the
+# rank's shape, a constant array c of that shape and parameters p: the
+# vectors gain and bias of the last axis's length, an affine map's w and b)
+_BY_RANK = {
+    "add": (range(4), lambda tape, x, y, c, p: dm.add(tape, x, y)),
+    "add-constant": (range(4), lambda tape, x, y, c, p: dm.add(tape, c, x)),
+    "sub": (range(4), lambda tape, x, y, c, p: dm.sub(tape, x, y)),
+    "sub-constant": (range(4), lambda tape, x, y, c, p: dm.sub(tape, 0.3, x)),
+    "mul": (range(4), lambda tape, x, y, c, p: dm.mul(tape, x, y)),
+    "mul-constant": (range(4), lambda tape, x, y, c, p: dm.mul(tape, x, c)),
+    "gelu": (range(4), lambda tape, x, y, c, p: dm.gelu(tape, x)),
+    "relu": (range(4), lambda tape, x, y, c, p: dm.relu(tape, x)),
+    "elementwise_abs": (range(4), lambda tape, x, y, c, p: dm.elementwise_abs(tape, x)),
+    "mean_all": (range(4), lambda tape, x, y, c, p: dm.mean_all(tape, x)),
+    "bce_with_logits": (range(4), lambda tape, x, y, c, p: dm.bce_with_logits(tape, x, c > 0)),
+    "reshape": (range(4), lambda tape, x, y, c, p: dm.reshape(tape, x, (-1,))),
+    "stack": (range(4), lambda tape, x, y, c, p: dm.stack(tape, [x, y])),
+    "concat": (range(1, 4), lambda tape, x, y, c, p: dm.concat(tape, [x, y], axis=x.ndim - 1)),
+    "softmax": (range(1, 4), lambda tape, x, y, c, p: dm.softmax(tape, x)),
+    "l2_normalize": (range(1, 4), lambda tape, x, y, c, p: dm.l2_normalize(tape, x)),
+    "layer_norm": (range(1, 4), lambda tape, x, y, c, p: dm.layer_norm(tape, x, p["gain"], p["bias"])),
+    "dot": (range(1, 4), lambda tape, x, y, c, p: dm.dot(tape, x, y)),
+    "gather_rows": (range(1, 4), lambda tape, x, y, c, p: dm.gather_rows(tape, x, [1, 0, 1])),
+    "affine": (range(2, 4), lambda tape, x, y, c, p: dm.affine(tape, x, p["w"], p["b"])),
+    "matmul": (range(2, 4), lambda tape, x, y, c, p: dm.matmul(tape, x, dm.transpose(tape, y))),
+    "transpose": (range(2, 4), lambda tape, x, y, c, p: dm.transpose(tape, x)),
+    "mean_rows": ([2], lambda tape, x, y, c, p: dm.mean_rows(tape, x, [1, 4, 2])),
+    "embedding_bag": ([2], lambda tape, x, y, c, p:
+                      dm.embedding_bag(tape, x, [[0, 2], [1, 1]], [[1.0, 0.5], [0.0, 2.0]])),
+}
+
+
+def test_every_kernel_is_run_read_only_by_rank():
+    assert {case.split("-")[0] for case in _BY_RANK} == _kernel_names()
+
+
+@pytest.mark.parametrize("case, rank", [(case, rank) for case, (ranks, _) in _BY_RANK.items() for rank in ranks])
+def test_kernels_never_write_their_inputs_at_any_rank(case, rank):
+    """A kernel's forward and backward pass over read-only operands and a
+    read-only upstream gradient, at every rank from 0 to 3 it takes: on a
+    rank-0 operand numpy gives scalars, which an in-place chain cannot write."""
+    rng = np.random.default_rng(rank)
+    shape = _RANK_SHAPES[rank]
+    x, y = (dm.Tensor(rng.normal(size=shape)) for _ in range(2))
+    c = np.asarray(rng.normal(size=shape))
+    p = {name: dm.Tensor(rng.normal(size=s)) for name, s in (("gain", 4), ("bias", 4), ("w", (4, 2)), ("b", 2))}
+    with mock.patch.multiple(dm, **_read_only_kernels()):
+        out = _BY_RANK[case][1](dm.GradTape(), x, y, c, p)
+        out._backward(rng.normal(size=out.shape))
+    assert x.grad is not None and np.all(np.isfinite(x.grad))
+
+
+# The formulas of the kernels that chain their operations in place, as
+# written before they did: the output, then the gradients of x and of each
+# parameter for upstream gradient g
+def _gelu_formula(x, g):
+    t = np.tanh(dm.GELU_C * (x + 0.044715 * (x * x * x)))
+    d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dm.GELU_C * (1.0 + 3 * 0.044715 * x**2)
+    return 0.5 * x * (1.0 + t), [g * d]
+
+
+def _layer_norm_formula(x, gain, bias, g):
+    n = x.shape[-1]
+    centred = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(np.square(centred), axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + dm.LAYER_NORM_EPS)
+    xhat = centred * inv
+    dxhat = g * gain
+    dx = inv * (dxhat - np.add.reduce(dxhat, axis=-1, keepdims=True) / n
+                - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n))
+    return xhat * gain + bias, [dx, _sum_leading(g * xhat), _sum_leading(g)]
+
+
+def _softmax_formula(x, g):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    return p, [p * (g - (g * p).sum(axis=-1, keepdims=True))]
+
+
+def _affine_formula(x, w, b, g):
+    rows, g_rows = x.reshape(-1, w.shape[0]), g.reshape(-1, w.shape[1])
+    return (rows @ w + b).reshape(g.shape), [(g_rows @ w.T).reshape(x.shape), rows.T @ g_rows, g_rows.sum(axis=0)]
+
+
+def _l2_normalize_formula(x, g):
+    rows, g_rows = x.reshape(-1, x.shape[-1]), g.reshape(-1, x.shape[-1])
+    n = np.sqrt(dm._row_dots(rows, rows))
+    y = rows / n[:, None]
+    return y.reshape(x.shape), [((g_rows - y * dm._row_dots(g_rows, y)[:, None]) / n[:, None]).reshape(x.shape)]
+
+
+def _bce_formula(x, y, g):
+    out = np.where(y > 0.5, np.logaddexp(0.0, -x), np.logaddexp(0.0, x))
+    return out, [g * (dm._sigmoid_stable(np.atleast_1d(x * 1.0)).reshape(x.shape) - y)]
+
+
+# kernel -> (ranks it takes, the kernel, its parameters' shapes, its formulas)
+_FORMULAS = {
+    "gelu": (range(4), dm.gelu, [], _gelu_formula),
+    "layer_norm": (range(1, 4), dm.layer_norm, [(4,), (4,)], _layer_norm_formula),
+    "softmax": (range(1, 4), dm.softmax, [], _softmax_formula),
+    "affine": (range(2, 4), dm.affine, [(4, 3), (3,)], _affine_formula),
+    "l2_normalize": (range(1, 4), dm.l2_normalize, [], _l2_normalize_formula),
+}
+
+
+@pytest.mark.parametrize("name, rank", [(name, rank) for name, (ranks, *_) in _FORMULAS.items() for rank in ranks])
+@pytest.mark.parametrize("seed", range(3))
+def test_in_place_kernels_equal_their_formulas_bitwise(name, rank, seed):
+    """Output and every gradient against the formulas as written, on
+    read-only operands of magnitudes 1e-3 to 1e3 with signed zeros, and a
+    read-only upstream gradient."""
+    _, kernel, param_shapes, formula = _FORMULAS[name]
+    rng = np.random.default_rng(seed)
+    shape = _RANK_SHAPES[rank]
+
+    def draw(shape):
+        a = np.asarray(rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape))
+        a.reshape(-1)[1::5] *= 0.0  # +0.0 and -0.0, no row all zeros
+        a.flags.writeable = False
+        return a
+
+    x, params = draw(shape), [draw(s) for s in param_shapes]
+    g = draw(shape[:-1] + param_shapes[-1] if name == "affine" else shape)
+    want_out, want_grads = formula(x, *params, g)
+    tensors = [dm.Tensor(a) for a in (x, *params)]
+    out = kernel(dm.GradTape(), *tensors)
+    assert out.data.tobytes() == np.asarray(want_out).tobytes()
+    out._backward(g)
+    for t, want in zip(tensors, want_grads):
+        assert t.grad.tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("rank", range(4))
+def test_bce_with_logits_equals_its_formula_bitwise(rank):
+    rng = np.random.default_rng(rank)
+    shape = _RANK_SHAPES[rank]
+    z, g = (_read_only(rng.normal(scale=5.0, size=shape)) for _ in range(2))
+    y = _read_only(rng.integers(0, 2, size=shape).astype(float))
+    want_out, (want_grad,) = _bce_formula(z, y, g)
+    t = dm.Tensor(z)
+    out = dm.bce_with_logits(dm.GradTape(), t, y)
+    assert out.data.tobytes() == np.asarray(want_out).tobytes()
+    out._backward(g)
+    assert t.grad.tobytes() == np.asarray(want_grad).tobytes()
 
 
 def test_kernels_deterministic():

@@ -216,6 +216,10 @@ class TestBceSuite:
         out = float(dm.mean_all(None, dm.bce_with_logits(None, z, y)).data)
         assert out < 1e-6
 
+    def test_targets_of_another_shape_refused(self):
+        with pytest.raises(dm.DimensionMismatch):
+            dm.bce_with_logits(None, dm.Tensor(np.zeros(3)), np.zeros((2, 3)))
+
     def test_swap_invariance_exact(self):
         rng = np.random.default_rng(0)
         for _ in range(50):

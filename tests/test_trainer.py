@@ -579,6 +579,31 @@ class TestTrain:
             # every step's gradient is the one buffer, which is freed when train returns
             assert set(ids[name]) == {ids[name][0]} and first[name]() is None, name
 
+    def test_spent_graph_released_before_next_forward(self, tiny_dataset, monkeypatch):
+        """When a step's forward pass starts, the step before it holds no
+        graph: weak references to its root's array and to its activations
+        (head and block GeLU outputs) are dead."""
+        refs, alive = [], []
+        real_loss, real_gelu = trainer.total_loss, dm.gelu
+
+        def gelu(tape, a):
+            out = real_gelu(tape, a)
+            refs.append(weakref.ref(out.data))
+            return out
+
+        def total_loss(tape, *args, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            refs.clear()
+            total, breakdown, shrunk = real_loss(tape, *args, **kwargs)
+            assert len(refs) >= 2  # the heads' activations
+            refs.append(weakref.ref(total.data))
+            return total, breakdown, shrunk
+
+        monkeypatch.setattr(dm, "gelu", gelu)
+        monkeypatch.setattr(trainer, "total_loss", total_loss)
+        train(tiny_dataset, tiny_config(epochs=1, batch_size=8))  # 24 queries: three steps
+        assert alive == [0, 0, 0]
+
     def test_log_total_matches_components(self, tiny_dataset):
         config = tiny_config(epochs=2)
         _, log = train(tiny_dataset, config)
