@@ -13,6 +13,12 @@ first file; at the first file that differs the script exits 1, naming it.
   which refreshes its hardest-negative pools every epoch; ance2, every
   second epoch, so its second epoch trains on kept pools; beta1 = 0, where
   head_ql gets no gradient but the encoder and head_qb around it do.
+  On 40 labels the 1,024-row bucket table stays partly live (615 rows
+  have had a gradient after ance's 30 steps), so Adam updates its live
+  rows alone throughout.
+- Two runs of ance on 255 labels, whose table is 30% live after the
+  first step and goes back to row order at step 28 of 300, so these runs
+  cover both of Adam's paths.
 - Label order: cluster and ance on 255 labels, and ance on 4,200 (two
   column tiles, so pools are cut at each), fingerprint the same on a copy
   with shuffled labels.jsonl files. Scores take label rows in id order,
@@ -126,8 +132,8 @@ def evaluated(work: Path, variant: str, threads: str) -> dict:
                "--scores", out / "scores.tsv", threads=threads)
 
 
-def two_runs(work: Path, name: str) -> dict:
-    return {label: fingerprint(work, name, dataset(work, 40), f"-{label}") for label in ("a", "b")}
+def two_runs(work: Path, name: str, labels: int = 40) -> dict:
+    return {label: fingerprint(work, name, dataset(work, labels), f"-{label}") for label in ("a", "b")}
 
 
 def label_order(work: Path, name: str, labels: int) -> dict:
@@ -157,6 +163,7 @@ def title_cap(work: Path) -> dict:
 # each case's runs: run name -> sha256 by file
 CASES = {
     **{f"{name}, two runs": partial(two_runs, name=name) for name in CONFIGS},
+    "ance, two runs on 255 labels": partial(two_runs, name="ance", labels=255),
     "cluster, 255 labels ordered and shuffled": partial(label_order, name="cluster", labels=255),
     "ance, 255 labels ordered and shuffled": partial(label_order, name="ance", labels=255),
     "ance, 4,200 labels ordered and shuffled": partial(label_order, name="ance", labels=4200),

@@ -159,6 +159,24 @@ def model_from_tensors(tensors: dict[str, np.ndarray], path: str | Path | None =
 ADAM_BLOCK = 32768
 # update_step's b1, b2 and eps
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
+# The share of a partly-live tensor's rows at which it goes back to row
+# order and the dense loop. On a 4,096 x 64 table whose step gives 10% of
+# its rows a gradient (one pinned CPU, median of 400 alternated steps, two
+# runs), the live-row update took 0.59x the dense time at 35% live rows,
+# 0.71x at 46%, 0.89-0.90x at 60%, 0.98-0.99x at 65%, 0.97-0.98x at 70%,
+# 1.05-1.06x at 75% and 1.30-1.35x at 100%.
+ADAM_DENSE_AT = 0.7
+
+
+@dataclass
+class LiveRows:
+    """The live rows of a partly-live tensor, those whose gradient has been
+    nonzero at some step: ``order`` lists them in the order they first
+    were (the rows of one step in ascending order), and ``mask`` is True
+    at each of them."""
+
+    order: np.ndarray
+    mask: np.ndarray
 
 
 @dataclass
@@ -167,13 +185,28 @@ class AdamState:
     count. ``touched`` names every tensor that had a gradient at some step:
     only those are read or written. An untouched tensor's moments are a
     read-only zero view, which holds no memory; its first gradient gives
-    it zeroed arrays of its own. ``scratch`` holds a block's two
-    temporaries, reused by every step."""
+    it zeroed arrays of its own, shaped like the parameter.
+
+    A touched tensor of rank 2 or more whose rows each fit in half a
+    block of ADAM_BLOCK elements is partly live while its live rows (see
+    LiveRows) are fewer than ADAM_DENSE_AT of its rows; ``live`` holds its
+    LiveRows. Its m and v are compact, shaped like the parameter but not in row
+    order: row i holds the moments of row ``live[name].order[i]``, and the
+    rows past the live count hold zeros, unwritten (so their pages need
+    not be touched) until rows that become live take them. A row that has
+    never been live has zero moments, stored nowhere. So a saved run state
+    must keep ``live`` with the moments, to read them. Every other touched
+    tensor is dense, its moments in row order; a partly-live tensor whose
+    live rows reach ADAM_DENSE_AT goes back to row order once, and leaves
+    ``live``. ``scratch`` holds a block's two temporaries or, on the
+    live-row path, a half-sized block's two temporaries and its gathered
+    gradient and parameter rows, reused by every step."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
     touched: set = field(default_factory=set)
+    live: dict[str, LiveRows] = field(default_factory=dict)
     scratch: np.ndarray = field(default_factory=lambda: np.empty((2, ADAM_BLOCK)), repr=False, compare=False)
 
 
@@ -194,26 +227,67 @@ def _finite(a: np.ndarray) -> bool:
     return a.size == 0 or math.isfinite(a.min()) and math.isfinite(a.max())
 
 
+def _adam_block(g, m, v, p, update, denom, lr: float, t: int) -> None:
+    """Adam's update of one block, in place on m, v and p, with update and
+    denom as temporaries; all six arrays have one shape."""
+    m *= ADAM_B1
+    np.multiply(g, 1 - ADAM_B1, out=update)
+    m += update
+    v *= ADAM_B2
+    np.multiply(g, 1 - ADAM_B2, out=denom)
+    denom *= g
+    v += denom
+    np.divide(m, 1 - ADAM_B1**t, out=update)
+    update *= lr
+    np.divide(v, 1 - ADAM_B2**t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    update /= denom
+    p -= update
+
+
+def _add_live_rows(rows: LiveRows, g: np.ndarray) -> None:
+    """Append the rows of finite g that are nonzero for the first time to
+    rows. A finite value is nonzero when a bit other than its sign is set,
+    so -0.0 is zero: a row is nonzero when the OR of its values' bits,
+    shifted left by one to drop the sign, is not zero. On a 4,096 x 64
+    table this takes 0.13 ms, against 0.19-0.25 ms for g.any(axis=1),
+    which casts every value to bool."""
+    bits = np.bitwise_or.reduce(g.reshape(len(g), -1).view(np.uint64), axis=1)
+    fresh = np.left_shift(bits, 1, out=bits) != 0
+    new = np.flatnonzero(np.greater(fresh, rows.mask, out=fresh))
+    if new.size:
+        rows.mask[new] = True
+        rows.order = np.concatenate((rows.order, new))
+
+
 def update_step(params: dict[str, dm.Tensor], state: AdamState, lr: float) -> None:
     """Adaptive moment estimation update with bias correction, in place.
 
     A parameter whose gradient has been zero on every step so far has
-    zero moments and a mathematically zero update, so it is skipped. A
-    touched parameter without a gradient this step gets its own gradient
-    buffer (Tensor.buffer), filled with zeros. The others are updated
-    tensor by tensor in blocks of ADAM_BLOCK elements, each element by the
-    operations, in the order, of
+    zero moments and a mathematically zero update, so it is skipped; so is
+    a row of a partly-live tensor (see AdamState) that has never had a
+    nonzero gradient, whose update is zero to the bit. A touched parameter
+    without a gradient this step gets its own gradient buffer
+    (Tensor.buffer), filled with zeros. A dense tensor is updated in
+    blocks of ADAM_BLOCK elements. A partly-live tensor first appends the
+    rows that are nonzero for the first time to its live rows; then its
+    live rows are updated in that order, in blocks of
+    ADAM_BLOCK // (2 * width) rows, each block's gradient and parameter
+    rows gathered into scratch and the parameter rows written back. Every element is
+    updated by the operations, in the order, of
     m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
     p = p - lr*(m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps),
-    so the result does not depend on the block size. Gradients are left
-    for the caller to read, until the next step's backward pass reuses
-    the buffers. Nothing tensor-sized is allocated except a tensor's
-    moments, at its first gradient.
+    so the result does not depend on the block size or the path. Gradients
+    are left for the caller to read, until the next step's backward pass
+    reuses the buffers. Nothing tensor-sized is allocated except a
+    tensor's moments, at its first gradient and when it goes back to row
+    order.
 
     Every gradient is checked first, in checkpoint order: a wrong shape
     raises ShapeMismatch, a NaN or infinite value NonFiniteGradient naming
-    the tensor. Either leaves every parameter and moment unwritten and the
-    step uncounted.
+    the tensor. Either leaves every parameter, moment and live row
+    unwritten and the step uncounted.
     """
     grads = {}
     for name, p in params.items():
@@ -229,30 +303,53 @@ def update_step(params: dict[str, dm.Tensor], state: AdamState, lr: float) -> No
         grads[name] = p.grad
     state.step += 1
     t = state.step
-    tmp = state.scratch
     for name, g in grads.items():
-        if name not in state.touched:  # its first gradient: moments of its own
+        first = name not in state.touched
+        if first:  # moments of its own
             state.touched.add(name)
             state.m[name], state.v[name] = np.zeros(g.shape), np.zeros(g.shape)
-        g, data, m, v = (np.ravel(a) for a in (g, params[name].data, state.m[name], state.v[name]))
-        for lo in range(0, g.size, ADAM_BLOCK):
-            hi = min(lo + ADAM_BLOCK, g.size)
-            gb, mb, vb = g[lo:hi], m[lo:hi], v[lo:hi]
-            update, denom = tmp[:, : hi - lo]
-            mb *= ADAM_B1
-            np.multiply(gb, 1 - ADAM_B1, out=update)
-            mb += update
-            vb *= ADAM_B2
-            np.multiply(gb, 1 - ADAM_B2, out=denom)
-            denom *= gb
-            vb += denom
-            np.divide(mb, 1 - ADAM_B1**t, out=update)
-            update *= lr
-            np.divide(vb, 1 - ADAM_B2**t, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += ADAM_EPS
-            update /= denom
-            data[lo:hi] -= update
+            if g.ndim >= 2 and 0 < 2 * g[0].size <= ADAM_BLOCK:  # rows that fit in a live-row block
+                state.live[name] = LiveRows(np.empty(0, dtype=np.intp), np.zeros(len(g), dtype=bool))
+        rows = state.live.get(name)
+        if rows is not None:
+            _add_live_rows(rows, g)
+            if len(rows.order) >= ADAM_DENSE_AT * len(g):
+                del state.live[name]
+                if not first:  # the first gradient's moments are zero in any order
+                    for moments in (state.m, state.v):
+                        compact, moments[name] = moments[name], np.zeros(g.shape)
+                        moments[name].reshape(len(g), -1)[rows.order] = compact.reshape(len(g), -1)[: len(rows.order)]
+                rows = None
+        if rows is None:
+            _update_dense(g, params[name].data, state.m[name], state.v[name], state.scratch, lr, t)
+        else:
+            _update_rows(g, params[name].data, state.m[name], state.v[name], rows.order, state.scratch, lr, t)
+
+
+def _update_dense(g, data, m, v, tmp: np.ndarray, lr: float, t: int) -> None:
+    """Adam's update of a dense tensor, in blocks of ADAM_BLOCK elements."""
+    g, data, m, v = (np.ravel(a) for a in (g, data, m, v))
+    for lo in range(0, g.size, ADAM_BLOCK):
+        hi = min(lo + ADAM_BLOCK, g.size)
+        _adam_block(g[lo:hi], m[lo:hi], v[lo:hi], data[lo:hi], *tmp[:2, : hi - lo], lr, t)
+
+
+def _update_rows(g, data, m, v, order: np.ndarray, tmp: np.ndarray, lr: float, t: int) -> None:
+    """Adam's update of a partly-live tensor's live rows, ``order``, whose
+    moments are compact, in blocks of ADAM_BLOCK // (2 * width) rows: a
+    block's two temporaries and its gathered gradient and parameter rows
+    share the dense loop's scratch."""
+    g, data, m, v = (a.reshape(len(a), -1) for a in (g, data, m, v))
+    width = g.shape[1]
+    per = ADAM_BLOCK // (2 * width)
+    tmp = tmp.reshape(-1)
+    for lo in range(0, len(order), per):
+        idx = order[lo : lo + per]
+        update, denom, gb, pb = tmp[: 4 * len(idx) * width].reshape(4, len(idx), width)
+        np.take(g, idx, axis=0, out=gb, mode="clip")  # idx is in range; "clip" writes out unbuffered
+        np.take(data, idx, axis=0, out=pb, mode="clip")
+        _adam_block(gb, m[lo : lo + len(idx)], v[lo : lo + len(idx)], pb, update, denom, lr, t)
+        data[idx] = pb
 
 
 # ---------------------------------------------------------------------------

@@ -194,8 +194,25 @@ def _land(p: dm.Tensor, g: np.ndarray) -> None:
 
 
 def _adam_bytes(params: dict[str, dm.Tensor], state: AdamState) -> bytes:
-    """The bytes of every parameter and both its moments, in checkpoint order."""
-    return b"".join(a.tobytes() for name, p in params.items() for a in (p.data, state.m[name], state.v[name]))
+    """The bytes of every parameter and both its moments, in checkpoint
+    order, then those of each partly-live tensor's live rows."""
+    return b"".join(a.tobytes() for name, p in params.items() for a in (p.data, state.m[name], state.v[name])) + \
+        b"".join(name.encode() + rows.order.tobytes() + rows.mask.tobytes() for name, rows in state.live.items())
+
+
+def _row_order_moments(state: AdamState, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """name's m and v in row order: a partly-live tensor's compact rows
+    scattered into zeros, or a dense tensor's arrays as they are."""
+    if name not in state.live:
+        return state.m[name], state.v[name]
+    order = state.live[name].order
+    moments = []
+    for compact in (state.m[name], state.v[name]):
+        assert not compact[len(order):].any()  # the rows no live row has taken yet
+        dense = np.zeros_like(compact)
+        dense[order] = compact[: len(order)]
+        moments.append(dense)
+    return moments[0], moments[1]
 
 
 class TestArena:
@@ -347,6 +364,106 @@ class TestArena:
         assert list(ckpt.tensors) == list(params)
         for name, p in params.items():
             assert ckpt.tensors[name] is p.data, name
+
+
+class TestLiveRows:
+    """Adam on a partly-live table: only rows whose gradient has been
+    nonzero at some step are read or written, bit for bit as the dense
+    formula."""
+
+    @pytest.mark.parametrize("block", [32768, 12])  # at 12, blocks of 2 table rows and 1 row of other
+    def test_matches_reference_formula_bitwise(self, monkeypatch, block):
+        monkeypatch.setattr(trainer, "ADAM_BLOCK", block)
+        monkeypatch.setattr(trainer, "ADAM_DENSE_AT", 0.6)
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
+        rng = np.random.default_rng(block)
+        params = {"table": dm.Tensor(rng.normal(size=(12, 3))), "bias": dm.Tensor(rng.normal(size=3)),
+                  "other": dm.Tensor(rng.normal(size=(5, 2, 2)))}
+        params["table"].data[6] = [-0.0, 0.0, -0.0]  # never live: keeps its bytes, signs included
+        state = init_adam(params)
+        ref = {name: [p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)] for name, p in params.items()}
+
+        def rows(at, shape=(12, 3), zeros=()):
+            g = np.zeros(shape)
+            g[list(at)] = rng.normal(size=(len(at), *shape[1:]))
+            for r in zeros:  # rows that get only signed zeros
+                g[r] = [-0.0, 0.0, -0.0]
+            return g
+
+        steps = [  # each tensor's gradient (None: no gradient this step), and the table's live rows after
+            ({"table": rows([0, 5], zeros=[2, 3]), "bias": rng.normal(size=3), "other": rows([1], (5, 2, 2))},
+             [0, 5]),
+            ({"table": None, "bias": None, "other": None}, [0, 5]),  # touched, no gradient
+            ({"table": rows([7, 0], zeros=[2]), "other": rows([4, 1], (5, 2, 2))}, [0, 5, 7]),  # 7 late
+            ({"table": rows([11, 1, 9]), "bias": rng.normal(size=3)}, [0, 5, 7, 1, 9, 11]),
+            ({"table": rows([3, 4]), "other": rows([0, 2, 3], (5, 2, 2))}, None),  # 8 of 12 rows: row order
+            ({"table": rows([2, 10, 5], zeros=[8])}, None),
+        ]
+        for t, (grads, live) in enumerate(steps, start=1):
+            for name, p in params.items():
+                p.grad = None if grads.get(name) is None else grads[name].copy()
+            update_step(params, state, lr=lr)
+            for name in params:  # all touched at step 1
+                g = grads.get(name)
+                g = np.zeros_like(params[name].data) if g is None else g
+                p_ref, m, v = ref[name]
+                m = b1 * m + (1 - b1) * g
+                v = b2 * v + (1 - b2) * g * g
+                ref[name] = [p_ref - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps), m, v]
+            for name, p in params.items():
+                for got, want in zip((p.data, *_row_order_moments(state, name)), ref[name]):
+                    assert got.tobytes() == want.tobytes(), (name, t)
+            if live is None:
+                assert "table" not in state.live and state.m["table"].shape == (12, 3)
+            else:
+                assert state.live["table"].order.tolist() == live, t
+                assert np.flatnonzero(state.live["table"].mask).tolist() == sorted(live)
+            # "other" gains live rows 1, 4, then 0, 2 and 3, past 0.6 of its 5
+            assert ("other" in state.live) == (t < 5) and "bias" not in state.live
+        assert params["table"].data[6].tobytes() == np.array([-0.0, 0.0, -0.0]).tobytes()
+
+    @pytest.mark.parametrize("fault", ["nan", "inf", "shape"])
+    def test_rejected_step_leaves_live_rows_unwritten(self, fault):
+        params = init_model(np.random.default_rng(0), tiny_config()).named_tensors()
+        state = init_adam(params)
+        table = params["encoder/bucket_table"]
+        for p in params.values():
+            _land(p, np.ones(p.shape))
+        table.grad[10:] = 0.0
+        update_step(params, state, lr=0.1)
+        assert state.live["encoder/bucket_table"].order.tolist() == list(range(10))
+        kept = _adam_bytes(params, state)
+        table.grad[:] = 1.0  # every row new but the first ten; rejected by a tensor after the table
+        if fault == "shape":
+            params["head_ql/b2"].grad = np.zeros(2)
+        else:
+            params["head_ql/b2"].grad[0] = np.nan if fault == "nan" else np.inf
+        with pytest.raises(ShapeMismatch if fault == "shape" else dm.NonFiniteGradient):
+            update_step(params, state, lr=0.1)
+        assert _adam_bytes(params, state) == kept
+        assert state.step == 1
+
+    def test_partly_live_step_allocates_nothing_tensor_sized(self):
+        params = init_model(np.random.default_rng(0), TrainConfig()).named_tensors()
+        state = init_adam(params)
+        table = params["encoder/bucket_table"]
+        rows = np.random.default_rng(1).permutation(len(table.data))
+        for p in params.values():
+            _land(p, np.ones(p.shape))
+        table.grad[rows[1200:]] = 0.0  # 1,200 of 4,096 rows live
+        update_step(params, state, lr=0.1)
+        table.grad.fill(0.0)
+        table.grad[rows[1000:1600]] = 1.0  # 400 new rows, 200 live ones
+        params["head_ql/b2"].grad = None  # touched earlier, no gradient now: its own buffer, zeroed
+        tracemalloc.start()
+        try:
+            update_step(params, state, lr=0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(state.live["encoder/bucket_table"].order) == 1600
+        # row-sized arrays only: the table's 262,144 values as bools would take 256 KB
+        assert peak < 65536
 
 
 class TestCheckpointFormat:
