@@ -8,6 +8,11 @@ score-histogram overlap. Writes a JSON summary next to the console table.
 
     python3 scripts/run_directional.py --seeds 0 1 2 --out directional_results.json
 
+--test-queries N evaluates the same checkpoints on N test queries: the
+synthetic spec draws its test queries after the labels and the training
+queries, so the default split of 500 is the prefix of any larger one,
+and training sees the same data.
+
 It runs from a checkout without an install, on the checkout's own source,
 with one BLAS thread, pinned before numpy loads: OpenBLAS rounds some
 products differently with a different number of threads, so the table is
@@ -27,7 +32,7 @@ from pathlib import Path  # noqa: E402
 # the checkout's own source, not an installed copy
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from xmcreg.data_io import write_atomic  # noqa: E402
+from xmcreg.data_io import SyntheticSpec, write_atomic  # noqa: E402
 from xmcreg.experiments import directional_comparison  # noqa: E402
 
 
@@ -35,10 +40,14 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     parser.add_argument("--target-precision", type=float, default=0.85)
+    parser.add_argument("--test-queries", type=int, help=f"test split size (default {SyntheticSpec.num_test_queries})")
     parser.add_argument("--out", default="directional_results.json")
     args = parser.parse_args()
 
-    result = directional_comparison(seeds=tuple(args.seeds), target_precision=args.target_precision)
+    test_queries = args.test_queries or SyntheticSpec.num_test_queries
+    # without the flag, directional_comparison builds its own default spec
+    spec = {} if args.test_queries is None else {"spec": SyntheticSpec(num_test_queries=args.test_queries)}
+    result = directional_comparison(seeds=tuple(args.seeds), target_precision=args.target_precision, **spec)
 
     header = f"{'seed':>6} {'variant':>12} {'P@1':>8} {'C@1':>8} {'overlap':>8}"
     print(header)
@@ -58,6 +67,7 @@ def main() -> None:
     payload = {
         "seeds": result.seeds,
         "target_precision": args.target_precision,
+        "test_queries": test_queries,
         "base": [vars(r) for r in result.base],
         "regularized": [vars(r) for r in result.regularized],
         "mean": {

@@ -38,15 +38,22 @@ class Tensor:
     gradient buffer from its first gradient on. Each backward pass writes
     the leaf's first gradient into it and adds later ones in place, so a
     leaf's .grad is that buffer, to be read until the next pass reuses it.
+
+    The buffer also records the rows it may hold nonzero: None for
+    unknown, or the ascending rows outside which it holds +0.0. Row
+    scatters (_scatter_rows) keep the record, and any other write into the
+    buffer makes it None. So a pass re-zeroes only the rows the last pass
+    recorded, and update_step reads only those (grad_rows).
     """
 
-    __slots__ = ("data", "grad", "_backward", "_buffer")
+    __slots__ = ("data", "grad", "_backward", "_buffer", "_rows")
 
     def __init__(self, data) -> None:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self._backward = None
         self._buffer: np.ndarray | None = None
+        self._rows: np.ndarray | None = None
 
     def buffer(self) -> np.ndarray:
         """This tensor's own gradient buffer: C-ordered, of its shape, allocated
@@ -54,6 +61,19 @@ class Tensor:
         if self._buffer is None:
             self._buffer = np.empty(self.data.shape)
         return self._buffer
+
+    def zeroed_buffer(self) -> np.ndarray:
+        """This tensor's buffer filled with +0.0, written only in the
+        recorded rows (everywhere when the record is None); the record
+        becomes empty."""
+        buf = self.buffer()
+        buf[... if self._rows is None else self._rows] = 0.0
+        self._rows = np.empty(0, dtype=np.intp) if buf.ndim else None  # rank 0 has no rows
+        return buf
+
+    def grad_rows(self) -> np.ndarray | None:
+        """The buffer's record when .grad is the buffer, else None."""
+        return self._rows if self.grad is self._buffer else None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -127,19 +147,21 @@ def _fresh(t) -> np.ndarray | None:
 
 def _accum(t, g: np.ndarray) -> None:
     """Add g to t's gradient. A leaf copies its first g into its buffer and
-    adds later ones there in place. Any other tensor keeps its first g as it
-    is and adds later ones out of place: a stored gradient other than a
-    leaf's own buffer may be shared with other tensors and is never written."""
+    adds later ones there in place, and its record becomes None. Any other
+    tensor keeps its first g as it is and adds later ones out of place: a
+    stored gradient other than a leaf's own buffer may be shared with
+    other tensors and is never written."""
     if not isinstance(t, Tensor):
         return
     buf = _fresh(t)
     if buf is not None:
         np.copyto(buf, g)
-        t.grad = buf
+        t.grad, t._rows = buf, None
     elif t.grad is None:
         t.grad = g
     elif t.grad is t._buffer:
         t.grad += g
+        t._rows = None
     else:
         t.grad = t.grad + g
 
@@ -150,7 +172,7 @@ def _accum_matmul(t, x: np.ndarray, y: np.ndarray) -> None:
     if buf is None:
         _accum(t, x @ y)
     else:
-        t.grad = np.matmul(x, y, out=buf)
+        t.grad, t._rows = np.matmul(x, y, out=buf), None
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -316,18 +338,18 @@ def _scatter_rows(t, idx: np.ndarray, vals: np.ndarray) -> None:
     """np.add.at(t.grad, idx, vals) over the rows of t's gradient, bit for
     bit: the same additions in the same order, but on numpy's fast path
     for a 1-D destination (a row-wise add.at runs one index at a time).
-    A leaf's first sum of a pass starts from its buffer filled with zeros,
-    and later ones add into that buffer. Otherwise the sum starts from
-    fresh zeros, or from a C-ordered copy of t's gradient so far, which
-    _accum may share with other tensors. Callers pass vals + 0.0, which
-    maps -0.0 to +0.0 as adding into a zero buffer does. A constant t
-    gets nothing."""
+    A leaf's first sum of a pass starts from its buffer filled with zeros
+    (Tensor.zeroed_buffer, which writes only the rows the last pass
+    recorded), and later ones add into that buffer; its record becomes
+    the union of the rows added into, unless another write made it None.
+    Otherwise the sum starts from fresh zeros, or from a C-ordered copy
+    of t's gradient so far, which _accum may share with other tensors.
+    Callers pass vals + 0.0, which maps -0.0 to +0.0 as adding into a
+    zero buffer does. A constant t gets nothing."""
     if not isinstance(t, Tensor):
         return
-    buf = _fresh(t)
-    if buf is not None:
-        buf.fill(0.0)
-        t.grad = buf
+    if _fresh(t) is not None:
+        t.grad = t.zeroed_buffer()
     elif t.grad is None:
         t.grad = np.zeros(t.shape)
     elif t.grad is not t._buffer:
@@ -335,6 +357,10 @@ def _scatter_rows(t, idx: np.ndarray, vals: np.ndarray) -> None:
     width = math.prod(t.shape[1:])
     flat = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
     np.add.at(t.grad.reshape(-1), flat, vals.reshape(-1))
+    if t.grad_rows() is not None:  # a mask, not np.unique, which sorts
+        mask = np.zeros(len(t.grad), dtype=bool)
+        mask[t._rows] = mask[idx] = True
+        t._rows = np.flatnonzero(mask)
 
 
 def gather_rows(tape, a, idx) -> Tensor:

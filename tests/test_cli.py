@@ -612,6 +612,21 @@ class TestDirectionalScript:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json"]  # no .tmp left behind
         assert f"wrote {out}" in capsys.readouterr().out
 
+    def test_test_queries_widens_only_the_test_split(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        spec = importlib.util.spec_from_file_location("run_directional", self.SCRIPT)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        calls = []
+        result = ComparisonResult(seeds=[4], base=[RunResult(0.5, 0.25, 0.75)], regularized=[RunResult(1.0, 0.5, 0.0)])
+        monkeypatch.setattr(script, "directional_comparison", lambda **kwargs: calls.append(kwargs) or result)
+        out = tmp_path / "summary.json"
+        monkeypatch.setattr(sys, "argv", ["run_directional.py", "--seeds", "4", "--test-queries", "10000",
+                                          "--out", str(out)])
+        script.main()
+        assert calls[0]["spec"] == script.SyntheticSpec(num_test_queries=10000)
+        assert json.loads(out.read_text())["test_queries"] == 10000
+
 
 class TestUsage:
     def test_unknown_flag_exit_1_no_files(self, tmp_path):

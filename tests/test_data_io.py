@@ -219,6 +219,17 @@ class TestBuildSynthetic:
             (q.id, q.text, q.positives) for q in b[1]
         ]
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_larger_test_split_extends_the_default_one(self, seed):
+        """Test queries are drawn last, so a larger num_test_queries keeps
+        the labels and training queries and extends the test split: the
+        default 500 are the prefix of the larger split
+        (scripts/run_directional.py --test-queries relies on this)."""
+        base = build_synthetic(SyntheticSpec(seed=seed))
+        wide = build_synthetic(dataclasses.replace(SyntheticSpec(seed=seed), num_test_queries=2000))
+        assert wide[0] == base[0] and wide[1] == base[1]
+        assert len(wide[2]) == 2000 and wide[2][:500] == base[2]
+
 
 class TestGenerateAndLoad:
     @pytest.mark.parametrize("fields", [

@@ -569,6 +569,98 @@ class TestGradientBuffers:
         assert all(t.grad is not None for t in (w, x, b))
 
 
+def _assert_zero_outside_record(t: dm.Tensor) -> None:
+    """t.grad is +0.0, by its bytes, in every row outside t's record, whose rows ascend."""
+    rows = t.grad_rows()
+    assert rows is not None and np.all(np.diff(rows) > 0)
+    outside = np.ones(len(t.grad), dtype=bool)
+    outside[rows] = False
+    assert t.grad[outside].tobytes() == np.zeros(t.grad[outside].shape).tobytes()
+
+
+class TestBufferRecord:
+    """A leaf's buffer records the rows a row scatter added into; the next
+    pass re-zeroes only those, and any other write makes the record
+    unknown. Every pass's gradient equals, byte for byte, what the same
+    pass gives a new leaf, whose scatter starts from a zero-filled buffer."""
+
+    # the gradient-carrying uses of a leaf in one pass: row scatters, and
+    # kernels that write its buffer whole
+    USES = {
+        "gather": lambda tape, t, rows: dm.gather_rows(tape, t, rows),
+        "bag": lambda tape, t, rows: dm.embedding_bag(tape, t, [rows], [np.linspace(0.5, 1.5, len(rows))]),
+        "accumulate": lambda tape, t, rows: dm.mul(tape, t, 2.0),
+        "product": lambda tape, t, rows: dm.matmul(tape, t, np.eye(3)),
+    }
+
+    @classmethod
+    def _pass(cls, t: dm.Tensor, uses) -> None:
+        """One backward pass of the sum of squares of each use, recorded in order."""
+        t.grad = None
+        tape = dm.GradTape()
+        terms = []
+        for use, rows in uses:
+            out = cls.USES[use](tape, t, np.asarray(rows))
+            terms.append(dm.mean_all(tape, dm.mul(tape, out, out)))
+        total = terms[0]
+        for term in terms[1:]:
+            total = dm.add(tape, total, term)
+        tape.backward(total)
+
+    @classmethod
+    def _check(cls, t: dm.Tensor, uses) -> None:
+        cls._pass(t, uses)
+        fresh = dm.Tensor(t.data)
+        cls._pass(fresh, uses)
+        assert t.grad is t.buffer() and t.grad.tobytes() == fresh.grad.tobytes()
+
+    def test_scatters_record_their_rows_and_the_next_pass_rezeroes_them(self):
+        t = dm.Tensor(np.random.default_rng(0).normal(size=(8, 3)))
+        self._check(t, [("gather", [5, 1, 5])])
+        assert t.grad_rows().tolist() == [1, 5]
+        _assert_zero_outside_record(t)
+        # two scatters in one pass: the record is the union of their rows
+        self._check(t, [("gather", [0, 2]), ("bag", [6, 2])])
+        assert t.grad_rows().tolist() == [0, 2, 6]
+        _assert_zero_outside_record(t)
+        # rows 0, 2 and 6 of the last pass come out zero
+        self._check(t, [("bag", [3])])
+        assert t.grad_rows().tolist() == [3]
+        _assert_zero_outside_record(t)
+
+    @pytest.mark.parametrize("dense", ["accumulate", "product"])
+    @pytest.mark.parametrize("first", ["scatter", "dense"])
+    def test_a_write_other_than_a_scatter_makes_the_record_unknown(self, dense, first):
+        t = dm.Tensor(np.random.default_rng(1).normal(size=(8, 3)))
+        self._check(t, [("gather", [4])])
+        # backward runs in reverse: the use recorded last writes first
+        uses = [("gather", [2, 7]), (dense, [])]
+        self._check(t, uses if first == "dense" else uses[::-1])
+        assert t.grad_rows() is None
+        # the next pass zeroes every row the dense write left nonzero
+        self._check(t, [("gather", [1])])
+        assert t.grad_rows().tolist() == [1]
+        _assert_zero_outside_record(t)
+
+    def test_gradient_other_than_the_buffer_has_no_record(self):
+        t = dm.Tensor(np.ones((4, 2)))
+        self._check(t, [("gather", [1])])
+        t.grad = np.ones((4, 2))  # assigned from outside: the buffer's record does not describe it
+        assert t.grad_rows() is None
+        dm.gather_rows(dm.GradTape(), t, [2])._backward(np.ones((1, 2)))
+        assert t.grad_rows() is None and t.grad[0].tolist() == [1.0, 1.0]
+
+    def test_zeroed_buffer_writes_the_recorded_rows_and_records_none(self):
+        t = dm.Tensor(np.ones((5, 2)))
+        self._check(t, [("gather", [3])])
+        t.grad = t.zeroed_buffer()
+        assert t.grad.tobytes() == np.zeros((5, 2)).tobytes() and t.grad_rows().size == 0
+        s = dm.Tensor(np.ones(()))  # a rank-0 buffer, zeroed twice, records nothing it cannot index
+        for _ in range(2):
+            s.grad = s.zeroed_buffer()
+            assert s.grad.tobytes() == np.zeros(()).tobytes() and s.grad_rows() is None
+
+
 def test_finite_outputs_on_finite_inputs():
     rng = np.random.default_rng(11)
     x = dm.Tensor(rng.normal(scale=50, size=(6, 8)))

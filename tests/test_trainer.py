@@ -465,6 +465,126 @@ class TestLiveRows:
         # row-sized arrays only: the table's 262,144 values as bools would take 256 KB
         assert peak < 65536
 
+    def test_partly_live_step_from_embedding_bag_allocates_nothing_tensor_sized(self):
+        params = init_model(np.random.default_rng(0), TrainConfig()).named_tensors()
+        state = init_adam(params)
+        table = params["encoder/bucket_table"]
+        rows = np.random.default_rng(1).permutation(len(table.data))
+        for name, p in params.items():
+            if p is not table:
+                _land(p, np.ones(p.shape))
+        _bag_land(table, rows[:1200])  # 1,200 of 4,096 rows live
+        update_step(params, state, lr=0.1)
+        table.grad = None
+        _bag_land(table, rows[1000:1600])  # 400 new rows, 200 live ones, on record
+        assert table.grad_rows().tolist() == sorted(rows[1000:1600])
+        params["head_ql/b2"].grad = None  # touched earlier, no gradient now: its own buffer, zeroed
+        tracemalloc.start()
+        try:
+            update_step(params, state, lr=0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(state.live["encoder/bucket_table"].order) == 1600
+        # row-sized arrays only: the 600 recorded rows' 38,400 values would take 300 KB
+        assert peak < 65536
+
+
+def _bag_land(table: dm.Tensor, rows) -> None:
+    """Backward of the mean of embedding_bag over table, one bag per row of
+    rows: the table's first gradient of a pass, with exactly those rows
+    nonzero and on its buffer's record."""
+    tape = dm.GradTape()
+    tape.backward(dm.mean_all(tape, dm.embedding_bag(tape, table, [rows], [np.ones(len(rows))])))
+
+
+class TestRecordedRows:
+    """update_step reads a gradient whose buffer records its nonzero rows
+    (the bucket table's, which embedding_bag scatters) only in those rows,
+    and gives the result of reading all of it."""
+
+    @pytest.mark.parametrize("sampler", ["cluster", "ance"])
+    def test_table_buffer_is_each_pass_gradient_and_zero_outside_its_record(self, tiny_dataset, monkeypatch,
+                                                                             sampler):
+        real_init, real_scatter, real_update = trainer.init_adam, dm._scatter_rows, trainer.update_step
+        seen, recorded = {}, []
+
+        def init(params):
+            seen["table"] = params["encoder/bucket_table"]
+            return real_init(params)
+
+        def scatter(t, idx, vals):  # the table's gradient as the pass gives it into a zero-filled buffer
+            if t is seen.get("table"):
+                if t.grad is None:
+                    seen["want"] = np.zeros(t.shape)
+                np.add.at(seen["want"], idx, vals)
+            real_scatter(t, idx, vals)
+
+        def update(params, state, lr):  # after every backward pass
+            table = seen["table"]
+            rows = table.grad_rows()
+            assert rows is not None and np.all(np.diff(rows) > 0)
+            outside = np.ones(len(table.grad), dtype=bool)
+            outside[rows] = False
+            assert table.grad[outside].tobytes() == np.zeros((outside.sum(), table.shape[1])).tobytes()
+            assert table.grad.tobytes() == seen["want"].tobytes()
+            recorded.append(rows)
+            real_update(params, state, lr)
+
+        monkeypatch.setattr(trainer, "init_adam", init)
+        monkeypatch.setattr(dm, "_scatter_rows", scatter)
+        monkeypatch.setattr(trainer, "update_step", update)
+        train(tiny_dataset, tiny_config(epochs=2, sampler=sampler, refresh_cadence=1, pool_size=5))
+        assert len(recorded) == 12  # 24 queries in groups of 4, twice
+        # each pass records its own rows, not the union of the passes so far
+        assert all(0 < len(rows) < len(seen["table"].data) for rows in recorded)
+        assert any(not np.isin(a, b).all() for a, b in zip(recorded, recorded[1:]))
+
+    @pytest.mark.parametrize("block", [32768, 40])  # at 40, the checks gather the recorded rows 5 at a time
+    @pytest.mark.parametrize("row", ["live", "new"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_in_a_recorded_row_rejected_before_any_write(self, monkeypatch, block, row, value):
+        monkeypatch.setattr(trainer, "ADAM_BLOCK", block)
+        params = init_model(np.random.default_rng(0), tiny_config()).named_tensors()
+        state = init_adam(params)
+        table = params["encoder/bucket_table"]
+        for p in params.values():
+            if p is not table:
+                _land(p, np.ones(p.shape))
+        _bag_land(table, np.arange(0, 60, 3))
+        update_step(params, state, lr=0.1)
+        kept = _adam_bytes(params, state)
+        table.grad = None
+        _bag_land(table, np.arange(0, 60, 2))  # rows 0, 6, ..., 54 live, the other 20 new
+        bad = 54 if row == "live" else 58  # in the last block at 40
+        table.grad[bad, -1] = value
+        # head_ql/b2 comes after the table in checkpoint order and holds a finite gradient
+        assert np.isfinite(params["head_ql/b2"].grad).all()
+        with pytest.raises(dm.NonFiniteGradient, match="^non-finite gradient of encoder/bucket_table at step 1$"):
+            update_step(params, state, lr=0.1)
+        assert _adam_bytes(params, state) == kept
+        assert state.step == 1
+
+    def test_recorded_rows_give_the_full_read_bitwise(self, monkeypatch):
+        """Adam over three passes of a table gradient from embedding_bag
+        equals Adam over the same gradients assigned as plain arrays, which
+        update_step reads whole."""
+        monkeypatch.setattr(trainer, "ADAM_BLOCK", 40)
+        runs = []
+        for assigned in (False, True):
+            params = init_model(np.random.default_rng(0), tiny_config()).named_tensors()
+            table = params["encoder/bucket_table"]
+            state = init_adam(params)
+            for rows in (np.arange(0, 60, 3), np.arange(30, 90, 2), np.array([5, 1, 5, 700])):
+                table.grad = None
+                _bag_land(table, rows)
+                if assigned:
+                    table.grad = table.grad.copy()
+                assert (table.grad_rows() is None) == assigned
+                update_step(params, state, lr=0.1)
+            runs.append(_adam_bytes(params, state))
+        assert runs[0] == runs[1]
+
 
 class TestCheckpointFormat:
     def test_round_trip_bit_exact(self, tmp_path):
