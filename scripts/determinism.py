@@ -13,15 +13,16 @@ first file; at the first file that differs the script exits 1, naming it.
   which refreshes its hardest-negative pools every epoch; ance2, every
   second epoch, so its second epoch trains on kept pools; beta1 = 0, where
   head_ql gets no gradient but the encoder and head_qb around it do.
-  On 40 labels the 1,024-row bucket table stays partly live (615 rows
-  have had a gradient after ance's 30 steps), so Adam updates its live
-  rows alone throughout.
-- Two runs of ance on 255 labels, whose table is 30% live after the
-  first step and goes back to row order at step 28 of 300, so these runs
-  cover both of Adam's paths.
+  Training holds the 1,024-row bucket table in first-use order, and Adam
+  updates the prefix of the rows read so far: after the 30 steps of
+  these runs it holds 59% of the table (cluster and beta1 = 0) or 60%
+  (ance and ance2). ance's second refresh reads the reordered table.
+- Two runs of ance on 255 labels, whose prefix grows from 30% of the
+  table after the first step to 91% after the 300th.
 - Label order: cluster and ance on 255 labels, and ance on 4,200 (two
   column tiles, so pools are cut at each), fingerprint the same on a copy
-  with shuffled labels.jsonl files. Scores take label rows in id order,
+  with shuffled labels.jsonl files; their prefixes end at 91% of the
+  table on 255 labels and 80% on 4,200. Scores take label rows in id order,
   zero-padded to a multiple of 8, so each passes the same OpenBLAS kernel
   columns whatever the file order.
 - Threads (skipped, with the reason, where tests/test_blas_threads.py is):

@@ -133,15 +133,21 @@ def encode(params: EncoderParams, text: str, tape: dm.GradTape | None = None) ->
     return dm.reshape(tape, embed(params, featurize([text], params.num_buckets), tape), (params.dim,))
 
 
-def encode_matrix(params: EncoderParams, texts: list[str]) -> np.ndarray:
+def encode_matrix(params: EncoderParams, texts: list[str], rows: np.ndarray | None = None) -> np.ndarray:
     """Stacked embeddings for frozen-parameter inference (no tape), one
-    row per text in input order. Texts are embedded in chunks of similar
-    length (a stable sort by length), so a chunk carries few pad slots, and
-    a chunk's bags are pooled in blocks of dm.BAG_BLOCK elements; a row's
-    bits depend on neither its chunk nor its block."""
+    row per text in input order. ``rows``, if given, maps each bucket to
+    the table row that holds it (the table is in bucket order without it).
+    Texts are embedded in chunks of similar length (a stable sort by
+    length), so a chunk carries few pad slots, and a chunk's bags are
+    pooled in blocks of dm.BAG_BLOCK elements; a row's bits depend on
+    neither its chunk nor its block."""
     out = np.empty((len(texts), params.dim))
     order = np.argsort(np.fromiter(map(len, texts), np.intp, len(texts)), kind="stable").tolist()
     for start in range(0, len(texts), FEATURIZE_CHUNK):
-        rows = order[start : start + FEATURIZE_CHUNK]
-        out[rows] = embed(params, featurize([texts[i] for i in rows], params.num_buckets)).data
+        chunk = order[start : start + FEATURIZE_CHUNK]
+        ids, weights = featurize([texts[i] for i in chunk], params.num_buckets)
+        if rows is not None:
+            np.take(rows, ids, out=ids, mode="clip")  # "clip" writes over ids unbuffered
+        out[chunk] = embed(params, (ids, weights)).data
+        del ids, weights  # freed before the next chunk is featurized
     return out

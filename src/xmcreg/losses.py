@@ -8,6 +8,7 @@ the convention together with p -> 1-p.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -389,7 +390,12 @@ def total_loss(
     block: pair_reps.BlockContextParams,
     cfg: LossConfig,
     rng: np.random.Generator | None = None,
+    rows: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[dm.Tensor, LossBreakdown, int]:
-    """The objective on one batch, planned afresh: see objective."""
+    """The objective on one batch, planned afresh: see objective. If
+    given, ``rows(ids)`` writes the table rows that hold the plan's bucket
+    ids over ids; without it the table is in bucket order."""
     plan = plan_batch(dataset, batch, cfg, enc.num_buckets)
+    if rows is not None:
+        rows(plan.features[0])
     return objective(tape, plan, enc, head_ql, head_qb, block, cfg, rng)

@@ -159,24 +159,6 @@ def model_from_tensors(tensors: dict[str, np.ndarray], path: str | Path | None =
 ADAM_BLOCK = 32768
 # update_step's b1, b2 and eps
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
-# The share of a partly-live tensor's rows at which it goes back to row
-# order and the dense loop. On a 4,096 x 64 table whose step gives 10% of
-# its rows a gradient (one pinned CPU, median of 400 alternated steps, two
-# runs), the live-row update took 0.59x the dense time at 35% live rows,
-# 0.71x at 46%, 0.89-0.90x at 60%, 0.98-0.99x at 65%, 0.97-0.98x at 70%,
-# 1.05-1.06x at 75% and 1.30-1.35x at 100%.
-ADAM_DENSE_AT = 0.7
-
-
-@dataclass
-class LiveRows:
-    """The live rows of a partly-live tensor, those whose gradient has been
-    nonzero at some step: ``order`` lists them in the order they first
-    were (the rows of one step in ascending order), and ``mask`` is True
-    at each of them."""
-
-    order: np.ndarray
-    mask: np.ndarray
 
 
 @dataclass
@@ -185,29 +167,23 @@ class AdamState:
     count. ``touched`` names every tensor that had a gradient at some step:
     only those are read or written. An untouched tensor's moments are a
     read-only zero view, which holds no memory; its first gradient gives
-    it zeroed arrays of its own, shaped like the parameter.
+    it zeroed arrays of its own, shaped like the parameter and in its row
+    order.
 
-    A touched tensor of rank 2 or more whose rows each fit in half a
-    block of ADAM_BLOCK elements is partly live while its live rows (see
-    LiveRows) are fewer than ADAM_DENSE_AT of its rows; ``live`` holds its
-    LiveRows. Its m and v are compact, shaped like the parameter but not in row
-    order: row i holds the moments of row ``live[name].order[i]``, and the
-    rows past the live count hold zeros, unwritten (so their pages need
-    not be touched) until rows that become live take them. A row that has
-    never been live has zero moments, stored nowhere. So a saved run state
-    must keep ``live`` with the moments, to read them. Every other touched
-    tensor is dense, its moments in row order; a partly-live tensor whose
-    live rows reach ADAM_DENSE_AT goes back to row order once, and leaves
-    ``live``. ``scratch`` holds a block's two temporaries or, on the
-    live-row path, a half-sized block's two temporaries and its gathered
-    gradient and parameter rows, or the gradient rows that update_step
-    reads for its checks, reused by every step."""
+    ``high`` holds each touched tensor's high-water mark, in elements: the
+    end of the highest row its gradient's record has ever held, or the
+    whole tensor once a gradient came without a record (see
+    Tensor.grad_rows). Every gradient so far has held +0.0 past the mark,
+    so the moments there are zero, unwritten (their pages need not be
+    touched), and the update is zero to the bit. ``scratch`` holds a
+    block's two temporaries, or the gradient rows that update_step
+    gathers for its checks, reused by every step."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
     touched: set = field(default_factory=set)
-    live: dict[str, LiveRows] = field(default_factory=dict)
+    high: dict[str, int] = field(default_factory=dict)
     scratch: np.ndarray = field(default_factory=lambda: np.empty((2, ADAM_BLOCK)), repr=False, compare=False)
 
 
@@ -225,22 +201,19 @@ def init_adam(params: dict[str, dm.Tensor]) -> AdamState:
 def _finite(g: np.ndarray, rows: np.ndarray | None, tmp: np.ndarray) -> bool:
     """Whether every value of g is finite, read without a g-sized
     temporary: min and max are NaN if any value is. Given ``rows``, outside
-    which g holds +0.0, only those rows are read (see _gathered), if a row
-    fits in tmp."""
-    if rows is not None and 0 < math.prod(g.shape[1:]) <= tmp.size:
-        return all(_finite(block, None, tmp) for _, block in _gathered(g, rows, tmp))
+    which g holds +0.0, only those rows are read, gathered into the
+    scratch tmp in blocks, if a row fits in it."""
+    width = math.prod(g.shape[1:])
+    if rows is not None and 0 < width <= tmp.size:
+        g, per = g.reshape(len(g), -1), tmp.size // width
+        for lo in range(0, len(rows), per):
+            idx = rows[lo : lo + per]
+            block = tmp.reshape(-1)[: idx.size * width].reshape(idx.size, width)
+            np.take(g, idx, axis=0, out=block, mode="clip")  # idx is in range; "clip" writes out unbuffered
+            if not _finite(block, None, tmp):
+                return False
+        return True
     return g.size == 0 or math.isfinite(g.min()) and math.isfinite(g.max())
-
-
-def _gathered(g: np.ndarray, rows: np.ndarray, tmp: np.ndarray):
-    """(idx, g's rows idx) for successive blocks idx of rows, each block of
-    g's rows gathered into the scratch tmp, which must hold one row."""
-    g = g.reshape(len(g), -1)
-    per = tmp.size // g.shape[1]
-    for lo in range(0, len(rows), per):
-        idx = rows[lo : lo + per]
-        out = tmp.reshape(-1)[: idx.size * g.shape[1]].reshape(idx.size, -1)
-        yield idx, np.take(g, idx, axis=0, out=out, mode="clip")  # idx is in range; "clip" writes out unbuffered
 
 
 def _adam_block(g, m, v, p, update, denom, lr: float, t: int) -> None:
@@ -262,53 +235,33 @@ def _adam_block(g, m, v, p, update, denom, lr: float, t: int) -> None:
     p -= update
 
 
-def _add_live_rows(live: LiveRows, g: np.ndarray, rows: np.ndarray | None, tmp: np.ndarray) -> None:
-    """Append the rows of finite g that are nonzero for the first time to
-    live, in ascending order. Only rows not live yet are read, and given
-    ``rows``, outside which g holds +0.0, only those of them, gathered
-    into the scratch tmp (see _gathered). A finite value is nonzero when a
-    bit other than its sign is set, so -0.0 is zero: a row is nonzero when
-    the OR of its values' bits, shifted left by one to drop the sign, is
-    not zero."""
-    rows = np.flatnonzero(~live.mask) if rows is None else rows[~live.mask[rows]]
-    for idx, block in _gathered(g, rows, tmp):
-        bits = np.bitwise_or.reduce(block.view(np.uint64), axis=1)
-        new = idx[np.left_shift(bits, 1, out=bits) != 0]
-        if new.size:
-            live.mask[new] = True
-            live.order = np.concatenate((live.order, new))
-
-
 def update_step(params: dict[str, dm.Tensor], state: AdamState, lr: float) -> None:
     """Adaptive moment estimation update with bias correction, in place.
 
     A parameter whose gradient has been zero on every step so far has
-    zero moments and a mathematically zero update, so it is skipped; so is
-    a row of a partly-live tensor (see AdamState) that has never had a
-    nonzero gradient, whose update is zero to the bit. A touched parameter
-    without a gradient this step gets its own gradient buffer
-    (Tensor.zeroed_buffer), filled with zeros. A dense tensor is updated in
-    blocks of ADAM_BLOCK elements. A partly-live tensor first appends the
-    rows that are nonzero for the first time to its live rows; then its
-    live rows are updated in that order, in blocks of
-    ADAM_BLOCK // (2 * width) rows, each block's gradient and parameter
-    rows gathered into scratch and the parameter rows written back. Every element is
-    updated by the operations, in the order, of
+    zero moments and a mathematically zero update, so it is skipped. A
+    touched parameter without a gradient this step gets its own gradient
+    buffer (Tensor.zeroed_buffer), filled with zeros. Each touched tensor
+    first raises its high-water mark (see AdamState) to its gradient's
+    record, then the elements before the mark are updated, in their row
+    order, in blocks of ADAM_BLOCK elements; past it the update is zero to
+    the bit, so it is not run. So a table whose rows are used in order, as
+    train holds the bucket table (see BucketOrder), is updated in one
+    dense prefix of its rows. Every element is updated by the
+    operations, in the order, of
     m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
     p = p - lr*(m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps),
-    so the result does not depend on the block size or the path. Gradients
-    are left for the caller to read, until the next step's backward pass
-    reuses the buffers. Nothing tensor-sized is allocated except a
-    tensor's moments, at its first gradient and when it goes back to row
-    order.
+    so the result does not depend on the block size or the mark.
+    Gradients are left for the caller to read, until the next step's
+    backward pass reuses the buffers. Nothing tensor-sized is allocated
+    except a tensor's moments, at its first gradient.
 
     Every gradient is checked first, in checkpoint order: a wrong shape
     raises ShapeMismatch, a NaN or infinite value NonFiniteGradient naming
-    the tensor. Either leaves every parameter, moment and live row
+    the tensor. Either leaves every parameter, moment and high-water mark
     unwritten and the step uncounted. A gradient whose buffer records the
     rows it may hold nonzero (Tensor.grad_rows), as the bucket table's
-    does, is checked and scanned for new live rows in those rows only,
-    gathered into scratch in blocks.
+    does, is checked in those rows only, gathered into scratch in blocks.
     """
     grads = {}
     for name, p in params.items():
@@ -324,52 +277,74 @@ def update_step(params: dict[str, dm.Tensor], state: AdamState, lr: float) -> No
     state.step += 1
     t = state.step
     for name, g in grads.items():
-        first = name not in state.touched
-        if first:  # moments of its own
+        if name not in state.touched:  # moments of its own
             state.touched.add(name)
             state.m[name], state.v[name] = np.zeros(g.shape), np.zeros(g.shape)
-            if g.ndim >= 2 and 0 < 2 * g[0].size <= ADAM_BLOCK:  # rows that fit in a live-row block
-                state.live[name] = LiveRows(np.empty(0, dtype=np.intp), np.zeros(len(g), dtype=bool))
-        rows = state.live.get(name)
-        if rows is not None:
-            _add_live_rows(rows, g, params[name].grad_rows(), state.scratch)
-            if len(rows.order) >= ADAM_DENSE_AT * len(g):
-                del state.live[name]
-                if not first:  # the first gradient's moments are zero in any order
-                    for moments in (state.m, state.v):
-                        compact, moments[name] = moments[name], np.zeros(g.shape)
-                        moments[name].reshape(len(g), -1)[rows.order] = compact.reshape(len(g), -1)[: len(rows.order)]
-                rows = None
-        if rows is None:
-            _update_dense(g, params[name].data, state.m[name], state.v[name], state.scratch, lr, t)
-        else:
-            _update_rows(g, params[name].data, state.m[name], state.v[name], rows.order, state.scratch, lr, t)
+        rows = params[name].grad_rows()  # None: any row may hold a nonzero
+        mark = g.size if rows is None else (int(rows.max(initial=-1)) + 1) * (g.size // len(g))
+        state.high[name] = high = max(state.high.get(name, 0), mark)
+        flat = [np.ravel(a) for a in (g, state.m[name], state.v[name], params[name].data)]
+        for lo in range(0, high, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, high)
+            _adam_block(*(a[lo:hi] for a in flat), *state.scratch[:2, : hi - lo], lr, t)
 
 
-def _update_dense(g, data, m, v, tmp: np.ndarray, lr: float, t: int) -> None:
-    """Adam's update of a dense tensor, in blocks of ADAM_BLOCK elements."""
-    g, data, m, v = (np.ravel(a) for a in (g, data, m, v))
-    for lo in range(0, g.size, ADAM_BLOCK):
-        hi = min(lo + ADAM_BLOCK, g.size)
-        _adam_block(g[lo:hi], m[lo:hi], v[lo:hi], data[lo:hi], *tmp[:2, : hi - lo], lr, t)
+class BucketOrder:
+    """The encoder's bucket table in first-use order, as train holds it:
+    ``row[b]`` is the table row that holds bucket b, ``bucket`` is its
+    inverse, and rows [0, used) hold exactly the buckets read so far, in
+    the order they were first read (those of one step in ascending order).
+    Each row past used holds a bucket no step has read, with its initial
+    values, a +0.0 gradient and zero moments. So the table's gradient
+    record, and Adam's high-water mark of the table, never pass used, and
+    update_step updates one dense prefix of its rows.
 
+    The order moves no bit of training: a bucket's values, gradient and
+    moments move with it (only rows whose gradient and moments are zero
+    ever move, so only values do), and every sum over buckets adds the
+    same values in the same order wherever their rows are. Rows move
+    through the table's gradient buffer, whose last gradient no one reads
+    by then, and which holds +0.0 again where they passed."""
 
-def _update_rows(g, data, m, v, order: np.ndarray, tmp: np.ndarray, lr: float, t: int) -> None:
-    """Adam's update of a partly-live tensor's live rows, ``order``, whose
-    moments are compact, in blocks of ADAM_BLOCK // (2 * width) rows: a
-    block's two temporaries and its gathered gradient and parameter rows
-    share the dense loop's scratch."""
-    g, data, m, v = (a.reshape(len(a), -1) for a in (g, data, m, v))
-    width = g.shape[1]
-    per = ADAM_BLOCK // (2 * width)
-    tmp = tmp.reshape(-1)
-    for lo in range(0, len(order), per):
-        idx = order[lo : lo + per]
-        update, denom, gb, pb = tmp[: 4 * len(idx) * width].reshape(4, len(idx), width)
-        np.take(g, idx, axis=0, out=gb, mode="clip")  # idx is in range; "clip" writes out unbuffered
-        np.take(data, idx, axis=0, out=pb, mode="clip")
-        _adam_block(gb, m[lo : lo + len(idx)], v[lo : lo + len(idx)], pb, update, denom, lr, t)
-        data[idx] = pb
+    def __init__(self, table: dm.Tensor) -> None:
+        """The order of a table in bucket order."""
+        self.table = table
+        self.row = np.arange(len(table.data))
+        self.bucket = np.arange(len(table.data))
+        self.used = 0
+
+    def rows(self, ids: np.ndarray) -> np.ndarray:
+        """The table rows of the bucket ids, written over ids, once the
+        buckets of ids read for the first time have moved, in ascending
+        order, into the rows just past used; the unread buckets they
+        displace there take the rows they left."""
+        fresh = np.zeros(len(self.row), dtype=bool)
+        fresh[ids] = True
+        fresh &= self.row >= self.used  # read for the first time
+        new = np.flatnonzero(fresh)
+        if new.size:
+            old, to = self.row[new], np.arange(self.used, self.used + new.size)
+            # the rows of the unread buckets the new ones displace, and the rows past `to` they leave
+            displaced, left = to[~fresh[self.bucket[to]]], old[old >= self.used + new.size]
+            src, dst = np.concatenate((old, displaced)), np.concatenate((to, left))
+            self._move(src, dst)
+            self.bucket[dst] = self.bucket[src]
+            self.row[self.bucket[dst]] = dst
+            self.used += new.size
+        # "clip" writes over ids unbuffered, reading each id before its slot is written
+        return np.take(self.row, ids, out=ids, mode="clip")
+
+    def restore(self) -> None:
+        """Put the table back into bucket order, in place: the last call."""
+        self._move(self.row, np.arange(len(self.row)))
+
+    def _move(self, src: np.ndarray, dst: np.ndarray) -> None:
+        """Table rows src to rows dst, gathered into the gradient buffer's
+        first rows, which then hold +0.0."""
+        data = self.table.data
+        out = self.table.buffer().reshape(-1)[: src.size * data.shape[1]].reshape(src.size, -1)
+        data[dst] = np.take(data, src, axis=0, out=out, mode="clip")  # "clip" writes out unbuffered
+        out.fill(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -498,29 +473,33 @@ class Checkpoint:
 # training loop
 
 
-def _refresh(enc: EncoderParams, dataset: mining.Dataset, config: TrainConfig,
+def _refresh(enc: EncoderParams, order: BucketOrder, dataset: mining.Dataset, config: TrainConfig,
              rng: np.random.Generator) -> tuple[list[list[int]], list[list[int]] | None]:
-    """An epoch's groups, and its pools (None for the cluster sampler), under the current encoder."""
-    q_embs = encode_matrix(enc, [q.text for q in dataset.queries])
+    """An epoch's groups, and its pools (None for the cluster sampler),
+    under the current encoder, whose table is in ``order``."""
+    q_embs = encode_matrix(enc, [q.text for q in dataset.queries], order.row)
     if config.sampler == "cluster":
         return mining.cluster_batches(q_embs, config.batch_size, seed=int(rng.integers(2**31))), None
-    l_embs = encode_matrix(enc, [l.text for l in dataset.labels])
+    l_embs = encode_matrix(enc, [l.text for l in dataset.labels], order.row)
     positives = [q.positives for q in dataset.queries]
     pools = mining.ance_pool(q_embs, l_embs, [l.id for l in dataset.labels], positives, config.pool_size)
     return mining.random_groups(len(dataset.queries), config.batch_size, rng), pools
 
 
 def _step(dataset: mining.Dataset, batch: mining.Batch, model: ModelParams, params: dict[str, dm.Tensor],
-          state: AdamState, loss_cfg: LossConfig, lr: float, rng: np.random.Generator) -> LossBreakdown:
-    """One training step on a batch: the objective on a fresh tape, its
-    backward pass and one Adam update. Returns the loss breakdown. The
-    step's graph lives in this call's locals, so it is freed when the call
-    returns, before the next step's forward pass builds another."""
+          state: AdamState, order: BucketOrder, loss_cfg: LossConfig, lr: float,
+          rng: np.random.Generator) -> LossBreakdown:
+    """One training step on a batch: the objective on a fresh tape, with
+    the table in ``order``, its backward pass and one Adam update. Returns
+    the loss breakdown. The step's graph lives in this call's locals, so it
+    is freed when the call returns, before the next step's forward pass
+    builds another."""
     for p in params.values():
         p.grad = None
     tape = dm.GradTape()
     total, breakdown, _ = total_loss(
-        tape, dataset, batch, model.enc, model.head_ql, model.head_qb, model.block, loss_cfg, rng=rng
+        tape, dataset, batch, model.enc, model.head_ql, model.head_qb, model.block, loss_cfg, rng=rng,
+        rows=order.rows,
     )
     if not np.isfinite(breakdown.total):
         raise NonFiniteLoss(f"non-finite loss at step {state.step}")
@@ -535,23 +514,28 @@ def train(
     log_path: str | Path | None = None,
 ) -> tuple[Checkpoint, list[dict]]:
     """Run the optimization loop; returns the final checkpoint and the
-    per-epoch loss log (also written as JSONL when log_path is given)."""
+    per-epoch loss log (also written as JSONL when log_path is given).
+
+    While it runs, the bucket table is held in first-use order (see
+    BucketOrder), so Adam updates one dense prefix of its rows; it is put
+    back into bucket order, in place, before the checkpoint takes it."""
     rng = np.random.default_rng(config.seed)
     model = init_model(rng, config)
     params = model.named_tensors()
     state = init_adam(params)
+    order = BucketOrder(model.enc.bucket_table)
     loss_cfg = config.loss_config()
 
     log: list[dict] = []
     for epoch in range(config.epochs):
         if epoch % config.refresh_cadence == 0:
-            groups, pools = _refresh(model.enc, dataset, config, rng)
+            groups, pools = _refresh(model.enc, order, dataset, config, rng)
 
         sampled_pos = mining.sample_positives(dataset, rng)
         sums = {"base": 0.0, "tcm": 0.0, "xe_ql": 0.0, "xe_qb": 0.0, "total": 0.0}
         for group in groups:
             batch = mining.make_batch(dataset, group, sampled_pos, pools, rng)
-            breakdown = _step(dataset, batch, model, params, state, loss_cfg, config.learning_rate, rng)
+            breakdown = _step(dataset, batch, model, params, state, order, loss_cfg, config.learning_rate, rng)
             for key, val in asdict(breakdown).items():
                 sums[key] += val
 
@@ -560,6 +544,7 @@ def train(
     if log_path is not None:
         write_atomic(log_path, "".join(json.dumps(e, sort_keys=True) + "\n" for e in log))
 
+    order.restore()
     tensors = {name: p.data for name, p in params.items()}
     ckpt = Checkpoint(tensors=tensors, config=asdict(config), epoch=config.epochs)
     return ckpt, log

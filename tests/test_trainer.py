@@ -195,24 +195,13 @@ def _land(p: dm.Tensor, g: np.ndarray) -> None:
 
 def _adam_bytes(params: dict[str, dm.Tensor], state: AdamState) -> bytes:
     """The bytes of every parameter and both its moments, in checkpoint
-    order, then those of each partly-live tensor's live rows."""
-    return b"".join(a.tobytes() for name, p in params.items() for a in (p.data, state.m[name], state.v[name])) + \
-        b"".join(name.encode() + rows.order.tobytes() + rows.mask.tobytes() for name, rows in state.live.items())
+    order, then each touched tensor's high-water mark."""
+    return _array_bytes(params, state) + repr(sorted(state.high.items())).encode()
 
 
-def _row_order_moments(state: AdamState, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """name's m and v in row order: a partly-live tensor's compact rows
-    scattered into zeros, or a dense tensor's arrays as they are."""
-    if name not in state.live:
-        return state.m[name], state.v[name]
-    order = state.live[name].order
-    moments = []
-    for compact in (state.m[name], state.v[name]):
-        assert not compact[len(order):].any()  # the rows no live row has taken yet
-        dense = np.zeros_like(compact)
-        dense[order] = compact[: len(order)]
-        moments.append(dense)
-    return moments[0], moments[1]
+def _array_bytes(params: dict[str, dm.Tensor], state: AdamState) -> bytes:
+    """The bytes of every parameter and both its moments, in checkpoint order."""
+    return b"".join(a.tobytes() for name, p in params.items() for a in (p.data, state.m[name], state.v[name]))
 
 
 class TestArena:
@@ -366,74 +355,88 @@ class TestArena:
             assert ckpt.tensors[name] is p.data, name
 
 
-class TestLiveRows:
-    """Adam on a partly-live table: only rows whose gradient has been
-    nonzero at some step are read or written, bit for bit as the dense
-    formula."""
+class TestHighWaterMark:
+    """Adam updates each tensor up to its high-water mark, the end of the
+    highest row its gradient's record has ever held, bit for bit as the
+    dense formula on every row."""
 
-    @pytest.mark.parametrize("block", [32768, 12])  # at 12, blocks of 2 table rows and 1 row of other
+    B1, B2, EPS, LR = 0.9, 0.999, 1e-8, 0.01
+
+    def _run(self, params: dict[str, dm.Tensor], steps: list[dict], marks: list[int]) -> None:
+        """update_step over steps, each mapping a tensor to its gradient: a
+        plain array, assigned, or (rows, values) landed on the rows of its
+        buffer's record; a tensor left out has no gradient. After each
+        step, every tensor equals the dense formula on all of its rows,
+        byte for byte, and the table's mark is the next of marks."""
+        state = init_adam(params)
+        ref = {name: [p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)] for name, p in params.items()}
+        for t, (grads, mark) in enumerate(zip(steps, marks), start=1):
+            dense = {}
+            for name, p in params.items():
+                p.grad, g = None, grads.get(name)
+                if isinstance(g, tuple):
+                    _rows_land(p, *g)
+                    dense[name] = np.zeros(p.shape)
+                    dense[name][g[0]] = g[1] + 0.0
+                    assert p.grad_rows().tolist() == sorted(g[0]) and p.grad.tobytes() == dense[name].tobytes()
+                elif g is not None:
+                    p.grad = dense[name] = g.copy()
+            update_step(params, state, lr=self.LR)
+            for name, p in params.items():  # all touched at step 1
+                g = dense.get(name, np.zeros(p.shape))
+                p_ref, m, v = ref[name]
+                m = self.B1 * m + (1 - self.B1) * g
+                v = self.B2 * v + (1 - self.B2) * g * g
+                ref[name] = [p_ref - self.LR * (m / (1 - self.B1**t)) / (np.sqrt(v / (1 - self.B2**t)) + self.EPS),
+                             m, v]
+                for got, want in zip((p.data, state.m[name], state.v[name]), ref[name]):
+                    assert got.tobytes() == want.tobytes(), (name, t)
+            assert state.high["table"] == mark, t
+
+    @pytest.mark.parametrize("block", [32768, 12])  # at 12, blocks of 4 table rows and 3 rows of other
     def test_matches_reference_formula_bitwise(self, monkeypatch, block):
         monkeypatch.setattr(trainer, "ADAM_BLOCK", block)
-        monkeypatch.setattr(trainer, "ADAM_DENSE_AT", 0.6)
-        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
         rng = np.random.default_rng(block)
         params = {"table": dm.Tensor(rng.normal(size=(12, 3))), "bias": dm.Tensor(rng.normal(size=3)),
                   "other": dm.Tensor(rng.normal(size=(5, 2, 2)))}
-        params["table"].data[6] = [-0.0, 0.0, -0.0]  # never live: keeps its bytes, signs included
-        state = init_adam(params)
-        ref = {name: [p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)] for name, p in params.items()}
-
-        def rows(at, shape=(12, 3), zeros=()):
-            g = np.zeros(shape)
-            g[list(at)] = rng.normal(size=(len(at), *shape[1:]))
-            for r in zeros:  # rows that get only signed zeros
-                g[r] = [-0.0, 0.0, -0.0]
-            return g
-
-        steps = [  # each tensor's gradient (None: no gradient this step), and the table's live rows after
-            ({"table": rows([0, 5], zeros=[2, 3]), "bias": rng.normal(size=3), "other": rows([1], (5, 2, 2))},
-             [0, 5]),
-            ({"table": None, "bias": None, "other": None}, [0, 5]),  # touched, no gradient
-            ({"table": rows([7, 0], zeros=[2]), "other": rows([4, 1], (5, 2, 2))}, [0, 5, 7]),  # 7 late
-            ({"table": rows([11, 1, 9]), "bias": rng.normal(size=3)}, [0, 5, 7, 1, 9, 11]),
-            ({"table": rows([3, 4]), "other": rows([0, 2, 3], (5, 2, 2))}, None),  # 8 of 12 rows: row order
-            ({"table": rows([2, 10, 5], zeros=[8])}, None),
+        signed = {6: [-0.0, 0.0, -0.0], 11: [0.0, -0.0, -0.0]}  # inside the prefix from step 1, and past it
+        for r, zeros in signed.items():
+            params["table"].data[r] = zeros
+        plus_zero = np.array([[0.0, -0.0, 0.0]])  # lands as +0.0
+        steps = [  # table rows out of order, row 5 recorded with +0.0 only
+            {"table": ([7, 0, 5], np.vstack([rng.normal(size=(2, 3)), plus_zero])), "bias": rng.normal(size=3),
+             "other": rng.normal(size=(5, 2, 2))},
+            {},  # touched, no gradient: the mark stays
+            {"table": ([9, 2, 1], rng.normal(size=(3, 3))), "other": rng.normal(size=(5, 2, 2))},
+            {"table": ([3], rng.normal(size=(1, 3))), "bias": rng.normal(size=3)},  # below the mark
         ]
-        for t, (grads, live) in enumerate(steps, start=1):
-            for name, p in params.items():
-                p.grad = None if grads.get(name) is None else grads[name].copy()
-            update_step(params, state, lr=lr)
-            for name in params:  # all touched at step 1
-                g = grads.get(name)
-                g = np.zeros_like(params[name].data) if g is None else g
-                p_ref, m, v = ref[name]
-                m = b1 * m + (1 - b1) * g
-                v = b2 * v + (1 - b2) * g * g
-                ref[name] = [p_ref - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps), m, v]
-            for name, p in params.items():
-                for got, want in zip((p.data, *_row_order_moments(state, name)), ref[name]):
-                    assert got.tobytes() == want.tobytes(), (name, t)
-            if live is None:
-                assert "table" not in state.live and state.m["table"].shape == (12, 3)
-            else:
-                assert state.live["table"].order.tolist() == live, t
-                assert np.flatnonzero(state.live["table"].mask).tolist() == sorted(live)
-            # "other" gains live rows 1, 4, then 0, 2 and 3, past 0.6 of its 5
-            assert ("other" in state.live) == (t < 5) and "bias" not in state.live
-        assert params["table"].data[6].tobytes() == np.array([-0.0, 0.0, -0.0]).tobytes()
+        self._run(params, steps, [24, 24, 30, 30])
+        for r, zeros in signed.items():  # never had a gradient: keeps its bytes, signs included
+            assert params["table"].data[r].tobytes() == np.array(zeros).tobytes()
+
+    def test_unknown_record_updates_the_whole_tensor(self, monkeypatch):
+        monkeypatch.setattr(trainer, "ADAM_BLOCK", 12)
+        rng = np.random.default_rng(0)
+        params = {"table": dm.Tensor(rng.normal(size=(12, 3)))}
+        steps = [{"table": ([3, 1], rng.normal(size=(2, 3)))},
+                 {"table": np.where(rng.random((12, 3)) < 0.5, rng.normal(size=(12, 3)), 0.0)},  # no record
+                 {"table": ([0], rng.normal(size=(1, 3)))}, {}]
+        self._run(params, steps, [12, 36, 36, 36])
 
     @pytest.mark.parametrize("fault", ["nan", "inf", "shape"])
-    def test_rejected_step_leaves_live_rows_unwritten(self, fault):
+    def test_rejected_step_leaves_marks_unwritten(self, fault):
         params = init_model(np.random.default_rng(0), tiny_config()).named_tensors()
         state = init_adam(params)
         table = params["encoder/bucket_table"]
         for p in params.values():
-            _land(p, np.ones(p.shape))
-        table.grad[10:] = 0.0
+            if p is not table:
+                _land(p, np.ones(p.shape))
+        _bag_land(table, np.arange(10))
         update_step(params, state, lr=0.1)
-        assert state.live["encoder/bucket_table"].order.tolist() == list(range(10))
+        assert state.high["encoder/bucket_table"] == 10 * table.shape[1]
         kept = _adam_bytes(params, state)
-        table.grad[:] = 1.0  # every row new but the first ten; rejected by a tensor after the table
+        table.grad = None
+        _bag_land(table, np.arange(500, 600))  # would raise the mark; rejected by a tensor after the table
         if fault == "shape":
             params["head_ql/b2"].grad = np.zeros(2)
         else:
@@ -443,41 +446,17 @@ class TestLiveRows:
         assert _adam_bytes(params, state) == kept
         assert state.step == 1
 
-    def test_partly_live_step_allocates_nothing_tensor_sized(self):
+    def test_step_from_embedding_bag_allocates_nothing_tensor_sized(self):
         params = init_model(np.random.default_rng(0), TrainConfig()).named_tensors()
         state = init_adam(params)
         table = params["encoder/bucket_table"]
-        rows = np.random.default_rng(1).permutation(len(table.data))
-        for p in params.values():
-            _land(p, np.ones(p.shape))
-        table.grad[rows[1200:]] = 0.0  # 1,200 of 4,096 rows live
-        update_step(params, state, lr=0.1)
-        table.grad.fill(0.0)
-        table.grad[rows[1000:1600]] = 1.0  # 400 new rows, 200 live ones
-        params["head_ql/b2"].grad = None  # touched earlier, no gradient now: its own buffer, zeroed
-        tracemalloc.start()
-        try:
-            update_step(params, state, lr=0.1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(state.live["encoder/bucket_table"].order) == 1600
-        # row-sized arrays only: the table's 262,144 values as bools would take 256 KB
-        assert peak < 65536
-
-    def test_partly_live_step_from_embedding_bag_allocates_nothing_tensor_sized(self):
-        params = init_model(np.random.default_rng(0), TrainConfig()).named_tensors()
-        state = init_adam(params)
-        table = params["encoder/bucket_table"]
-        rows = np.random.default_rng(1).permutation(len(table.data))
         for name, p in params.items():
             if p is not table:
                 _land(p, np.ones(p.shape))
-        _bag_land(table, rows[:1200])  # 1,200 of 4,096 rows live
+        _bag_land(table, np.arange(1200))
         update_step(params, state, lr=0.1)
         table.grad = None
-        _bag_land(table, rows[1000:1600])  # 400 new rows, 200 live ones, on record
-        assert table.grad_rows().tolist() == sorted(rows[1000:1600])
+        _bag_land(table, np.random.default_rng(1).permutation(1600)[:600])  # 600 rows on record, 1,600 updated
         params["head_ql/b2"].grad = None  # touched earlier, no gradient now: its own buffer, zeroed
         tracemalloc.start()
         try:
@@ -485,9 +464,113 @@ class TestLiveRows:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(state.live["encoder/bucket_table"].order) == 1600
+        assert state.high["encoder/bucket_table"] <= 1600 * table.shape[1]
         # row-sized arrays only: the 600 recorded rows' 38,400 values would take 300 KB
         assert peak < 65536
+
+
+class TestBucketOrder:
+    """train holds the bucket table in first-use order (BucketOrder), which
+    moves no bit of training."""
+
+    @staticmethod
+    def _check(order: trainer.BucketOrder, initial: np.ndarray, read: np.ndarray) -> None:
+        """The map is a permutation with its inverse, rows [0, used) hold
+        exactly the buckets read (a mask), and every bucket keeps its
+        initial values past used."""
+        n = len(order.row)
+        assert np.array_equal(np.sort(order.row), np.arange(n))
+        assert np.array_equal(order.bucket[order.row], np.arange(n))
+        assert np.array_equal(np.sort(order.bucket[: order.used]), np.flatnonzero(read))
+        assert order.table.data[order.used :].tobytes() == initial[order.bucket[order.used :]].tobytes()
+
+    def test_new_buckets_take_the_rows_past_used_in_ascending_order(self):
+        initial = np.arange(36.0).reshape(12, 3)
+        order = trainer.BucketOrder(dm.Tensor(initial.copy()))
+        read = np.zeros(12, dtype=bool)
+        # (ids, their rows, the buckets of rows [0, used) after)
+        for ids, rows, first in [([[5, 2], [9, 5]], [[1, 0], [2, 1]], [2, 5, 9]),
+                                 ([[0, 2, 11]], [[3, 0, 4]], [2, 5, 9, 0, 11]),
+                                 ([[2, 5]], [[0, 1]], [2, 5, 9, 0, 11])]:  # none new: nothing moves
+            ids = np.array(ids)
+            read[ids] = True
+            got = order.rows(ids)
+            assert got is ids and ids.tolist() == rows
+            assert order.bucket[: order.used].tolist() == first
+            self._check(order, initial, read)
+        # the unread buckets the new ones displaced took the rows they left
+        assert order.row[[1, 3, 4]].tolist() == [9, 5, 11]
+        buffer = order.table.buffer()
+        order.restore()
+        assert order.table.data.tobytes() == initial.tobytes() and buffer.tobytes() == np.zeros((12, 3)).tobytes()
+
+    @pytest.mark.parametrize("sampler, digest", [
+        ("cluster", "3a00d1c13212f1dc755340de8f3837c1fded093b5f015ee04b338e36a11f151c"),
+        ("ance", "b967f9ede7941aa03ca0bd7d0ca2b8b6d6164e28f74596126674fb5911c9fdf5"),
+    ])
+    def test_table_in_first_use_order_after_every_step(self, tmp_path, tiny_dataset, monkeypatch, sampler, digest):
+        """After every step of a run that refreshes every epoch, so the
+        second refresh reads a reordered table: the map is a permutation,
+        rows [0, used) hold the buckets read so far, and no row past used
+        has a gradient, a moment or a changed value. The checkpoint, in
+        bucket order, is the one the table gave in bucket order
+        throughout."""
+        config = tiny_config(epochs=2, sampler=sampler, refresh_cadence=1, pool_size=5)
+        initial = init_model(np.random.default_rng(config.seed), config).enc.bucket_table.data
+        real_rows, real_update = trainer.BucketOrder.rows, trainer.update_step
+        seen, used = {"read": np.zeros(len(initial), dtype=bool)}, []
+
+        def rows(order, ids):
+            seen["order"] = order
+            seen["read"][ids] = True
+            return real_rows(order, ids)
+
+        def update(params, state, lr):
+            real_update(params, state, lr)
+            order, name = seen["order"], "encoder/bucket_table"
+            self._check(order, initial, seen["read"])
+            zeros = np.zeros((len(initial) - order.used, initial.shape[1])).tobytes()
+            for past in (params[name].grad, state.m[name], state.v[name]):
+                assert past[order.used :].tobytes() == zeros
+            assert state.high[name] <= order.used * initial.shape[1]
+            used.append(order.used)
+
+        monkeypatch.setattr(trainer.BucketOrder, "rows", rows)
+        monkeypatch.setattr(trainer, "update_step", update)
+        ckpt, _ = train(tiny_dataset, config)
+        assert len(used) == 12 and used == sorted(used) and 0 < used[0] < used[-1] < len(initial)
+        ckpt.save(tmp_path / "c.bin")
+        assert hashlib.sha256((tmp_path / "c.bin").read_bytes()).hexdigest() == digest
+
+    def test_remap_and_step_allocate_nothing_tensor_sized(self):
+        params = init_model(np.random.default_rng(0), TrainConfig()).named_tensors()
+        state = init_adam(params)
+        table = params["encoder/bucket_table"]
+        order = trainer.BucketOrder(table)
+        rng = np.random.default_rng(1)
+        buckets = rng.permutation(len(table.data))
+        for name, p in params.items():
+            if p is not table:
+                _land(p, np.ones(p.shape))
+        _bag_land(table, order.rows(buckets[:1200].copy()))
+        update_step(params, state, lr=0.1)
+        # a step's 40,000 ids read 400 new buckets and 200 used ones
+        ids = rng.choice(buckets[1000:1600], size=(100, 400))
+        assert len(np.unique(ids)) == 600
+        table.grad = None
+        peaks = []
+        for call in (lambda: order.rows(ids), lambda: update_step(params, state, lr=0.1)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            if not peaks[1:]:
+                _bag_land(table, np.unique(ids))
+        assert order.used == 1600 and state.high["encoder/bucket_table"] <= 1600 * table.shape[1]
+        # row-sized arrays only: the 800 rows moved would take 400 KB, the ids as bools 40 KB
+        assert max(peaks) < 65536
 
 
 def _bag_land(table: dm.Tensor, rows) -> None:
@@ -496,6 +579,14 @@ def _bag_land(table: dm.Tensor, rows) -> None:
     nonzero and on its buffer's record."""
     tape = dm.GradTape()
     tape.backward(dm.mean_all(tape, dm.embedding_bag(tape, table, [rows], [np.ones(len(rows))])))
+
+
+def _rows_land(p: dm.Tensor, rows, values) -> None:
+    """Backward of <gather_rows(p, rows), values>: p's first gradient of a
+    pass, with values + 0.0 scattered into rows, which are on its
+    buffer's record."""
+    tape = dm.GradTape()
+    tape.backward(dm.dot(tape, dm.reshape(tape, dm.gather_rows(tape, p, rows), (-1,)), np.ravel(values)))
 
 
 class TestRecordedRows:
@@ -541,7 +632,7 @@ class TestRecordedRows:
         assert any(not np.isin(a, b).all() for a, b in zip(recorded, recorded[1:]))
 
     @pytest.mark.parametrize("block", [32768, 40])  # at 40, the checks gather the recorded rows 5 at a time
-    @pytest.mark.parametrize("row", ["live", "new"])
+    @pytest.mark.parametrize("row", ["below", "past"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_nonfinite_in_a_recorded_row_rejected_before_any_write(self, monkeypatch, block, row, value):
         monkeypatch.setattr(trainer, "ADAM_BLOCK", block)
@@ -551,12 +642,12 @@ class TestRecordedRows:
         for p in params.values():
             if p is not table:
                 _land(p, np.ones(p.shape))
-        _bag_land(table, np.arange(0, 60, 3))
+        _bag_land(table, np.arange(0, 60, 3))  # the mark ends at row 57
         update_step(params, state, lr=0.1)
         kept = _adam_bytes(params, state)
         table.grad = None
-        _bag_land(table, np.arange(0, 60, 2))  # rows 0, 6, ..., 54 live, the other 20 new
-        bad = 54 if row == "live" else 58  # in the last block at 40
+        _bag_land(table, np.arange(0, 60, 2))  # row 58 would raise the mark
+        bad = 54 if row == "below" else 58  # in the last block at 40
         table.grad[bad, -1] = value
         # head_ql/b2 comes after the table in checkpoint order and holds a finite gradient
         assert np.isfinite(params["head_ql/b2"].grad).all()
@@ -568,7 +659,7 @@ class TestRecordedRows:
     def test_recorded_rows_give_the_full_read_bitwise(self, monkeypatch):
         """Adam over three passes of a table gradient from embedding_bag
         equals Adam over the same gradients assigned as plain arrays, which
-        update_step reads whole."""
+        update_step reads and updates whole."""
         monkeypatch.setattr(trainer, "ADAM_BLOCK", 40)
         runs = []
         for assigned in (False, True):
@@ -582,7 +673,8 @@ class TestRecordedRows:
                     table.grad = table.grad.copy()
                 assert (table.grad_rows() is None) == assigned
                 update_step(params, state, lr=0.1)
-            runs.append(_adam_bytes(params, state))
+            runs.append(_array_bytes(params, state))
+            assert state.high["encoder/bucket_table"] == (table.data.size if assigned else 701 * table.shape[1])
         assert runs[0] == runs[1]
 
 
