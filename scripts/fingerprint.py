@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
 """Train and evaluate one run config with one BLAS thread and print the
-sha256 of every output file.
+sha256 of every dataset file it read and every output file.
 
     python3 scripts/fingerprint.py --config run.cfg --data data/
 
 `--data` is a dataset directory with `train/` and `test/` splits (as
 written by `xmcreg generate-data`). The run trains on `train/`, then
 evaluates the checkpoint on `test/`, and prints one `sha256  file` line
-for `checkpoint.bin`, its `.config.json` sidecar, `train_log.jsonl`,
-`report.json` and `scores.tsv` to standard output (the commands' own
+to standard output for each input file, `train/labels.jsonl`,
+`train/queries.jsonl`, `test/labels.jsonl` and `test/queries.jsonl`,
+then for each output file, `checkpoint.bin`, its `.config.json` sidecar,
+`train_log.jsonl`, `report.json` and `scores.tsv` (the commands' own
 messages go to standard error). Two checkouts that print the same lines
-for the same config and data produce byte-identical runs. The thread
-count is pinned before numpy loads, because OpenBLAS rounds some
-products differently with a different number of threads.
+for the same config ran on the same dataset bytes and produced
+byte-identical runs. The thread count is pinned before numpy loads,
+because OpenBLAS rounds some products differently with a different
+number of threads.
 """
 
 import os
@@ -32,11 +35,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from xmcreg.cli import run  # noqa: E402
 
+INPUTS = ("train/labels.jsonl", "train/queries.jsonl", "test/labels.jsonl", "test/queries.jsonl")
 OUTPUTS = ("checkpoint.bin", "checkpoint.bin.config.json", "train_log.jsonl", "report.json", "scores.tsv")
 
 
 def fingerprint(config: str, data: Path, out: Path) -> dict[str, str]:
-    """Run train and eval into ``out``; return sha256 by output file name."""
+    """Run train and eval into ``out``; return sha256 by file name, the
+    inputs under ``data`` first, then the outputs."""
     for argv in (
         ["train", "--config", config, "--data", str(data / "train"), "--out", str(out)],
         ["eval", "--checkpoint", str(out / "checkpoint.bin"), "--data", str(data / "test"),
@@ -46,7 +51,8 @@ def fingerprint(config: str, data: Path, out: Path) -> dict[str, str]:
             code = run(argv)
         if code != 0:
             raise SystemExit(f"xmcreg {argv[0]} failed")
-    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS}
+    files = [(name, data / name) for name in INPUTS] + [(name, out / name) for name in OUTPUTS]
+    return {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files}
 
 
 def main() -> None:

@@ -136,26 +136,85 @@ def corrupt_text(text: str, rng: np.random.Generator, noise_rate: float, abbrevi
     return corrupted
 
 
+def _bounded_draws(rng: np.random.Generator, sizes: tuple[int, ...], count: int) -> np.ndarray:
+    """``count`` rows of one index below each of ``sizes``: the indices of
+    ``[[rng.integers(n) for n in sizes] for _ in range(count)]``, leaving
+    ``rng`` in the state those calls leave it, buffered half included.
+
+    Each such call takes one 32-bit half of the generator's stream: the
+    half that the generator buffers (``has_uint32`` and ``uinteger`` in its
+    state) if it holds one, otherwise the low half of a new 64-bit draw,
+    buffering the high half. It maps the half u to ``(u * n) >> 32``
+    (Lemire's multiply-shift) and would draw again when the low 32 bits of
+    ``u * n`` fall below 2**32 mod n, which never happens when n divides
+    2**32. Any other n, and n = 1 (which takes no half), is refused. So
+    this takes the buffered half first, then draws only the 64-bit values
+    that the calls would draw, splits each arithmetically (low, then high),
+    and buffers the last high half if the calls would leave it unused."""
+    for n in sizes:
+        if not (2 <= n <= 2**32 and 2**32 % n == 0):
+            raise ValueError(f"bulk draws need each size to divide 2**32 and be at least 2, got {n}")
+    halves_used = count * len(sizes)
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    buffered = state["has_uint32"]
+    raw = bitgen.random_raw((halves_used - buffered + 1) // 2)
+    halves = np.empty(buffered + 2 * raw.size, np.uint64)
+    halves[:buffered] = state["uinteger"]
+    halves[buffered::2] = raw & 0xFFFFFFFF
+    halves[buffered + 1::2] = raw >> 32
+    if halves_used:
+        state = bitgen.state
+        state["has_uint32"] = int(halves.size > halves_used)
+        state["uinteger"] = int(halves[-1])  # the entering half when nothing was drawn
+        bitgen.state = state
+    return (halves[:halves_used].reshape(count, len(sizes)) * np.array(sizes, np.uint64)) >> 32
+
+
+def _label_titles(rng: np.random.Generator, families: list[tuple[str, str]], num_labels: int) -> list[str]:
+    """The title of each label: label lid is in family lid % len(families)
+    and draws a variant, a size and a unit until its title is new, keeping
+    the last after 100 draws. Draws as one ``rng.integers`` call per index
+    would, in bulk: first the 3 indices that every label needs at least,
+    then, once retries have used them up, the 3 that each label left needs."""
+    sizes = (len(_VARIANTS), len(_SIZES), len(_UNITS))
+    titles: list[str] = []
+    seen = set()
+    draws = iter(())
+    for lid in range(num_labels):
+        brand, category = families[lid % len(families)]
+        for _ in range(100):
+            drawn = next(draws, None)
+            if drawn is None:
+                draws = iter(_bounded_draws(rng, sizes, num_labels - lid).tolist())
+                drawn = next(draws)
+            v, s, u = drawn
+            text = f"{brand} {_VARIANTS[v]} {category} {_SIZES[s]}{_UNITS[u]}"
+            if text not in seen:
+                break
+        seen.add(text)
+        titles.append(text)
+    return titles
+
+
 def build_synthetic(spec: SyntheticSpec) -> tuple[list[TextRecord], list[QueryRecord], list[QueryRecord]]:
-    """Labels plus train/test query records, fully determined by the seed."""
+    """Labels plus train/test query records, fully determined by the seed.
+
+    The label titles take their indices in bulk (``_bounded_draws``), yet
+    get those of one ``rng.integers(n)`` call per index and leave the
+    generator in the same state. That rests on numpy's ``Generator.integers``
+    over PCG64 taking one 32-bit half of the stream per call, low half
+    first, and mapping it by Lemire's multiply-shift, which never rejects
+    when n divides 2**32 (16 variants, 8 sizes, 4 units). If a numpy
+    release changes that, ``tests/test_data_io.py``'s ``TestBulkDraws`` and
+    ``TestGenerateAndLoad::test_writes_the_per_call_oracles_bytes``, which
+    compare with the one-call-per-draw oracles, fail."""
     rng = np.random.default_rng(spec.seed)
     combos = [(b, c) for b in _BRANDS for c in _CATEGORIES]
     family_idx = rng.choice(len(combos), size=spec.families, replace=False)
     families = [combos[int(i)] for i in family_idx]
-
-    labels: list[TextRecord] = []
-    seen = set()
-    for lid in range(spec.num_labels):
-        brand, category = families[lid % spec.families]
-        for _ in range(100):
-            variant = _VARIANTS[rng.integers(len(_VARIANTS))]
-            size = _SIZES[rng.integers(len(_SIZES))]
-            unit = _UNITS[rng.integers(len(_UNITS))]
-            text = f"{brand} {variant} {category} {size}{unit}"
-            if text not in seen:
-                break
-        seen.add(text)
-        labels.append(TextRecord(id=lid, text=text))
+    titles = _label_titles(rng, families, spec.num_labels)
+    labels = [TextRecord(id=lid, text=text) for lid, text in enumerate(titles)]
 
     def make_queries(n: int) -> list[QueryRecord]:
         out = []
@@ -195,24 +254,27 @@ def write_atomic(path: str | Path, data: str | bytes | typing.Iterable[bytes]) -
     os.replace(tmp, path)
 
 
-_ROW_ENCODER = json.JSONEncoder(sort_keys=True)
+def _label_line(id_: int, text: str) -> str:
+    """One labels.jsonl line, as ``json.dumps(row, sort_keys=True)`` writes it."""
+    return f'{{"id": {id_}, "text": {json.dumps(text)}}}\n'
 
 
-def _jsonl(rows: typing.Iterable[dict]) -> bytes:
-    return "".join([_ROW_ENCODER.encode(row) + "\n" for row in rows]).encode("utf-8")
+def _query_line(id_: int, labels: list[int], text: str) -> str:
+    """One queries.jsonl line, as ``json.dumps(row, sort_keys=True)`` writes it."""
+    return f'{{"id": {id_}, "labels": [{", ".join(map(str, labels))}], "text": {json.dumps(text)}}}\n'
 
 
 def generate(spec: SyntheticSpec, out_dir: str | Path) -> None:
     """Write train/ and test/ dataset directories (shared label space)."""
     out_dir = Path(out_dir)
     labels, train_q, test_q = build_synthetic(spec)
-    label_lines = _jsonl({"id": l.id, "text": l.text} for l in labels)
+    label_lines = "".join([_label_line(l.id, l.text) for l in labels]).encode("utf-8")
     for split, queries in (("train", train_q), ("test", test_q)):
         split_dir = out_dir / split
         split_dir.mkdir(parents=True, exist_ok=True)
         write_atomic(split_dir / "labels.jsonl", label_lines)
         write_atomic(split_dir / "queries.jsonl",
-                     _jsonl({"id": q.id, "text": q.text, "labels": sorted(q.positives)} for q in queries))
+                     "".join([_query_line(q.id, sorted(q.positives), q.text) for q in queries]).encode("utf-8"))
 
 
 # what each field type of a record file reads as in an error message

@@ -554,10 +554,11 @@ class TestFingerprintScript:
             capture_output=True, text=True, check=True,
         )
         lines = [line.split("  ") for line in result.stdout.splitlines()]
+        inputs = ["train/labels.jsonl", "train/queries.jsonl", "test/labels.jsonl", "test/queries.jsonl"]
         names = ["checkpoint.bin", "checkpoint.bin.config.json", "train_log.jsonl", "report.json", "scores.tsv"]
-        assert [name for _, name in lines] == names
+        assert [name for _, name in lines] == inputs + names
         for digest, name in lines:
-            assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert digest == hashlib.sha256(((dataset_dir if name in inputs else out) / name).read_bytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")

@@ -103,6 +103,23 @@ def generate_oracle(spec, out_dir):
             (split_dir / name).write_bytes("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows).encode())
 
 
+def label_titles_oracle(rng, families, num_labels):
+    """build_synthetic_oracle's label loop, on a given generator."""
+    titles, seen = [], set()
+    for lid in range(num_labels):
+        brand, category = families[lid % len(families)]
+        for _ in range(100):
+            variant = data_io._VARIANTS[rng.integers(len(data_io._VARIANTS))]
+            size = data_io._SIZES[rng.integers(len(data_io._SIZES))]
+            unit = data_io._UNITS[rng.integers(len(data_io._UNITS))]
+            text = f"{brand} {variant} {category} {size}{unit}"
+            if text not in seen:
+                break
+        seen.add(text)
+        titles.append(text)
+    return titles
+
+
 class TestSyntheticSpec:
     def test_invariants(self):
         with pytest.raises(InvalidSpec):
@@ -229,6 +246,108 @@ class TestBuildSynthetic:
         wide = build_synthetic(dataclasses.replace(SyntheticSpec(seed=seed), num_test_queries=2000))
         assert wide[0] == base[0] and wide[1] == base[1]
         assert len(wide[2]) == 2000 and wide[2][:500] == base[2]
+
+
+def _entering(seed, ints_before):
+    """Two equal generators after ``ints_before`` integers(7) draws: an odd
+    count leaves a buffered 32-bit half."""
+    rngs = [np.random.default_rng(seed) for _ in range(2)]
+    for rng in rngs:
+        for _ in range(ints_before):
+            rng.integers(7)
+    assert rngs[0].bit_generator.state["has_uint32"] == ints_before % 2
+    return rngs
+
+
+def _assert_same_generator(a, b):
+    """Equal state, buffered half included, and equal draws after."""
+    assert a.bit_generator.state == b.bit_generator.state
+    assert a.integers(2**20) == b.integers(2**20)
+    assert a.integers(16) == b.integers(16)
+    assert a.random() == b.random()
+
+
+_POWERS_OF_TWO = st.sampled_from([2, 4, 8, 16, 2**16, 2**31, 2**32])
+
+
+class TestBulkDraws:
+    """The label loop's bulk draws against one rng.integers(n) call per index."""
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 2**32), st.integers(0, 3), st.lists(_POWERS_OF_TWO, min_size=1, max_size=4),
+           st.integers(0, 40))
+    def test_match_per_call_draws_and_leave_the_same_state(self, seed, ints_before, sizes, count):
+        rngs = _entering(seed, ints_before)
+        got = data_io._bounded_draws(rngs[0], tuple(sizes), count)
+        assert got.shape == (count, len(sizes))
+        assert got.tolist() == [[int(rngs[1].integers(n)) for n in sizes] for _ in range(count)]
+        _assert_same_generator(*rngs)
+
+    @pytest.mark.parametrize("ints_before", [0, 1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 2, 5, 6])  # 3, 6, 15 and 18 halves: odd and even
+    def test_label_sizes_with_and_without_a_buffered_half(self, ints_before, count):
+        rngs = _entering(11, ints_before)
+        sizes = (len(data_io._VARIANTS), len(data_io._SIZES), len(data_io._UNITS))
+        got = data_io._bounded_draws(rngs[0], sizes, count).tolist()
+        assert got == [[int(rngs[1].integers(n)) for n in sizes] for _ in range(count)]
+        # the per-call draws leave a half buffered iff they took an odd number
+        # of halves from new 64-bit draws
+        assert rngs[1].bit_generator.state["has_uint32"] == (3 * count - ints_before % 2) % 2
+        _assert_same_generator(*rngs)
+
+    @pytest.mark.parametrize("n", [7, 3, 24, 1, 2**33])
+    def test_a_size_that_does_not_divide_2_to_the_32_is_refused_before_any_draw(self, n):
+        rng = np.random.default_rng(0)
+        rng.integers(7)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"need each size to divide 2\\*\\*32 and be at least 2, got {n}$"):
+            data_io._bounded_draws(rng, (16, n), 3)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("ints_before", [0, 1, 2, 3])
+    @pytest.mark.parametrize("num_labels, families, refills", [
+        (1024, 2, "many"),  # at the title cap: many retries and some 100-draw give-ups
+        (100, 3, "some"),
+        (5, 5, "none"),  # one label per family: never a retry
+    ])
+    def test_titles_match_per_call_loop(self, ints_before, num_labels, families, refills):
+        fams = [(b, c) for b in data_io._BRANDS[:families] for c in data_io._CATEGORIES[:1]]
+        rngs = _entering(ints_before + 5, ints_before)
+        with mock.patch.object(data_io, "_bounded_draws", wraps=data_io._bounded_draws) as draws:
+            titles = data_io._label_titles(rngs[0], fams, num_labels)
+        assert titles == label_titles_oracle(rngs[1], fams, num_labels)
+        _assert_same_generator(*rngs)
+        # the first call draws 3 indices for each label, and each refill
+        # after retries 3 for each label left, the retrying one included
+        counts = [c.args[2] for c in draws.call_args_list]
+        assert counts[0] == num_labels and counts == sorted(counts, reverse=True)
+        if refills == "none":
+            assert counts == [num_labels]
+        else:
+            assert len(counts) > 1
+        if refills == "many":
+            assert len(counts) > 100
+            assert len(set(titles)) < num_labels  # a label gave up after 100 draws
+
+
+# any text, with what JSON escapes or could mishandle drawn often: quotes,
+# backslashes, control characters, U+2028/U+2029, non-ASCII and lone surrogates
+_ANY_TEXT = st.text(st.one_of(st.characters(exclude_categories=()),
+                              st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\u2029é中\U0001f600\ud800\udfff')))
+_IDS = st.integers(0, 2**63 - 1)
+
+
+class TestLineFormat:
+    @settings(max_examples=300)
+    @given(_IDS, _ANY_TEXT)
+    def test_label_line_is_json_dumps_with_sorted_keys(self, id_, text):
+        assert data_io._label_line(id_, text) == json.dumps({"id": id_, "text": text}, sort_keys=True) + "\n"
+
+    @settings(max_examples=300)
+    @given(_IDS, st.lists(_IDS, min_size=1, max_size=5), _ANY_TEXT)
+    def test_query_line_is_json_dumps_with_sorted_keys(self, id_, labels, text):
+        row = {"id": id_, "text": text, "labels": labels}
+        assert data_io._query_line(id_, labels, text) == json.dumps(row, sort_keys=True) + "\n"
 
 
 class TestGenerateAndLoad:
