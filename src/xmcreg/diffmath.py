@@ -39,21 +39,21 @@ class Tensor:
     the leaf's first gradient into it and adds later ones in place, so a
     leaf's .grad is that buffer, to be read until the next pass reuses it.
 
-    The buffer also records the rows it may hold nonzero: None for
-    unknown, or the ascending rows outside which it holds +0.0. Row
-    scatters (_scatter_rows) keep the record, and any other write into the
-    buffer makes it None. So a pass re-zeroes only the rows the last pass
-    recorded, and update_step reads only those (grad_rows).
+    The buffer also records its extent: None for unknown, or the row count
+    end from which on it holds +0.0. Row scatters (_scatter_rows) raise
+    end past the rows they add into, and any other write into the buffer
+    makes it None. So a pass re-zeroes only the rows before the last
+    pass's end, and update_step reads only those (grad_end).
     """
 
-    __slots__ = ("data", "grad", "_backward", "_buffer", "_rows")
+    __slots__ = ("data", "grad", "_backward", "_buffer", "_end")
 
     def __init__(self, data) -> None:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self._backward = None
         self._buffer: np.ndarray | None = None
-        self._rows: np.ndarray | None = None
+        self._end: int | None = None
 
     def buffer(self) -> np.ndarray:
         """This tensor's own gradient buffer: C-ordered, of its shape, allocated
@@ -63,17 +63,16 @@ class Tensor:
         return self._buffer
 
     def zeroed_buffer(self) -> np.ndarray:
-        """This tensor's buffer filled with +0.0, written only in the
-        recorded rows (everywhere when the record is None); the record
-        becomes empty."""
+        """This tensor's buffer filled with +0.0, written only in the rows
+        before its end (everywhere when the end is None); the end becomes 0."""
         buf = self.buffer()
-        buf[... if self._rows is None else self._rows] = 0.0
-        self._rows = np.empty(0, dtype=np.intp) if buf.ndim else None  # rank 0 has no rows
+        buf[... if self._end is None else slice(self._end)] = 0.0
+        self._end = 0 if buf.ndim else None  # rank 0 has no rows
         return buf
 
-    def grad_rows(self) -> np.ndarray | None:
-        """The buffer's record when .grad is the buffer, else None."""
-        return self._rows if self.grad is self._buffer else None
+    def grad_end(self) -> int | None:
+        """The buffer's end when .grad is the buffer, else None."""
+        return self._end if self.grad is self._buffer else None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -147,7 +146,7 @@ def _fresh(t) -> np.ndarray | None:
 
 def _accum(t, g: np.ndarray) -> None:
     """Add g to t's gradient. A leaf copies its first g into its buffer and
-    adds later ones there in place, and its record becomes None. Any other
+    adds later ones there in place, and its end becomes None. Any other
     tensor keeps its first g as it is and adds later ones out of place: a
     stored gradient other than a leaf's own buffer may be shared with
     other tensors and is never written."""
@@ -156,12 +155,12 @@ def _accum(t, g: np.ndarray) -> None:
     buf = _fresh(t)
     if buf is not None:
         np.copyto(buf, g)
-        t.grad, t._rows = buf, None
+        t.grad, t._end = buf, None
     elif t.grad is None:
         t.grad = g
     elif t.grad is t._buffer:
         t.grad += g
-        t._rows = None
+        t._end = None
     else:
         t.grad = t.grad + g
 
@@ -172,7 +171,7 @@ def _accum_matmul(t, x: np.ndarray, y: np.ndarray) -> None:
     if buf is None:
         _accum(t, x @ y)
     else:
-        t.grad, t._rows = np.matmul(x, y, out=buf), None
+        t.grad, t._end = np.matmul(x, y, out=buf), None
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -339,11 +338,12 @@ def _scatter_rows(t, idx: np.ndarray, vals: np.ndarray) -> None:
     bit: the same additions in the same order, but on numpy's fast path
     for a 1-D destination (a row-wise add.at runs one index at a time).
     A leaf's first sum of a pass starts from its buffer filled with zeros
-    (Tensor.zeroed_buffer, which writes only the rows the last pass
-    recorded), and later ones add into that buffer; its record becomes
-    the union of the rows added into, unless another write made it None.
-    Otherwise the sum starts from fresh zeros, or from a C-ordered copy
-    of t's gradient so far, which _accum may share with other tensors.
+    (Tensor.zeroed_buffer, which writes only the rows before the last
+    pass's end), and later ones add into that buffer; each raises the end
+    past the last row it added into (a negative index adds into row
+    len + index), unless another write made the end None. Otherwise the
+    sum starts from fresh zeros, or from a C-ordered copy of t's gradient
+    so far, which _accum may share with other tensors.
     Callers pass vals + 0.0, which maps -0.0 to +0.0 as adding into a
     zero buffer does. A constant t gets nothing."""
     if not isinstance(t, Tensor):
@@ -357,10 +357,9 @@ def _scatter_rows(t, idx: np.ndarray, vals: np.ndarray) -> None:
     width = math.prod(t.shape[1:])
     flat = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
     np.add.at(t.grad.reshape(-1), flat, vals.reshape(-1))
-    if t.grad_rows() is not None:  # a mask, not np.unique, which sorts
-        mask = np.zeros(len(t.grad), dtype=bool)
-        mask[t._rows] = mask[idx] = True
-        t._rows = np.flatnonzero(mask)
+    if t.grad_end() is not None and idx.size:
+        last = int(idx.max()) if idx.min() >= 0 else int((idx % len(t.grad)).max())
+        t._end = max(t._end, last + 1)
 
 
 def gather_rows(tape, a, idx) -> Tensor:

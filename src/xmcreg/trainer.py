@@ -171,13 +171,12 @@ class AdamState:
     order.
 
     ``high`` holds each touched tensor's high-water mark, in elements: the
-    end of the highest row its gradient's record has ever held, or the
-    whole tensor once a gradient came without a record (see
-    Tensor.grad_rows). Every gradient so far has held +0.0 past the mark,
-    so the moments there are zero, unwritten (their pages need not be
-    touched), and the update is zero to the bit. ``scratch`` holds a
-    block's two temporaries, or the gradient rows that update_step
-    gathers for its checks, reused by every step."""
+    highest end its gradient has ever had, times its row width, or the
+    whole tensor once a gradient came without one (see Tensor.grad_end).
+    Every gradient so far has held +0.0 past the mark, so the moments
+    there are zero, unwritten (their pages need not be touched), and the
+    update is zero to the bit. ``scratch`` holds a block's two
+    temporaries, reused by every step."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
@@ -198,21 +197,9 @@ def init_adam(params: dict[str, dm.Tensor]) -> AdamState:
                      v={name: np.broadcast_to(0.0, p.data.shape) for name, p in params.items()})
 
 
-def _finite(g: np.ndarray, rows: np.ndarray | None, tmp: np.ndarray) -> bool:
+def _finite(g: np.ndarray) -> bool:
     """Whether every value of g is finite, read without a g-sized
-    temporary: min and max are NaN if any value is. Given ``rows``, outside
-    which g holds +0.0, only those rows are read, gathered into the
-    scratch tmp in blocks, if a row fits in it."""
-    width = math.prod(g.shape[1:])
-    if rows is not None and 0 < width <= tmp.size:
-        g, per = g.reshape(len(g), -1), tmp.size // width
-        for lo in range(0, len(rows), per):
-            idx = rows[lo : lo + per]
-            block = tmp.reshape(-1)[: idx.size * width].reshape(idx.size, width)
-            np.take(g, idx, axis=0, out=block, mode="clip")  # idx is in range; "clip" writes out unbuffered
-            if not _finite(block, None, tmp):
-                return False
-        return True
+    temporary: min and max are NaN if any value is."""
     return g.size == 0 or math.isfinite(g.min()) and math.isfinite(g.max())
 
 
@@ -243,7 +230,7 @@ def update_step(params: dict[str, dm.Tensor], state: AdamState, lr: float) -> No
     touched parameter without a gradient this step gets its own gradient
     buffer (Tensor.zeroed_buffer), filled with zeros. Each touched tensor
     first raises its high-water mark (see AdamState) to its gradient's
-    record, then the elements before the mark are updated, in their row
+    end, then the elements before the mark are updated, in their row
     order, in blocks of ADAM_BLOCK elements; past it the update is zero to
     the bit, so it is not run. So a table whose rows are used in order, as
     train holds the bucket table (see BucketOrder), is updated in one
@@ -260,8 +247,8 @@ def update_step(params: dict[str, dm.Tensor], state: AdamState, lr: float) -> No
     raises ShapeMismatch, a NaN or infinite value NonFiniteGradient naming
     the tensor. Either leaves every parameter, moment and high-water mark
     unwritten and the step uncounted. A gradient whose buffer records the
-    rows it may hold nonzero (Tensor.grad_rows), as the bucket table's
-    does, is checked in those rows only, gathered into scratch in blocks.
+    row from which on it holds +0.0 (Tensor.grad_end), as the bucket
+    table's does, is checked in the rows before it only.
     """
     grads = {}
     for name, p in params.items():
@@ -271,7 +258,7 @@ def update_step(params: dict[str, dm.Tensor], state: AdamState, lr: float) -> No
             p.grad = p.zeroed_buffer()
         elif np.shape(p.grad) != p.data.shape:
             raise ShapeMismatch(f"{name}: grad {np.shape(p.grad)} vs param {p.data.shape}")
-        elif not _finite(p.grad, p.grad_rows(), state.scratch):
+        elif not _finite(p.grad[: p.grad_end()] if p.grad.ndim else p.grad):  # rank 0 has no rows
             raise dm.NonFiniteGradient(f"non-finite gradient of {name} at step {state.step}")
         grads[name] = p.grad
     state.step += 1
@@ -280,8 +267,8 @@ def update_step(params: dict[str, dm.Tensor], state: AdamState, lr: float) -> No
         if name not in state.touched:  # moments of its own
             state.touched.add(name)
             state.m[name], state.v[name] = np.zeros(g.shape), np.zeros(g.shape)
-        rows = params[name].grad_rows()  # None: any row may hold a nonzero
-        mark = g.size if rows is None else (int(rows.max(initial=-1)) + 1) * (g.size // len(g))
+        end = params[name].grad_end()  # None: any row may hold a nonzero
+        mark = g.size if end is None else end * math.prod(g.shape[1:])
         state.high[name] = high = max(state.high.get(name, 0), mark)
         flat = [np.ravel(a) for a in (g, state.m[name], state.v[name], params[name].data)]
         for lo in range(0, high, ADAM_BLOCK):
@@ -296,7 +283,7 @@ class BucketOrder:
     the order they were first read (those of one step in ascending order).
     Each row past used holds a bucket no step has read, with its initial
     values, a +0.0 gradient and zero moments. So the table's gradient
-    record, and Adam's high-water mark of the table, never pass used, and
+    end, and Adam's high-water mark of the table, never pass used, and
     update_step updates one dense prefix of its rows.
 
     The order moves no bit of training: a bucket's values, gradient and

@@ -569,20 +569,19 @@ class TestGradientBuffers:
         assert all(t.grad is not None for t in (w, x, b))
 
 
-def _assert_zero_outside_record(t: dm.Tensor) -> None:
-    """t.grad is +0.0, by its bytes, in every row outside t's record, whose rows ascend."""
-    rows = t.grad_rows()
-    assert rows is not None and np.all(np.diff(rows) > 0)
-    outside = np.ones(len(t.grad), dtype=bool)
-    outside[rows] = False
-    assert t.grad[outside].tobytes() == np.zeros(t.grad[outside].shape).tobytes()
+def _assert_zero_from_end(t: dm.Tensor) -> None:
+    """t.grad is +0.0, by its bytes, in every row from t's end on."""
+    end = t.grad_end()
+    assert end is not None
+    assert t.grad[end:].tobytes() == np.zeros(t.grad[end:].shape).tobytes()
 
 
 class TestBufferRecord:
-    """A leaf's buffer records the rows a row scatter added into; the next
-    pass re-zeroes only those, and any other write makes the record
-    unknown. Every pass's gradient equals, byte for byte, what the same
-    pass gives a new leaf, whose scatter starts from a zero-filled buffer."""
+    """A leaf's buffer records the end of the rows a row scatter added
+    into; the next pass re-zeroes only the rows before it, and any other
+    write makes the end unknown. Every pass's gradient equals, byte for
+    byte, what the same pass gives a new leaf, whose scatter starts from a
+    zero-filled buffer."""
 
     # the gradient-carrying uses of a leaf in one pass: row scatters, and
     # kernels that write its buffer whole
@@ -616,17 +615,20 @@ class TestBufferRecord:
 
     def test_scatters_record_their_rows_and_the_next_pass_rezeroes_them(self):
         t = dm.Tensor(np.random.default_rng(0).normal(size=(8, 3)))
-        self._check(t, [("gather", [5, 1, 5])])
-        assert t.grad_rows().tolist() == [1, 5]
-        _assert_zero_outside_record(t)
-        # two scatters in one pass: the record is the union of their rows
-        self._check(t, [("gather", [0, 2]), ("bag", [6, 2])])
-        assert t.grad_rows().tolist() == [0, 2, 6]
-        _assert_zero_outside_record(t)
-        # rows 0, 2 and 6 of the last pass come out zero
-        self._check(t, [("bag", [3])])
-        assert t.grad_rows().tolist() == [3]
-        _assert_zero_outside_record(t)
+        passes = [
+            ([("gather", [5, 1, 5])], 6),
+            # two scatters in one pass: the end passes the rows of both, whichever
+            # adds first (backward runs the use recorded last first)
+            ([("gather", [0, 2]), ("bag", [6, 2])], 7),
+            ([("gather", [6, 0]), ("bag", [2])], 7),
+            ([("bag", [3])], 4),  # rows 0, 2 and 6 of the last pass come out zero
+            ([("gather", [-1]), ("bag", [1, -3])], 8),  # a negative index adds into row 8 + index
+            ([("gather", [0])], 1),  # rows 1, 5 and 7 of the last pass come out zero
+        ]
+        for uses, end in passes:
+            self._check(t, uses)
+            assert t.grad_end() == end, uses
+            _assert_zero_from_end(t)
 
     @pytest.mark.parametrize("dense", ["accumulate", "product"])
     @pytest.mark.parametrize("first", ["scatter", "dense"])
@@ -636,29 +638,29 @@ class TestBufferRecord:
         # backward runs in reverse: the use recorded last writes first
         uses = [("gather", [2, 7]), (dense, [])]
         self._check(t, uses if first == "dense" else uses[::-1])
-        assert t.grad_rows() is None
+        assert t.grad_end() is None
         # the next pass zeroes every row the dense write left nonzero
         self._check(t, [("gather", [1])])
-        assert t.grad_rows().tolist() == [1]
-        _assert_zero_outside_record(t)
+        assert t.grad_end() == 2
+        _assert_zero_from_end(t)
 
     def test_gradient_other_than_the_buffer_has_no_record(self):
         t = dm.Tensor(np.ones((4, 2)))
         self._check(t, [("gather", [1])])
         t.grad = np.ones((4, 2))  # assigned from outside: the buffer's record does not describe it
-        assert t.grad_rows() is None
+        assert t.grad_end() is None
         dm.gather_rows(dm.GradTape(), t, [2])._backward(np.ones((1, 2)))
-        assert t.grad_rows() is None and t.grad[0].tolist() == [1.0, 1.0]
+        assert t.grad_end() is None and t.grad[0].tolist() == [1.0, 1.0]
 
     def test_zeroed_buffer_writes_the_recorded_rows_and_records_none(self):
         t = dm.Tensor(np.ones((5, 2)))
         self._check(t, [("gather", [3])])
         t.grad = t.zeroed_buffer()
-        assert t.grad.tobytes() == np.zeros((5, 2)).tobytes() and t.grad_rows().size == 0
-        s = dm.Tensor(np.ones(()))  # a rank-0 buffer, zeroed twice, records nothing it cannot index
+        assert t.grad.tobytes() == np.zeros((5, 2)).tobytes() and t.grad_end() == 0
+        s = dm.Tensor(np.ones(()))  # a rank-0 buffer, zeroed twice, records no end it cannot index
         for _ in range(2):
             s.grad = s.zeroed_buffer()
-            assert s.grad.tobytes() == np.zeros(()).tobytes() and s.grad_rows() is None
+            assert s.grad.tobytes() == np.zeros(()).tobytes() and s.grad_end() is None
 
 
 def test_finite_outputs_on_finite_inputs():

@@ -356,16 +356,16 @@ class TestArena:
 
 
 class TestHighWaterMark:
-    """Adam updates each tensor up to its high-water mark, the end of the
-    highest row its gradient's record has ever held, bit for bit as the
-    dense formula on every row."""
+    """Adam updates each tensor up to its high-water mark, the highest end
+    its gradient has ever had, bit for bit as the dense formula on every
+    row."""
 
     B1, B2, EPS, LR = 0.9, 0.999, 1e-8, 0.01
 
     def _run(self, params: dict[str, dm.Tensor], steps: list[dict], marks: list[int]) -> None:
         """update_step over steps, each mapping a tensor to its gradient: a
-        plain array, assigned, or (rows, values) landed on the rows of its
-        buffer's record; a tensor left out has no gradient. After each
+        plain array, assigned, or (rows, values) landed on rows before its
+        buffer's end; a tensor left out has no gradient. After each
         step, every tensor equals the dense formula on all of its rows,
         byte for byte, and the table's mark is the next of marks."""
         state = init_adam(params)
@@ -378,7 +378,7 @@ class TestHighWaterMark:
                     _rows_land(p, *g)
                     dense[name] = np.zeros(p.shape)
                     dense[name][g[0]] = g[1] + 0.0
-                    assert p.grad_rows().tolist() == sorted(g[0]) and p.grad.tobytes() == dense[name].tobytes()
+                    assert p.grad_end() == max(g[0]) + 1 and p.grad.tobytes() == dense[name].tobytes()
                 elif g is not None:
                     p.grad = dense[name] = g.copy()
             update_step(params, state, lr=self.LR)
@@ -456,7 +456,7 @@ class TestHighWaterMark:
         _bag_land(table, np.arange(1200))
         update_step(params, state, lr=0.1)
         table.grad = None
-        _bag_land(table, np.random.default_rng(1).permutation(1600)[:600])  # 600 rows on record, 1,600 updated
+        _bag_land(table, np.random.default_rng(1).permutation(1600)[:600])  # 600 rows landed, 1,600 updated
         params["head_ql/b2"].grad = None  # touched earlier, no gradient now: its own buffer, zeroed
         tracemalloc.start()
         try:
@@ -465,7 +465,8 @@ class TestHighWaterMark:
         finally:
             tracemalloc.stop()
         assert state.high["encoder/bucket_table"] <= 1600 * table.shape[1]
-        # row-sized arrays only: the 600 recorded rows' 38,400 values would take 300 KB
+        # row-sized arrays only: the check reads the rows before the end (up to 1,600) with min
+        # and max, where np.isfinite(g[:end]).all() would take up to 100 KB, a bool a value
         assert peak < 65536
 
 
@@ -576,23 +577,24 @@ class TestBucketOrder:
 def _bag_land(table: dm.Tensor, rows) -> None:
     """Backward of the mean of embedding_bag over table, one bag per row of
     rows: the table's first gradient of a pass, with exactly those rows
-    nonzero and on its buffer's record."""
+    nonzero, and its buffer's end one past the last of them."""
     tape = dm.GradTape()
     tape.backward(dm.mean_all(tape, dm.embedding_bag(tape, table, [rows], [np.ones(len(rows))])))
 
 
 def _rows_land(p: dm.Tensor, rows, values) -> None:
     """Backward of <gather_rows(p, rows), values>: p's first gradient of a
-    pass, with values + 0.0 scattered into rows, which are on its
-    buffer's record."""
+    pass, with values + 0.0 scattered into rows, which end where its
+    buffer's end does."""
     tape = dm.GradTape()
     tape.backward(dm.dot(tape, dm.reshape(tape, dm.gather_rows(tape, p, rows), (-1,)), np.ravel(values)))
 
 
 class TestRecordedRows:
-    """update_step reads a gradient whose buffer records its nonzero rows
-    (the bucket table's, which embedding_bag scatters) only in those rows,
-    and gives the result of reading all of it."""
+    """update_step reads a gradient whose buffer records the row from
+    which on it holds +0.0 (the bucket table's, which embedding_bag
+    scatters) only in the rows before it, and gives the result of reading
+    all of it."""
 
     @pytest.mark.parametrize("sampler", ["cluster", "ance"])
     def test_table_buffer_is_each_pass_gradient_and_zero_outside_its_record(self, tiny_dataset, monkeypatch,
@@ -607,19 +609,18 @@ class TestRecordedRows:
         def scatter(t, idx, vals):  # the table's gradient as the pass gives it into a zero-filled buffer
             if t is seen.get("table"):
                 if t.grad is None:
-                    seen["want"] = np.zeros(t.shape)
+                    seen["want"], seen["end"] = np.zeros(t.shape), 0
                 np.add.at(seen["want"], idx, vals)
+                seen["end"] = max(seen["end"], int(idx.max(initial=-1)) + 1)  # the last row added into, + 1
             real_scatter(t, idx, vals)
 
         def update(params, state, lr):  # after every backward pass
             table = seen["table"]
-            rows = table.grad_rows()
-            assert rows is not None and np.all(np.diff(rows) > 0)
-            outside = np.ones(len(table.grad), dtype=bool)
-            outside[rows] = False
-            assert table.grad[outside].tobytes() == np.zeros((outside.sum(), table.shape[1])).tobytes()
+            end = table.grad_end()
+            assert end == seen["end"]
+            assert table.grad[end:].tobytes() == np.zeros((len(table.grad) - end, table.shape[1])).tobytes()
             assert table.grad.tobytes() == seen["want"].tobytes()
-            recorded.append(rows)
+            recorded.append(end)
             real_update(params, state, lr)
 
         monkeypatch.setattr(trainer, "init_adam", init)
@@ -627,11 +628,11 @@ class TestRecordedRows:
         monkeypatch.setattr(trainer, "update_step", update)
         train(tiny_dataset, tiny_config(epochs=2, sampler=sampler, refresh_cadence=1, pool_size=5))
         assert len(recorded) == 12  # 24 queries in groups of 4, twice
-        # each pass records its own rows, not the union of the passes so far
-        assert all(0 < len(rows) < len(seen["table"].data) for rows in recorded)
-        assert any(not np.isin(a, b).all() for a, b in zip(recorded, recorded[1:]))
+        # each pass records its own end, not the highest of the passes so far
+        assert all(0 < end < len(seen["table"].data) for end in recorded)
+        assert any(b < a for a, b in zip(recorded, recorded[1:]))
 
-    @pytest.mark.parametrize("block", [32768, 40])  # at 40, the checks gather the recorded rows 5 at a time
+    @pytest.mark.parametrize("block", [32768, 40])  # at 40, Adam's blocks are 5 rows; the check reads no blocks
     @pytest.mark.parametrize("row", ["below", "past"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_nonfinite_in_a_recorded_row_rejected_before_any_write(self, monkeypatch, block, row, value):
@@ -647,7 +648,7 @@ class TestRecordedRows:
         kept = _adam_bytes(params, state)
         table.grad = None
         _bag_land(table, np.arange(0, 60, 2))  # row 58 would raise the mark
-        bad = 54 if row == "below" else 58  # in the last block at 40
+        bad = 54 if row == "below" else 58  # 58: the last row before the end
         table.grad[bad, -1] = value
         # head_ql/b2 comes after the table in checkpoint order and holds a finite gradient
         assert np.isfinite(params["head_ql/b2"].grad).all()
@@ -671,7 +672,7 @@ class TestRecordedRows:
                 _bag_land(table, rows)
                 if assigned:
                     table.grad = table.grad.copy()
-                assert (table.grad_rows() is None) == assigned
+                assert (table.grad_end() is None) == assigned
                 update_step(params, state, lr=0.1)
             runs.append(_array_bytes(params, state))
             assert state.high["encoder/bucket_table"] == (table.data.size if assigned else 701 * table.shape[1])
